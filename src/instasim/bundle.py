@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptBundle, FormatError, InvalidInput, IoError, MissingItem
+from .reporting import atomic_write
 
 MAGIC = b"IDSIMEMB"
 FORMAT_VERSION = 1
@@ -91,13 +92,10 @@ def write_bundle(path, bundle: EmbeddingBundle) -> None:
         header.append(struct.pack("<H", len(raw)))
         header.append(raw)
         header.append(struct.pack("<I", checked.items[image_id].shape[0]))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(header))
-            for image_id in ids:
-                fh.write(checked.items[image_id].astype("<f4", copy=False).tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write bundle {path}: {exc}") from exc
+    with atomic_write(path, binary=True) as fh:
+        fh.write(b"".join(header))
+        for image_id in ids:
+            fh.write(checked.items[image_id].astype("<f4", copy=False).tobytes())
 
 
 def read_bundle(path) -> EmbeddingBundle:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from ._version import __version__
 from .bundle import read_bundle, write_bundle
@@ -48,7 +49,7 @@ from .records import (
     load_votes,
     save_triplets,
 )
-from .reporting import FORMAT_VERSION, config_hash, write_json_report
+from .reporting import report_envelope, write_json_report, write_jsonl
 from .sensitivity import analyze_grids, load_grids, similarity_trend, write_trend_csv
 from .sinkhorn import SinkhornConfig
 from .trainer import TrainConfig, apply_head, train
@@ -83,12 +84,7 @@ def _sinkhorn_from(args) -> SinkhornConfig:
 
 
 def _report_envelope(command: str, seed: int, params: dict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "seed": int(seed),
-        "config_hash": config_hash({"command": command, "seed": int(seed), **params}),
-    }
+    return report_envelope(seed, {"command": command, "seed": int(seed), **params})
 
 
 def _cmd_curate(args) -> int:
@@ -199,10 +195,9 @@ def _cmd_train(args) -> int:
         "objective": cfg.loss.objective,
         "patch_metric": cfg.loss.patch_metric,
     }
-    chash = config_hash({"command": "train", "seed": args.seed, **params})
-    save_head(args.out_head, result.best_head, seed=args.seed, config_hash=chash)
+    report = _report_envelope("train", args.seed, params)
+    save_head(args.out_head, result.best_head, seed=args.seed, config_hash=report["config_hash"])
     if args.out_history:
-        report = _report_envelope("train", args.seed, params)
         report.update({"history": result.history, "best_epoch": result.best_epoch})
         write_json_report(args.out_history, report)
     best = result.history[result.best_epoch - 1] if result.history else None
@@ -265,28 +260,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_aggregate_votes(args) -> int:
     summaries = aggregate_votes(load_votes(args.votes), threshold=args.threshold)
-    import json as _json
-
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for s in summaries:
-                fh.write(
-                    _json.dumps(
-                        {
-                            "pair_id": s.pair_id,
-                            "label": s.label,
-                            "agreement": s.agreement,
-                            "binary": s.binary,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        from .errors import IoError
-
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    write_jsonl(args.out, (asdict(s) for s in summaries))
     n_pos = sum(s.binary for s in summaries)
     print(f"wrote {args.out} ({n_pos} positive / {len(summaries) - n_pos} negative)")
     return 0

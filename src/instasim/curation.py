@@ -10,8 +10,7 @@ leftover budget is redistributed in the next round.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,11 +19,18 @@ from .errors import (
     FormatError,
     InsufficientInventory,
     InvalidInput,
-    IoError,
     MissingItem,
     NoCandidates,
 )
-from .records import SOURCE_INSTANCE_KEY, ImageManifest, Triplet, VoteRecord, manifest_index
+from .records import (
+    SOURCE_INSTANCE_KEY,
+    ImageManifest,
+    Triplet,
+    VoteRecord,
+    manifest_index,
+    require_str,
+)
+from .reporting import iter_jsonl, read_json, write_jsonl
 from .rng import derived_rng
 
 TRIPLET_KINDS = ("REAL_ONLY", "S2A_POSITIVE", "S2B_NEGATIVE")
@@ -38,13 +44,7 @@ S2A_PAIRING_MODES = ("EDITED_POSITIVE", "EDITED_ANCHOR", "BOTH_EDITED")
 def load_inventory(path) -> dict:
     """Inventory JSON: dataset_id -> count, or -> {"instances": n,
     "categories": {name: count, ...}} when category detail exists."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read inventory {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict) or not raw:
         raise FormatError(f"{path}: inventory must be a non-empty object")
     inv: dict = {}
@@ -74,22 +74,19 @@ def inventory_counts(inv: dict) -> dict[str, int]:
 
 
 def load_filter_rules(path) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rules = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read filter config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    rules = read_json(path)
     if not isinstance(rules, list):
         raise FormatError(f"{path}: filter config must be a JSON array")
     for rule in rules:
-        if not isinstance(rule, dict) or "dataset_id" not in rule or "action" not in rule:
-            raise FormatError(f"{path}: each rule needs dataset_id and action")
-        if rule["action"] not in ("drop", "drop_categories", "keep_categories"):
-            raise FormatError(f"{path}: unknown action {rule['action']!r}")
-        if rule["action"] != "drop" and not isinstance(rule.get("categories"), list):
-            raise FormatError(f"{path}: {rule['action']} needs a categories list")
+        if not isinstance(rule, dict) or not isinstance(rule.get("dataset_id"), str):
+            raise FormatError(f"{path}: each rule needs a string dataset_id and an action")
+        if rule.get("action") not in ("drop", "drop_categories", "keep_categories"):
+            raise FormatError(f"{path}: unknown action {rule.get('action')!r}")
+        cats = rule.get("categories")
+        if rule["action"] != "drop" and not (
+            isinstance(cats, list) and all(isinstance(c, str) for c in cats)
+        ):
+            raise FormatError(f"{path}: {rule['action']} needs a categories list of strings")
     return rules
 
 
@@ -252,85 +249,43 @@ def assign_splits(
 
 def save_samples(path, samples: list[InstanceSample], split: dict[str, str] | None = None) -> None:
     """Selected-instance JSONL, one record per sampled instance."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in sorted(samples, key=lambda x: (x.dataset_id, x.instance_id)):
-                obj = {
-                    "instance_id": s.instance_id,
-                    "dataset_id": s.dataset_id,
-                    "anchor": s.anchor,
-                    "positive": s.positive,
-                }
-                if split is not None:
-                    obj["split"] = split[s.instance_id]
-                fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write samples {path}: {exc}") from exc
+    write_jsonl(
+        path,
+        (
+            {**asdict(s), **({"split": split[s.instance_id]} if split is not None else {})}
+            for s in sorted(samples, key=lambda x: (x.dataset_id, x.instance_id))
+        ),
+    )
 
 
 def load_samples(path) -> tuple[list[InstanceSample], dict[str, str]]:
     """Read a selected-instance file back; returns (samples, split map)."""
     samples: list[InstanceSample] = []
     split: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                try:
-                    samples.append(
-                        InstanceSample(
-                            instance_id=obj["instance_id"],
-                            dataset_id=obj["dataset_id"],
-                            anchor=obj["anchor"],
-                            positive=obj["positive"],
-                        )
-                    )
-                except KeyError as exc:
-                    raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-                if "split" in obj:
-                    split[obj["instance_id"]] = obj["split"]
-    except OSError as exc:
-        raise IoError(f"cannot read samples {path}: {exc}") from exc
+    for lineno, obj in iter_jsonl(path):
+        sample = InstanceSample(
+            instance_id=require_str(obj, "instance_id", path, lineno),
+            dataset_id=require_str(obj, "dataset_id", path, lineno),
+            anchor=require_str(obj, "anchor", path, lineno),
+            positive=require_str(obj, "positive", path, lineno),
+        )
+        samples.append(sample)
+        if "split" in obj:
+            split[sample.instance_id] = require_str(obj, "split", path, lineno)
     return samples, split
 
 
 def save_mined(path, mined: dict[str, list[str]]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for anchor in sorted(mined):
-                fh.write(
-                    json.dumps(
-                        {"anchor": anchor, "negatives": mined[anchor]},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write mined negatives {path}: {exc}") from exc
+    write_jsonl(path, ({"anchor": a, "negatives": mined[a]} for a in sorted(mined)))
 
 
 def load_mined(path) -> dict[str, list[str]]:
     mined: dict[str, list[str]] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    mined[obj["anchor"]] = list(obj["negatives"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise FormatError(f"{path}:{lineno}: bad mined record: {exc}") from exc
-    except OSError as exc:
-        raise IoError(f"cannot read mined negatives {path}: {exc}") from exc
+    for lineno, obj in iter_jsonl(path):
+        negatives = obj.get("negatives")
+        if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
+            raise FormatError(f"{path}:{lineno}: negatives must be an array of strings")
+        mined[require_str(obj, "anchor", path, lineno)] = negatives
     return mined
 
 

@@ -11,6 +11,7 @@ initialized to identity matrices must reproduce its input exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from scipy.special import erf
 
 from .bundle import EmbeddingBundle
 from .errors import FormatError, InvalidInput, IoError, ShapeError
+from .reporting import atomic_write, canonical_json
 from .rng import derived_rng
 
 ACTIVATIONS = ("gelu", "identity")
@@ -71,15 +73,6 @@ class DualHead:
     @property
     def out_dim(self) -> int:
         return self.cls_head.W2.shape[1]
-
-
-@dataclass
-class EmbeddingItem:
-    """One image's ingested embeddings: a CLS vector and/or a token matrix."""
-
-    image_id: str
-    cls: np.ndarray | None = None
-    patches: np.ndarray | None = None
 
 
 def _init_mlp(in_dim: int, hidden_dim: int, out_dim: int, rng_for) -> TwoLayerMLP:
@@ -159,17 +152,6 @@ def mlp_backward(mlp: TwoLayerMLP, cache, dY: np.ndarray, activation: str):
     db1 = dH.sum(axis=0)
     dX = dH @ mlp.W1.T
     return dX, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
-
-
-def forward(head: DualHead, item: EmbeddingItem):
-    """Project one item: (c, Z) with None for missing parts."""
-    c = None
-    Z = None
-    if item.cls is not None:
-        c, _ = mlp_forward(head.cls_head, np.asarray(item.cls).ravel(), head.activation)
-    if item.patches is not None:
-        Z, _ = mlp_forward(head.patch_head, item.patches, head.activation)
-    return c, Z
 
 
 def head_params(head: DualHead) -> dict[str, np.ndarray]:
@@ -257,15 +239,27 @@ def save_head(path, head: DualHead, seed: int = 0, config_hash: str = "") -> Non
             {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
         ],
     }
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            for arr in params.values():
-                fh.write(arr.astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    raw = canonical_json(header).encode("utf-8")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
+        for arr in params.values():
+            fh.write(arr.astype("<f4").tobytes())
+
+
+def _param_table(in_dim: int, hidden_dim: int, out_dim: int) -> list[dict]:
+    """The ``params`` header entries a checkpoint with these dims holds."""
+    shapes = {
+        "W1": [in_dim, hidden_dim],
+        "b1": [hidden_dim],
+        "W2": [hidden_dim, out_dim],
+        "b2": [out_dim],
+    }
+    return [
+        {"name": f"{head}.{name}", "shape": shape}
+        for head in ("cls", "patch")
+        for name, shape in shapes.items()
+    ]
 
 
 def load_head(path) -> tuple[DualHead, dict]:
@@ -283,44 +277,41 @@ def load_head(path) -> tuple[DualHead, dict]:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[4 : 4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
-    if header.get("kind") != "dual-head":
+    if not isinstance(header, dict) or header.get("kind") != "dual-head":
         raise FormatError(f"{path}: not a dual-head checkpoint")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
     if header.get("activation") not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {header.get('activation')!r}")
-
+    dims = [header.get(key) for key in ("in_dim", "hidden_dim", "out_dim")]
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
+        raise FormatError(f"{path}: in_dim, hidden_dim and out_dim must be positive integers")
+    table = _param_table(*dims)
+    if header.get("params") != table:
+        raise FormatError(f"{path}: params do not match the header dims {dims}")
+    sizes = [math.prod(entry["shape"]) for entry in table]
     off = 4 + hlen
-    arrays: dict[str, np.ndarray] = {}
-    for spec_entry in header["params"]:
-        shape = tuple(int(s) for s in spec_entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = off + count * 4
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated payload")
-        arrays[spec_entry["name"]] = (
+    if len(blob) - off != 4 * sum(sizes):
+        raise FormatError(
+            f"{path}: payload is {len(blob) - off} bytes, header implies {4 * sum(sizes)}"
+        )
+
+    arrays = []
+    for entry, count in zip(table, sizes):
+        arrays.append(
             np.frombuffer(blob, dtype="<f4", count=count, offset=off)
             .astype(np.float64)
-            .reshape(shape)
+            .reshape(entry["shape"])
         )
-        off = end
-    if off != len(blob):
-        raise FormatError(f"{path}: trailing bytes after payload")
-
-    def mlp(prefix: str) -> TwoLayerMLP:
-        try:
-            return TwoLayerMLP(
-                W1=arrays[f"{prefix}.W1"],
-                b1=arrays[f"{prefix}.b1"],
-                W2=arrays[f"{prefix}.W2"],
-                b2=arrays[f"{prefix}.b2"],
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing parameter {exc}") from exc
-
-    head = DualHead(cls_head=mlp("cls"), patch_head=mlp("patch"), activation=header["activation"])
+        off += count * 4
+    # the table lists W1, b1, W2, b2 of the cls head, then of the patch head
+    head = DualHead(
+        cls_head=TwoLayerMLP(*arrays[:4]),
+        patch_head=TwoLayerMLP(*arrays[4:]),
+        activation=header["activation"],
+    )
     return head, header
 
 

@@ -9,15 +9,13 @@ accuracy and the reports here can never drift apart.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._version import __version__
 from .bundle import EmbeddingBundle
-from .errors import DuplicateId, FormatError, InvalidInput, IoError, UndefinedMetric
+from .errors import DuplicateId, FormatError, InvalidInput, UndefinedMetric
 from .metrics import (
     average_precision,
     cosine_similarity,
@@ -28,8 +26,8 @@ from .metrics import (
     triplet_correct,
     _ranked_order,
 )
-from .records import PairLabel
-from .reporting import FORMAT_VERSION, config_hash
+from .records import PairLabel, require_str
+from .reporting import iter_jsonl, report_envelope
 from .sinkhorn import SinkhornConfig, sim_patch
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
@@ -111,15 +109,13 @@ def load_retrieval_task(path) -> RetrievalTask:
     gallery: list[str] | None = None
     queries: list[str] = []
     relevance: dict[str, set[str]] = {}
-    for lineno, obj in _jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         if "gallery" in obj:
             if gallery is not None:
                 raise FormatError(f"{path}:{lineno}: repeated gallery record")
             gallery = _str_list(obj["gallery"], path, lineno, "gallery")
         elif "query" in obj:
-            q = obj["query"]
-            if not isinstance(q, str):
-                raise FormatError(f"{path}:{lineno}: query must be a string")
+            q = require_str(obj, "query", path, lineno)
             if q in relevance:
                 raise DuplicateId(f"{path}:{lineno}: duplicate query {q!r}")
             queries.append(q)
@@ -136,37 +132,16 @@ def load_retrieval_task(path) -> RetrievalTask:
 def load_triplet_task(path) -> TripletTask:
     """Task JSONL: {"anchor", "positive", "negative", "mode"} per line."""
     rows = []
-    for lineno, obj in _jsonl(path):
-        try:
-            row = (obj["anchor"], obj["positive"], obj["negative"], obj["mode"])
-        except KeyError as exc:
-            raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-        if not all(isinstance(x, str) for x in row):
-            raise FormatError(f"{path}:{lineno}: fields must be strings")
+    for lineno, obj in iter_jsonl(path):
+        row = tuple(
+            require_str(obj, key, path, lineno) for key in ("anchor", "positive", "negative", "mode")
+        )
         if row[3] not in TRIPLET_MODES:
             raise FormatError(f"{path}:{lineno}: unknown mode {row[3]!r}")
         rows.append(row)
     task = TripletTask(triplets=rows)
     task.validate()
     return task
-
-
-def _jsonl(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{path}:{lineno}: expected an object")
-                yield lineno, obj
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _str_list(val, path, lineno, name) -> list[str]:
@@ -342,11 +317,8 @@ def run_protocol(
         },
     }
     return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
+        **report_envelope(seed, params),
         "protocol": protocol,
-        "seed": int(seed),
-        "config_hash": config_hash(params),
         "metrics": metrics,
         "detail": detail,
     }

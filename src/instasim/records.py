@@ -7,10 +7,10 @@ only the set of records matters.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import DuplicateId, FormatError, InvalidInput, IoError
+from .errors import DuplicateId, FormatError, InvalidInput
+from .reporting import iter_jsonl, write_jsonl
 
 SUBSETS = ("S1", "S2a", "S2b")
 SPLITS = ("train", "val", "test")
@@ -60,31 +60,13 @@ class VoteRecord:
     votes: tuple[int, ...]
 
 
-def _iter_jsonl(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{path}:{lineno}: expected a JSON object")
-                yield lineno, obj
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
 def _require(obj: dict, key: str, path, lineno: int) -> object:
     if key not in obj:
         raise FormatError(f"{path}:{lineno}: missing field {key!r}")
     return obj[key]
 
 
-def _require_str(obj: dict, key: str, path, lineno: int) -> str:
+def require_str(obj: dict, key: str, path, lineno: int) -> str:
     val = _require(obj, key, path, lineno)
     if not isinstance(val, str) or not val:
         raise FormatError(f"{path}:{lineno}: field {key!r} must be a non-empty string")
@@ -110,12 +92,12 @@ def load_manifest(path) -> list[ImageManifest]:
     """Load and validate an image manifest JSONL file."""
     records: list[ImageManifest] = []
     seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        image_id = _require_str(obj, "image_id", path, lineno)
-        instance_id = _require_str(obj, "instance_id", path, lineno)
-        dataset_id = _require_str(obj, "dataset_id", path, lineno)
-        subset = _require_str(obj, "subset", path, lineno)
-        split = _require_str(obj, "split", path, lineno)
+    for lineno, obj in iter_jsonl(path):
+        image_id = require_str(obj, "image_id", path, lineno)
+        instance_id = require_str(obj, "instance_id", path, lineno)
+        dataset_id = require_str(obj, "dataset_id", path, lineno)
+        subset = require_str(obj, "subset", path, lineno)
+        split = require_str(obj, "split", path, lineno)
         if subset not in SUBSETS:
             raise FormatError(f"{path}:{lineno}: unknown subset {subset!r}")
         if split not in SPLITS:
@@ -129,7 +111,7 @@ def load_manifest(path) -> list[ImageManifest]:
 
 
 def save_manifest(path, records: list[ImageManifest]) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         (
             {
@@ -156,15 +138,15 @@ def manifest_index(records: list[ImageManifest]) -> dict[str, ImageManifest]:
 
 def load_triplets(path) -> list[Triplet]:
     triplets: list[Triplet] = []
-    for lineno, obj in _iter_jsonl(path):
-        kind = _require_str(obj, "hard_negative_kind", path, lineno)
+    for lineno, obj in iter_jsonl(path):
+        kind = require_str(obj, "hard_negative_kind", path, lineno)
         if kind not in HARD_NEGATIVE_KINDS:
             raise FormatError(f"{path}:{lineno}: unknown hard_negative_kind {kind!r}")
         triplets.append(
             Triplet(
-                anchor=_require_str(obj, "anchor", path, lineno),
-                positive=_require_str(obj, "positive", path, lineno),
-                hard_negative=_require_str(obj, "hard_negative", path, lineno),
+                anchor=require_str(obj, "anchor", path, lineno),
+                positive=require_str(obj, "positive", path, lineno),
+                hard_negative=require_str(obj, "hard_negative", path, lineno),
                 hard_negative_kind=kind,
             )
         )
@@ -172,18 +154,7 @@ def load_triplets(path) -> list[Triplet]:
 
 
 def save_triplets(path, triplets: list[Triplet]) -> None:
-    _write_jsonl(
-        path,
-        (
-            {
-                "anchor": t.anchor,
-                "positive": t.positive,
-                "hard_negative": t.hard_negative,
-                "hard_negative_kind": t.hard_negative_kind,
-            }
-            for t in triplets
-        ),
-    )
+    write_jsonl(path, (asdict(t) for t in triplets))
 
 
 def validate_triplets(triplets: list[Triplet], index: dict[str, ImageManifest]) -> None:
@@ -222,30 +193,27 @@ def validate_triplets(triplets: list[Triplet], index: dict[str, ImageManifest]) 
 
 def load_pair_labels(path) -> list[PairLabel]:
     pairs: list[PairLabel] = []
-    for lineno, obj in _iter_jsonl(path):
-        ref_id = _require_str(obj, "ref_id", path, lineno)
-        cand_id = _require_str(obj, "cand_id", path, lineno)
+    for lineno, obj in iter_jsonl(path):
+        ref_id = require_str(obj, "ref_id", path, lineno)
+        cand_id = require_str(obj, "cand_id", path, lineno)
         label = _require(obj, "label", path, lineno)
         if isinstance(label, bool) or not isinstance(label, (int, float)):
             raise FormatError(f"{path}:{lineno}: label must be a number")
-        if not 0.0 <= float(label) <= 4.0:
+        if not 0.0 <= label <= 4.0:
             raise FormatError(f"{path}:{lineno}: label {label} outside [0, 4]")
         pairs.append(PairLabel(ref_id=ref_id, cand_id=cand_id, label=float(label)))
     return pairs
 
 
 def save_pair_labels(path, pairs: list[PairLabel]) -> None:
-    _write_jsonl(
-        path,
-        ({"ref_id": p.ref_id, "cand_id": p.cand_id, "label": p.label} for p in pairs),
-    )
+    write_jsonl(path, (asdict(p) for p in pairs))
 
 
 def load_votes(path) -> list[VoteRecord]:
     records: list[VoteRecord] = []
     seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        pair_id = _require_str(obj, "pair_id", path, lineno)
+    for lineno, obj in iter_jsonl(path):
+        pair_id = require_str(obj, "pair_id", path, lineno)
         votes = _require(obj, "votes", path, lineno)
         if not isinstance(votes, list) or not votes:
             raise FormatError(f"{path}:{lineno}: votes must be a non-empty array")
@@ -257,13 +225,3 @@ def load_votes(path) -> list[VoteRecord]:
         seen.add(pair_id)
         records.append(VoteRecord(pair_id=pair_id, votes=tuple(int(v) for v in votes)))
     return records
-
-
-def _write_jsonl(path, objs) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc

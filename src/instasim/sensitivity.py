@@ -18,15 +18,14 @@ as each instance's mean identity slope across its grids.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .bundle import EmbeddingBundle
-from .errors import FormatError, InvalidInput, IoError, SingularDesign
-from .reporting import FORMAT_VERSION, config_hash
+from .errors import FormatError, InvalidInput, SingularDesign
+from .records import require_str
+from .reporting import atomic_write, iter_jsonl, report_envelope
 from .rng import derived_rng
 from .protocols import similarity
 from .sinkhorn import SinkhornConfig
@@ -77,36 +76,25 @@ def load_grids(path) -> list[EditGrid]:
     """Grid JSONL: {"anchor": id, "points": [{"image_id", "identity_change",
     "factor_change", "factor_name"}, ...]} per line."""
     grids: list[EditGrid] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict) or "anchor" not in obj or "points" not in obj:
-                    raise FormatError(f"{path}:{lineno}: need anchor and points")
-                points = []
-                for p in obj["points"]:
-                    try:
-                        points.append(
-                            GridPoint(
-                                image_id=str(p["image_id"]),
-                                identity_change=float(p["identity_change"]),
-                                factor_change=float(p["factor_change"]),
-                                factor_name=str(p["factor_name"]),
-                            )
-                        )
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
-                grid = EditGrid(anchor=str(obj["anchor"]), points=points)
-                grid.validate()
-                grids.append(grid)
-    except OSError as exc:
-        raise IoError(f"cannot read grids {path}: {exc}") from exc
+    for lineno, obj in iter_jsonl(path):
+        points = obj.get("points")
+        if not isinstance(points, list):
+            raise FormatError(f"{path}:{lineno}: need anchor and a points array")
+        try:
+            points = [
+                GridPoint(
+                    image_id=str(p["image_id"]),
+                    identity_change=float(p["identity_change"]),
+                    factor_change=float(p["factor_change"]),
+                    factor_name=str(p["factor_name"]),
+                )
+                for p in points
+            ]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
+        grid = EditGrid(anchor=require_str(obj, "anchor", path, lineno), points=points)
+        grid.validate()
+        grids.append(grid)
     return grids
 
 
@@ -259,14 +247,11 @@ def similarity_trend(
 
 def write_trend_csv(path, trends: dict[str, list[tuple[float, float, int]]]) -> None:
     """CSV hand-off for plotting: factor,level,mean_similarity,count."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("factor,level,mean_similarity,count\n")
-            for factor_name in sorted(trends):
-                for level, mean, count in trends[factor_name]:
-                    fh.write(f"{factor_name},{level!r},{mean!r},{count}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write trend CSV {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write("factor,level,mean_similarity,count\n")
+        for factor_name in sorted(trends):
+            for level, mean, count in trends[factor_name]:
+                fh.write(f"{factor_name},{level!r},{mean!r},{count}\n")
 
 
 def analyze_grids(
@@ -282,11 +267,4 @@ def analyze_grids(
     fits = [fit_instance(g, bundle, sink_cfg) for g in grids]
     report = bootstrap_aggregate(fits, n_boot=n_boot, seed=seed)
     params = {"n_boot": int(n_boot), "seed": int(seed), "protocol": "SENSITIVITY"}
-    report.update(
-        {
-            "format_version": FORMAT_VERSION,
-            "tool_version": __version__,
-            "config_hash": config_hash(params),
-        }
-    )
-    return report
+    return {**report, **report_envelope(seed, params)}

@@ -452,6 +452,19 @@ class TestTriplets:
         assert code == 1
         assert err.startswith("error: InvalidInput:")
 
+    def test_non_object_sample_line_is_a_format_error(self, world, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(world.samples.read_text() + '["A9", "alpha", "a9-0", "a9-1"]\n')
+        code, _, err = run_cli(
+            "triplets",
+            "--instances", samples,
+            "--manifests", world.manifests,
+            "--out", tmp_path / "t.jsonl",
+        )
+        assert code == 1
+        assert err.startswith("error: FormatError:")
+        assert "samples.jsonl:6:" in err
+
 
 class TestTrainApplyScore:
     def test_train_writes_checkpoint_and_history(self, world, tmp_path):

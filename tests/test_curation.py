@@ -166,6 +166,14 @@ class TestInventoryAndFilters:
         path.write_text(json.dumps({"dataset_id": "A"}))
         with pytest.raises(FormatError):
             load_filter_rules(path)
+        for bad in (
+            [{"dataset_id": ["A"], "action": "drop"}],
+            [{"dataset_id": "A", "action": ["drop"]}],
+            [{"dataset_id": "A", "action": "keep_categories", "categories": [{"x": 1}]}],
+        ):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(FormatError):
+                load_filter_rules(path)
 
 
 def _sampling_corpus():
@@ -230,6 +238,22 @@ class TestSampling:
         loaded, loaded_split = load_samples(path)
         assert loaded == sorted(samples, key=lambda s: (s.dataset_id, s.instance_id))
         assert loaded_split == split
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '["i1", "DS", "a", "p"]',
+            '{"instance_id": 1, "dataset_id": "DS", "anchor": "a", "positive": "p"}',
+            '{"instance_id": "i1", "dataset_id": "DS", "anchor": ["a"], "positive": "p"}',
+            '{"instance_id": "i1", "dataset_id": "DS", "anchor": "a", "positive": "p", "split": 0}',
+            '{"instance_id": "i1", "dataset_id": "DS", "anchor": "a"}',
+        ],
+    )
+    def test_malformed_samples_rejected(self, tmp_path, line):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(FormatError, match="samples.jsonl:1:"):
+            load_samples(path)
 
 
 class TestAssignSplits:
@@ -347,6 +371,21 @@ class TestMining:
         path = tmp_path / "mined.jsonl"
         save_mined(path, mined)
         assert load_mined(path) == mined
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"anchor": "a", "negatives": "abc"},
+            {"anchor": "a", "negatives": ["b", 3]},
+            {"anchor": "a"},
+            {"anchor": 7, "negatives": ["b"]},
+        ],
+    )
+    def test_malformed_mined_records_rejected(self, tmp_path, row):
+        path = tmp_path / "mined.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(FormatError, match="mined.jsonl:1:"):
+            load_mined(path)
 
 
 def _triplet_corpus(n_inst=12):

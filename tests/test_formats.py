@@ -1,5 +1,6 @@
 """Binary bundle format, JSONL record loaders, and report canonicalization."""
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,7 +26,23 @@ from instasim.records import (
     save_triplets,
     validate_triplets,
 )
-from instasim.reporting import canonical_json, config_hash, write_json_report
+from instasim.curation import load_filter_rules, load_inventory, load_mined, load_samples
+from instasim.heads import init_dual_head, save_head
+from instasim.protocols import load_retrieval_task, load_triplet_task
+from instasim.reporting import canonical_json, config_hash, write_json_report, write_jsonl
+from instasim.sensitivity import load_grids
+
+JSONL_LOADERS = [
+    load_manifest,
+    load_triplets,
+    load_pair_labels,
+    load_votes,
+    load_retrieval_task,
+    load_triplet_task,
+    load_samples,
+    load_mined,
+    load_grids,
+]
 
 
 class TestBundleRoundTrip:
@@ -276,3 +293,73 @@ class TestReporting:
     def test_write_failure_wrapped(self, tmp_path):
         with pytest.raises(IoError):
             write_json_report(tmp_path / "no_dir" / "r.json", {})
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("loader", JSONL_LOADERS, ids=lambda f: f.__name__)
+    def test_non_utf8_jsonl_is_a_format_error_with_line(self, tmp_path, loader):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n" + b'{"id": "caf\xe9"}\n')
+        with pytest.raises(FormatError, match=r"bad\.jsonl:2:"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_inventory, load_filter_rules], ids=lambda f: f.__name__)
+    def test_non_utf8_json_is_a_format_error(self, tmp_path, loader):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"caf\xe9": 1}')
+        with pytest.raises(FormatError):
+            loader(path)
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if ".tmp" in p.name)
+
+
+def _writers():
+    bundle = make_bundle("CLS", 2, {"a": np.ones((1, 2))})
+    head = init_dual_head(2, hidden_dim=2, seed=0)
+    return {
+        "report": lambda p: write_json_report(p, {"a": 1}),
+        "jsonl": lambda p: write_jsonl(p, [{"a": 1}, {"b": 2}]),
+        "bundle": lambda p: write_bundle(p, bundle),
+        "head": lambda p: save_head(p, head),
+    }
+
+
+class TestAtomicWrites:
+    def test_failed_report_keeps_the_previous_bytes(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json_report(path, {"x": 1.5})
+        before = path.read_bytes()
+        with pytest.raises(InvalidInput):
+            write_json_report(path, {"x": float("nan")})
+        assert path.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    def test_non_finite_jsonl_row_is_rejected_and_nothing_is_replaced(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"x": 1}])
+        before = path.read_bytes()
+        with pytest.raises(InvalidInput):
+            write_jsonl(path, [{"x": 2}, {"x": float("inf")}])
+        assert path.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("kind", ["jsonl", "bundle", "head"])
+    def test_missing_directory_is_an_io_error(self, tmp_path, kind):
+        with pytest.raises(IoError):
+            _writers()[kind](tmp_path / "no_dir" / "out")
+        assert not (tmp_path / "no_dir").exists()
+
+    @pytest.mark.parametrize("kind", ["report", "jsonl", "bundle", "head"])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, kind):
+        old = os.umask(0o027)
+        try:
+            _writers()[kind](tmp_path / "out")
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "out").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o640
+        assert _leftovers(tmp_path) == []

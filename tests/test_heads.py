@@ -11,12 +11,10 @@ from instasim.errors import FormatError, InvalidInput, ShapeError
 from instasim.heads import (
     AdamWState,
     DualHead,
-    EmbeddingItem,
     adamw_init,
     adamw_step,
     apply_head,
     clone_head,
-    forward,
     gelu,
     gelu_grad,
     head_params,
@@ -94,9 +92,6 @@ class TestMlpForwardBackward:
         X = rng.normal(size=(5, 6))
         Y, _ = mlp_forward(head.cls_head, X, head.activation)
         np.testing.assert_array_equal(Y, X)
-        c, Z = forward(head, EmbeddingItem("a", cls=X[0], patches=X))
-        np.testing.assert_array_equal(c, X[0])
-        np.testing.assert_array_equal(Z, X)
 
     def test_single_vector_round_trips_shape(self, rng):
         head = init_dual_head(5, hidden_dim=4, out_dim=3, seed=2)
@@ -267,6 +262,64 @@ class TestCheckpoints:
         path = tmp_path / "tiny.ckpt"
         path.write_bytes(b"\x01")
         with pytest.raises(FormatError):
+            load_head(path)
+
+
+def _saved_head(tmp_path, hidden_dim=2):
+    """A small checkpoint on disk plus its parsed header and raw payload."""
+    path = tmp_path / f"head{hidden_dim}.ckpt"
+    save_head(path, init_dual_head(3, hidden_dim=hidden_dim, out_dim=4, seed=0))
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 0)
+    return path, json.loads(blob[4 : 4 + hlen]), blob[4 + hlen :]
+
+
+def _write_checkpoint(path, header, payload):
+    raw = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<I", len(raw)) + raw + payload)
+
+
+class TestCheckpointHeaderValidation:
+    def test_header_must_be_an_object(self, tmp_path):
+        path, header, payload = _saved_head(tmp_path)
+        _write_checkpoint(path, [header], payload)
+        with pytest.raises(FormatError):
+            load_head(path)
+
+    @pytest.mark.parametrize("key", ["in_dim", "hidden_dim", "out_dim"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, "3", True, None])
+    def test_dims_must_be_positive_ints(self, tmp_path, key, bad):
+        path, header, payload = _saved_head(tmp_path)
+        header[key] = bad
+        _write_checkpoint(path, header, payload)
+        with pytest.raises(FormatError):
+            load_head(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.pop("params"),
+            lambda h: h["params"][0].update(shape=["x"]),
+            lambda h: h["params"][0].update(shape=[2, 3]),
+            lambda h: h["params"].reverse(),
+            lambda h: h["params"].pop(),
+            lambda h: h.update(params={"cls.W1": [3, 2]}),
+        ],
+        ids=["missing", "non_int_shape", "W1_disagrees", "reordered", "short", "not_a_list"],
+    )
+    def test_params_must_be_the_table_the_dims_imply(self, tmp_path, mutate):
+        path, header, payload = _saved_head(tmp_path)
+        mutate(header)
+        _write_checkpoint(path, header, payload)
+        with pytest.raises(FormatError):
+            load_head(path)
+
+    def test_payload_must_match_the_dims(self, tmp_path):
+        # a header consistent in itself, over the payload of other dims
+        path, _, payload = _saved_head(tmp_path)
+        _, bigger_header, _ = _saved_head(tmp_path, hidden_dim=3)
+        _write_checkpoint(path, bigger_header, payload)
+        with pytest.raises(FormatError, match="payload"):
             load_head(path)
 
 

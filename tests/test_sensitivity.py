@@ -1,4 +1,6 @@
 """Sensitivity regression: exact recovery, bootstrap behaviour, trends."""
+import json
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,17 @@ class TestGridIO:
         path.write_text('{"anchor": "a", "points": [{"image_id": "x"}]}\n')
         with pytest.raises(FormatError):
             load_grids(path)
+        point = {"image_id": "x", "identity_change": 0, "factor_change": 1, "factor_name": "f"}
+        for bad in (
+            {"anchor": "a", "points": 5},
+            {"anchor": "a", "points": {"x": point}},
+            {"anchor": "a", "points": ["x"]},
+            {"anchor": "a", "points": [{**point, "factor_change": 10**400}]},
+            {"anchor": 5, "points": [point]},
+        ):
+            path.write_text(json.dumps(bad) + "\n")
+            with pytest.raises(FormatError, match="grids.jsonl:1:"):
+                load_grids(path)
 
 
 class TestAnalyzeGrids:
