@@ -10,7 +10,7 @@ import numpy as np
 
 from instasim.bundle import make_bundle
 from instasim.losses import LossConfig
-from instasim.protocols import RetrievalTask, TripletTask, mean_average_precision, triplet_accuracy
+from instasim.protocols import RetrievalTask, TripletTask, run_protocol, triplet_accuracy
 from instasim.records import ImageManifest, Triplet
 from instasim.trainer import TrainConfig, train
 
@@ -69,7 +69,8 @@ def main():
     queries = ["obj%02d-7" % k for k in range(N_INST)]
     relevance = {q: {g for g in gallery if g[:5] == q[:5]} for q in queries}
     task = RetrievalTask(queries=queries, gallery=gallery, relevance=relevance)
-    print("retrieval mAP on raw embeddings: %.4f" % mean_average_precision(task, bundle))
+    retrieval = run_protocol("RETRIEVAL", bundle, task=task)["metrics"]
+    print("retrieval mAP on raw embeddings: %.4f" % retrieval["map"])
 
     trips = [(t.anchor, t.positive, t.hard_negative, "HARD") for t in triplets[:40]]
     acc = triplet_accuracy(TripletTask(triplets=trips), bundle)

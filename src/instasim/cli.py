@@ -50,7 +50,13 @@ from .records import (
     save_triplets,
 )
 from .reporting import report_envelope, write_json_report, write_jsonl
-from .sensitivity import analyze_grids, load_grids, similarity_trend, write_trend_csv
+from .sensitivity import (
+    analyze_grids,
+    grid_scores,
+    load_grids,
+    similarity_trend,
+    write_trend_csv,
+)
 from .sinkhorn import SinkhornConfig
 from .trainer import TrainConfig, apply_head, train
 
@@ -246,12 +252,17 @@ def _cmd_sensitivity(args) -> int:
     grids = load_grids(args.grids)
     bundle = read_bundle(args.bundle)
     sink_cfg = _sinkhorn_from(args)
-    report = analyze_grids(grids, bundle, n_boot=args.n_boot, seed=args.seed, sink_cfg=sink_cfg)
+    # one engine pass for the fits and the trend, which share their pairs
+    scores = grid_scores(grids, bundle, sink_cfg)
+    report = analyze_grids(
+        grids, bundle, n_boot=args.n_boot, seed=args.seed, sink_cfg=sink_cfg, scores=scores
+    )
     write_json_report(args.out, report)
     if args.out_trend:
         factor_names = sorted({g.factor_name for g in grids})
         trends = {
-            name: similarity_trend(grids, bundle, name, sink_cfg) for name in factor_names
+            name: similarity_trend(grids, bundle, name, sink_cfg, scores)
+            for name in factor_names
         }
         write_trend_csv(args.out_trend, trends)
     print(f"wrote {args.out}")

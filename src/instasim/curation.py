@@ -324,7 +324,10 @@ def mine_hard_negatives(
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in pool bundle")
     pool_unit = pool_mat / norms[:, None]
-    pool_inst = np.array([instance_of(i) for i in pool_ids])
+    # instances as integer codes; a pool item with the query's own id
+    # has the query's instance, so one code comparison excludes it too
+    inst_code: dict[str, int] = {}
+    pool_code = np.array([inst_code.setdefault(instance_of(i), len(inst_code)) for i in pool_ids])
 
     out: dict[str, list[str]] = {}
     for query_id in sorted(query_bundle.items):
@@ -333,9 +336,7 @@ def mine_hard_negatives(
         if qn == 0.0:
             raise InvalidInput(f"zero-norm query vector {query_id!r}")
         sims = pool_unit @ (q / qn)
-        eligible = (pool_inst != instance_of(query_id)) & (
-            np.array(pool_ids) != query_id
-        )
+        eligible = pool_code != inst_code.get(instance_of(query_id), -1)
         if not eligible.any():
             raise NoCandidates(f"no different-instance pool items for {query_id!r}")
         idx = np.flatnonzero(eligible)
@@ -410,7 +411,10 @@ def build_triplets(
 
     def real_negatives(sample: InstanceSample) -> list[str]:
         negs = mined.get(sample.anchor, [])
-        return [n for n in negs if index[n].subset != "S2b"] if negs else []
+        for n in negs:
+            if n not in index:
+                raise MissingItem(f"mined negative {n!r} of {sample.anchor!r} not in manifests")
+        return [n for n in negs if index[n].subset != "S2b"]
 
     def feasible(sample: InstanceSample, kind: str) -> bool:
         if kind == "REAL_ONLY":

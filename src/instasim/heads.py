@@ -224,8 +224,17 @@ def adamw_step(
 
 
 def save_head(path, head: DualHead, seed: int = 0, config_hash: str = "") -> None:
-    """Checkpoint: length-prefixed JSON header + float32 LE payload."""
+    """Checkpoint: length-prefixed JSON header + float32 LE payload.
+
+    The header records one set of dims, so both heads must have them; a
+    head that ``load_head`` would reject raises InvalidInput and nothing
+    is written.
+    """
     params = head_params(head)
+    dims = [head.in_dim, head.hidden_dim, head.out_dim]
+    table = _param_table(*dims)
+    if [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()] != table:
+        raise InvalidInput(f"parameter shapes do not all match the CLS head's dims {dims}")
     header = {
         "kind": "dual-head",
         "format_version": CHECKPOINT_VERSION,
@@ -235,9 +244,7 @@ def save_head(path, head: DualHead, seed: int = 0, config_hash: str = "") -> Non
         "activation": head.activation,
         "seed": int(seed),
         "config_hash": config_hash,
-        "params": [
-            {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
-        ],
+        "params": table,
     }
     raw = canonical_json(header).encode("utf-8")
     with atomic_write(path, binary=True) as fh:

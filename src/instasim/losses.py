@@ -16,11 +16,12 @@ itself reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import SinkhornConfig, divergence_grad
+from .sinkhorn import SinkhornConfig, divergence_grad, self_term
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
@@ -235,24 +236,53 @@ def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfi
         ]
         return loss, grad_anchor, grad_pos, grad_negs
 
-    A_hat, a_norms = _normalize_rows(anchor_Z)
+    sets = [prepare_patch_set(M, sink_cfg) for M in [anchor_Z, pos_Z, *neg_Zs]]
+    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg)
+
+
+class PatchSet(NamedTuple):
+    """One token matrix ready for every Sinkhorn comparison it enters:
+    its unit rows, their norms and, for the debiased divergence, what
+    ``self_term(unit, grad=True)`` returns."""
+
+    unit: np.ndarray
+    norms: np.ndarray
+    self_ot: tuple | None
+
+
+def prepare_patch_set(Z, sink_cfg: SinkhornConfig) -> PatchSet:
+    """Normalize Z's rows and, when debiased, solve its self term once."""
+    unit, norms = _normalize_rows(np.asarray(Z, dtype=np.float64))
+    self_ot = self_term(unit, sink_cfg, grad=True) if sink_cfg.debiased else None
+    return PatchSet(unit, norms, self_ot)
+
+
+def sinkhorn_patch_loss(
+    anchor: PatchSet, pos: PatchSet, negs: list[PatchSet], cfg: LossConfig, sink_cfg: SinkhornConfig
+):
+    """The SINKHORN branch of patch_loss on prepared sets: each
+    comparison solves only its cross term.
+
+    Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
+    """
     sims = []
-    grads = []  # (d sim / d A_hat, d sim / d other_hat, other_hat, other_norms)
-    for M in [pos_Z, *neg_Zs]:
-        M_hat, m_norms = _normalize_rows(M)
-        val, dA, dM, _ = divergence_grad(A_hat, M_hat, sink_cfg)
+    grads = []  # (d sim / d anchor unit rows, d sim / d other unit rows, other)
+    for other in [pos, *negs]:
+        val, dA, dM, _ = divergence_grad(
+            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot
+        )
         sims.append(-val)
-        grads.append((-dA, -dM, M_hat, m_norms))
+        grads.append((-dA, -dM, other))
 
     loss, d_pos, d_neg = _objective(BatchScores(sims[0], np.array(sims[1:])), cfg)
     weights = np.concatenate(([d_pos], d_neg))
 
-    G_anchor_hat = np.zeros_like(A_hat)
+    G_anchor_hat = np.zeros_like(anchor.unit)
     out_grads = []
-    for w, (dA, dM, M_hat, m_norms) in zip(weights, grads):
+    for w, (dA, dM, other) in zip(weights, grads):
         G_anchor_hat += w * dA
-        out_grads.append(_backprop_row_normalization(w * dM, M_hat, m_norms))
-    grad_anchor = _backprop_row_normalization(G_anchor_hat, A_hat, a_norms)
+        out_grads.append(_backprop_row_normalization(w * dM, other.unit, other.norms))
+    grad_anchor = _backprop_row_normalization(G_anchor_hat, anchor.unit, anchor.norms)
     return loss, grad_anchor, out_grads[0], out_grads[1:]
 
 

@@ -106,15 +106,12 @@ def rank_average(x) -> np.ndarray:
     """1-based average (mid) ranks, ties sharing their mean rank."""
     x = np.asarray(x, dtype=np.float64).ravel()
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # sorted positions start..end (0-based, inclusive) hold one run of equal values
+    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    end = np.append(start[1:], x.size) - 1
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
     return ranks
 
 
@@ -138,7 +135,11 @@ def spearman_rho(x, y) -> float:
 
 
 def kendall_tau_b(x, y) -> float:
-    """Kendall tau-b with tie correction, O(n^2) pair enumeration."""
+    """Kendall tau-b with tie correction.
+
+    Concordant minus discordant pairs are counted one row at a time:
+    O(n^2) time and O(n) memory.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:
@@ -146,10 +147,10 @@ def kendall_tau_b(x, y) -> float:
     n = x.size
     if n < 2:
         raise InvalidInput("need at least 2 observations")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    concordant_minus_discordant = float((sx[iu] * sy[iu]).sum())
+    concordant_minus_discordant = 0.0  # a sum of small integers, so exact
+    for i in range(n - 1):
+        signs = np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])
+        concordant_minus_discordant += float(signs.sum())
     n0 = n * (n - 1) / 2.0
     n1 = _tie_pair_count(x)
     n2 = _tie_pair_count(y)

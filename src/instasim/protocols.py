@@ -1,11 +1,11 @@
 """Evaluation protocols: retrieval, verification, triplet and rating
 correlation, reported as deterministic canonical JSON.
 
-The single similarity entry point scores a pair of bundle items: CLS
-bundles use cosine, PATCH bundles the negated transport divergence on
+One engine, ``score_pairs``, scores bundle item pairs: CLS bundles use
+cosine, PATCH bundles the negated transport divergence on
 L2-normalized rows. Distance is 1 - similarity either way. Every
-protocol scores with this one function, so the trainer's validation
-accuracy and the reports here can never drift apart.
+protocol, the sensitivity analysis and the one-pair ``similarity`` go
+through it, so no two reports can score a pair differently.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .bundle import EmbeddingBundle
 from .errors import DuplicateId, FormatError, InvalidInput, UndefinedMetric
 from .metrics import (
     average_precision,
-    cosine_similarity,
     kendall_tau_b,
     ndcg_from_ranking,
     roc_auc,
@@ -28,7 +27,7 @@ from .metrics import (
 )
 from .records import PairLabel, require_str
 from .reporting import iter_jsonl, report_envelope
-from .sinkhorn import SinkhornConfig, sim_patch
+from .sinkhorn import SinkhornConfig, self_term, sinkhorn_divergence
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
@@ -48,13 +47,81 @@ def similarity(
     divergence on row-normalized token matrices (0 for identical sets,
     negative otherwise).
     """
-    x = bundle.get(x_id)
-    y = bundle.get(y_id)
-    if bundle.token_kind == "CLS":
-        sim = cosine_similarity(x.ravel(), y.ravel())
-    else:
-        sim = sim_patch(_unit_rows(x), _unit_rows(y), sink_cfg)
+    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg)[0])
     return SimilarityResult(similarity=sim, distance=1.0 - sim)
+
+
+def score_pairs(
+    bundle: EmbeddingBundle, pairs, sink_cfg: SinkhornConfig | None = None
+) -> np.ndarray:
+    """Similarity of every (x_id, y_id) pair, in input order.
+
+    Each item is converted once: a CLS item to a float64 row and its
+    norm, a PATCH item to unit rows whose self term OT(X, X) is solved
+    once. Each distinct ordered pair is scored once; OT(A, B) and
+    OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
+    merged. Scores equal a one-pair computation bit for bit: CLS is
+    ``u @ v / (|u| |v|)`` per pair (a matrix product would move last
+    bits and split exact ties between equal embeddings), PATCH is
+    ``-sinkhorn_divergence`` on the unit rows. The caches live for this
+    call only.
+    """
+    score = _cosine_scorer(bundle) if bundle.token_kind == "CLS" else _patch_scorer(bundle, sink_cfg)
+    memo: dict[tuple[str, str], float] = {}
+    out = np.empty(len(pairs))
+    for k, (x_id, y_id) in enumerate(pairs):
+        key = (x_id, y_id)
+        sim = memo.get(key)
+        if sim is None:
+            sim = memo[key] = score(x_id, y_id)
+        out[k] = sim
+    return out
+
+
+def _cosine_scorer(bundle: EmbeddingBundle):
+    rows: dict[str, tuple[np.ndarray, float]] = {}
+
+    def row(item_id):
+        if item_id not in rows:
+            u = np.asarray(bundle.get(item_id), dtype=np.float64).ravel()
+            nu = np.linalg.norm(u)
+            if nu == 0.0:
+                raise InvalidInput("zero-norm vector in cosine similarity")
+            rows[item_id] = (u, nu)
+        return rows[item_id]
+
+    def score(x_id, y_id):
+        u, nu = row(x_id)
+        v, nv = row(y_id)
+        if u.shape != v.shape:
+            raise InvalidInput(f"vector shapes differ: {u.shape} vs {v.shape}")
+        return float(u @ v / (nu * nv))
+
+    return score
+
+
+def _patch_scorer(bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None):
+    cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
+    units: dict[str, np.ndarray] = {}
+    selfs: dict[str, tuple] = {}
+
+    def unit(item_id):
+        if item_id not in units:
+            units[item_id] = _unit_rows(bundle.get(item_id))
+        return units[item_id]
+
+    def solved_self(item_id):
+        if item_id not in selfs:
+            selfs[item_id] = self_term(unit(item_id), cfg)
+        return selfs[item_id]
+
+    def score(x_id, y_id):
+        ux, uy = unit(x_id), unit(y_id)
+        if not cfg.debiased:
+            return -sinkhorn_divergence(ux, uy, cfg).value
+        return -sinkhorn_divergence(ux, uy, cfg, solved_self(x_id), solved_self(y_id)).value
+
+    return score
 
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
@@ -154,51 +221,35 @@ def _str_list(val, path, lineno, name) -> list[str]:
 # protocol drivers
 
 
-def _query_ranking(task: RetrievalTask, bundle, query: str, sink_cfg):
-    gallery = sorted(task.gallery)
-    scores = np.array([similarity(query, g, bundle, sink_cfg).similarity for g in gallery])
-    labels = np.array([1 if g in task.relevance[query] else 0 for g in gallery])
-    order = _ranked_order(scores, np.array(gallery))
-    return scores, labels, labels[order]
-
-
 def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg=None) -> dict[str, dict]:
     task.validate()
+    queries = sorted(task.queries)
+    gallery = sorted(task.gallery)
+    tie_key = np.array(gallery)
+    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg)
     out: dict[str, dict] = {}
-    for query in sorted(task.queries):
-        scores, labels, ranked = _query_ranking(task, bundle, query, sink_cfg)
+    for query, row in zip(queries, scores.reshape(len(queries), len(gallery))):
+        labels = np.array([1 if g in task.relevance[query] else 0 for g in gallery])
         try:
-            auc = roc_auc(scores, labels)
+            auc = roc_auc(row, labels)
         except UndefinedMetric:
             auc = None
         out[query] = {
-            "ap": average_precision(scores, labels, tie_key=np.array(sorted(task.gallery))),
-            "ndcg": ndcg_from_ranking(ranked),
+            "ap": average_precision(row, labels, tie_key=tie_key),
+            "ndcg": ndcg_from_ranking(labels[_ranked_order(row, tie_key)]),
             "auc": auc,
         }
     return out
 
 
-def mean_average_precision(task: RetrievalTask, bundle, sink_cfg=None) -> float:
-    """Unweighted mean of per-query average precision."""
-    per_query = _retrieval_per_query(task, bundle, sink_cfg)
-    return float(np.mean([d["ap"] for d in per_query.values()]))
-
-
-def ndcg(task: RetrievalTask, bundle, sink_cfg=None) -> float:
-    """Macro-averaged binary-gain nDCG."""
-    per_query = _retrieval_per_query(task, bundle, sink_cfg)
-    return float(np.mean([d["ndcg"] for d in per_query.values()]))
-
-
 def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, float]:
     """Accuracy per mode (strict ties-incorrect comparison)."""
     task.validate()
+    pairs = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
+    sims = score_pairs(bundle, pairs, sink_cfg).reshape(-1, 2)
     correct: dict[str, int] = {}
     totals: dict[str, int] = {}
-    for a, p, n, mode in task.triplets:
-        sim_p = similarity(a, p, bundle, sink_cfg).similarity
-        sim_n = similarity(a, n, bundle, sink_cfg).similarity
+    for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
         totals[mode] = totals.get(mode, 0) + 1
         correct[mode] = correct.get(mode, 0) + (1 if triplet_correct(sim_p, sim_n) else 0)
     return {mode: correct[mode] / totals[mode] for mode in sorted(totals)}
@@ -208,9 +259,7 @@ def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, binary: bool):
     rows = sorted(pairs, key=lambda p: (p.ref_id, p.cand_id))
     if not rows:
         raise InvalidInput("no labeled pairs")
-    scores = np.array(
-        [similarity(p.ref_id, p.cand_id, bundle, sink_cfg).similarity for p in rows]
-    )
+    scores = score_pairs(bundle, [(p.ref_id, p.cand_id) for p in rows], sink_cfg)
     labels = np.array([p.label for p in rows])
     if binary and not np.all(np.isin(labels, (0.0, 1.0))):
         raise InvalidInput("verification labels must be binary 0/1")

@@ -27,7 +27,7 @@ from .errors import FormatError, InvalidInput, SingularDesign
 from .records import require_str
 from .reporting import atomic_write, iter_jsonl, report_envelope
 from .rng import derived_rng
-from .protocols import similarity
+from .protocols import score_pairs
 from .sinkhorn import SinkhornConfig
 
 IDENTITY_KEY = "identity"
@@ -107,27 +107,47 @@ def normalized_levels(values) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _design_and_targets(grid: EditGrid, bundle: EmbeddingBundle, sink_cfg):
+def grid_scores(
+    grids: list[EditGrid], bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None = None
+) -> dict[tuple[str, str], float]:
+    """Anchor similarity of every (anchor, image) pair the grids use, the
+    anchor's pair with itself included. One engine pass scores them all,
+    so fits and trends over the same grids share each pair and each
+    item's self term."""
+    for grid in grids:
+        grid.validate()
+    pairs = list(dict.fromkeys(
+        (g.anchor, image_id) for g in grids for image_id in [g.anchor] + [p.image_id for p in g.points]
+    ))
+    return dict(zip(pairs, score_pairs(bundle, pairs, sink_cfg)))
+
+
+def _design_and_targets(grid: EditGrid, scores: dict[tuple[str, str], float]):
     grid.validate()
-    rows = [(0.0, 0.0, similarity(grid.anchor, grid.anchor, bundle, sink_cfg).similarity)]
+    rows = [(0.0, 0.0, scores[grid.anchor, grid.anchor])]
     for p in grid.points:
-        sim = similarity(grid.anchor, p.image_id, bundle, sink_cfg).similarity
-        rows.append((p.factor_change, p.identity_change, sim))
+        rows.append((p.factor_change, p.identity_change, scores[grid.anchor, p.image_id]))
     X = np.array([[1.0, f, i] for f, i, _ in rows])
     y = np.array([s for _, _, s in rows])
     return X, y
 
 
 def fit_instance(
-    grid: EditGrid, bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None = None
+    grid: EditGrid,
+    bundle: EmbeddingBundle,
+    sink_cfg: SinkhornConfig | None = None,
+    scores: dict[tuple[str, str], float] | None = None,
 ) -> InstanceFit:
     """OLS fit of anchor similarity over one grid.
 
     Solved by SVD least squares (rank-revealing); a design of rank < 3
     raises SingularDesign. R^2 is conventionally 0 when the target has
-    zero variance.
+    zero variance. ``scores`` is a ``grid_scores`` result covering the
+    grid; without it the grid's pairs are scored here.
     """
-    X, y = _design_and_targets(grid, bundle, sink_cfg)
+    if scores is None:
+        scores = grid_scores([grid], bundle, sink_cfg)
+    X, y = _design_and_targets(grid, scores)
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         raise SingularDesign(
@@ -224,21 +244,25 @@ def similarity_trend(
     bundle: EmbeddingBundle,
     factor_name: str,
     sink_cfg: SinkhornConfig | None = None,
+    scores: dict[tuple[str, str], float] | None = None,
 ) -> list[tuple[float, float, int]]:
     """Mean anchor-similarity per factor level: (level, mean, count) rows.
 
     Only explicit grid points contribute (no implicit anchor point), so
-    a single-level grid produces a single row.
+    a single-level grid produces a single row. ``scores`` is a
+    ``grid_scores`` result covering the grids; without it the selected
+    grids' pairs are scored here.
     """
     selected = [g for g in grids if g.factor_name == factor_name]
     if not selected:
         raise InvalidInput(f"no grids for factor {factor_name!r}")
+    if scores is None:
+        scores = grid_scores(selected, bundle, sink_cfg)
     sims_by_level: dict[float, list[float]] = {}
     for grid in selected:
         grid.validate()
         for p in grid.points:
-            sim = similarity(grid.anchor, p.image_id, bundle, sink_cfg).similarity
-            sims_by_level.setdefault(p.factor_change, []).append(sim)
+            sims_by_level.setdefault(p.factor_change, []).append(scores[grid.anchor, p.image_id])
     return [
         (level, float(np.mean(sims_by_level[level])), len(sims_by_level[level]))
         for level in sorted(sims_by_level)
@@ -260,11 +284,18 @@ def analyze_grids(
     n_boot: int = 1000,
     seed: int = 0,
     sink_cfg: SinkhornConfig | None = None,
+    scores: dict[tuple[str, str], float] | None = None,
 ) -> dict:
-    """Fit every grid, bootstrap-aggregate, and wrap as a versioned report."""
+    """Fit every grid, bootstrap-aggregate, and wrap as a versioned report.
+
+    ``scores`` is a ``grid_scores`` result covering the grids; without
+    it they are scored here, in one engine pass.
+    """
     if not grids:
         raise InvalidInput("no grids supplied")
-    fits = [fit_instance(g, bundle, sink_cfg) for g in grids]
+    if scores is None:
+        scores = grid_scores(grids, bundle, sink_cfg)
+    fits = [fit_instance(g, bundle, sink_cfg, scores) for g in grids]
     report = bootstrap_aggregate(fits, n_boot=n_boot, seed=seed)
     params = {"n_boot": int(n_boot), "seed": int(seed), "protocol": "SENSITIVITY"}
     return {**report, **report_envelope(seed, params)}

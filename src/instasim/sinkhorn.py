@@ -21,6 +21,12 @@ stationary in the potentials, so d OT / d C_ij = T_ij and the position
 gradients follow from the chain rule through the quadratic cost. For
 the self terms both argument slots contribute.
 
+The solves are public: ``self_term`` (OT_eps(X, X), which depends on
+one set only) and ``cross_term``. A caller that compares one set with
+many others solves its self term once and passes it to
+``sinkhorn_divergence`` or ``divergence_grad``, which then solve only
+the cross term.
+
 A note on tolerances: on self-term solves with near-decoupled point
 geometry (clusters separated by several times epsilon), alternating
 updates approach the fixed point through the potentials' gauge
@@ -85,20 +91,24 @@ def subsample_tokens(Z: np.ndarray, max_tokens: int, seed: int) -> np.ndarray:
     return Z[idx]
 
 
+def _check_set(name: str, M, cfg: SinkhornConfig) -> np.ndarray:
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
+        raise InvalidInput(f"{name} must be a non-empty 2-D matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInput(f"{name} contains non-finite values")
+    if M.shape[0] > cfg.max_tokens:
+        raise InvalidInput(
+            f"{name} has {M.shape[0]} rows, over the {cfg.max_tokens} cap; "
+            "subsample_tokens first"
+        )
+    return M
+
+
 def _check_pair(A, B, cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray]:
     cfg.validate()
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    for name, M in (("A", A), ("B", B)):
-        if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-            raise InvalidInput(f"{name} must be a non-empty 2-D matrix, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise InvalidInput(f"{name} contains non-finite values")
-        if M.shape[0] > cfg.max_tokens:
-            raise InvalidInput(
-                f"{name} has {M.shape[0]} rows, over the {cfg.max_tokens} cap; "
-                "subsample_tokens first"
-            )
+    A = _check_set("A", A, cfg)
+    B = _check_set("B", B, cfg)
     if A.shape[1] != B.shape[1]:
         raise ShapeError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
     return A, B
@@ -150,25 +160,74 @@ def _ot_entropic(X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig):
     return value, np.exp(log_T), converged, iterations
 
 
-def sinkhorn_divergence(A, B, cfg: SinkhornConfig | None = None) -> SinkhornResult:
+def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
+    """The self term OT_eps(X, X) of the debiased divergence.
+
+    It depends on X alone, so a caller that compares X with many sets
+    solves it once. Returns (result, half_grad). half_grad is
+    0.5 * (gX + gY), the plan's position gradient summed over both
+    argument slots and halved: the amount the divergence's gradient
+    with respect to X subtracts. It is None unless ``grad`` is set.
+    """
+    cfg = cfg if cfg is not None else SinkhornConfig()
+    cfg.validate()
+    X = _check_set("X", X, cfg)
+    value, T, ok, iters = _ot_entropic(X, X, cfg)
+    half_grad = None
+    if grad:
+        gX, gY = _ot_position_grads(X, X, T)
+        half_grad = 0.5 * (gX + gY)
+    return SinkhornResult(value=value, converged=ok, iterations=iters), half_grad
+
+
+def cross_term(A, B, cfg: SinkhornConfig | None = None, grad: bool = False):
+    """The cross term OT_eps(A, B). Returns (result, dA, dB); the
+    position gradients are None unless ``grad`` is set."""
+    cfg = cfg if cfg is not None else SinkhornConfig()
+    A, B = _check_pair(A, B, cfg)
+    value, T, ok, iters = _ot_entropic(A, B, cfg)
+    result = SinkhornResult(value=value, converged=ok, iterations=iters)
+    if not grad:
+        return result, None, None
+    dA, dB = _ot_position_grads(A, B, T)
+    return result, dA, dB
+
+
+def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> SinkhornResult:
+    """S_eps = OT(A, B) - 0.5 * (OT(A, A) + OT(B, B)); converged only when
+    all three solves are."""
+    return SinkhornResult(
+        value=ab.value - 0.5 * (aa.value + bb.value),
+        converged=ab.converged and aa.converged and bb.converged,
+        iterations=max(ab.iterations, aa.iterations, bb.iterations),
+    )
+
+
+def sinkhorn_divergence(
+    A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None
+) -> SinkhornResult:
     """Debiased divergence S_eps(A, B); raw OT_eps(A, B) when debiased=False.
 
+    ``self_a`` and ``self_b`` are what ``self_term(A, cfg)`` and
+    ``self_term(B, cfg)`` returned, for a caller that compares A or B
+    with many sets; the ones not given are solved here. Two sets with
+    equal values are solved once, as a self term: numpy computes
+    X @ X.T with a symmetric product whose last bits differ from
+    X @ Y.T for a copy Y of X, which would leave S(X, X) a hair off 0.
     Non-convergence within max_iters is reported through the flag, not
     raised; the returned value uses the final iterate.
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
-    v_ab, _, ok_ab, iters = _ot_entropic(A, B, cfg)
+    if np.array_equal(A, B):
+        aa, _ = self_a if self_a is not None else self_term(A, cfg)
+        return _debias(aa, aa, aa) if cfg.debiased else aa
+    ab, _, _ = cross_term(A, B, cfg)
     if not cfg.debiased:
-        return SinkhornResult(value=v_ab, converged=ok_ab, iterations=iters)
-    v_aa, _, ok_aa, it_aa = _ot_entropic(A, A, cfg)
-    v_bb, _, ok_bb, it_bb = _ot_entropic(B, B, cfg)
-    value = v_ab - 0.5 * (v_aa + v_bb)
-    return SinkhornResult(
-        value=value,
-        converged=ok_ab and ok_aa and ok_bb,
-        iterations=max(iters, it_aa, it_bb),
-    )
+        return ab
+    aa, _ = self_a if self_a is not None else self_term(A, cfg)
+    bb, _ = self_b if self_b is not None else self_term(B, cfg)
+    return _debias(ab, aa, bb)
 
 
 def sim_patch(A, B, cfg: SinkhornConfig | None = None) -> float:
@@ -185,27 +244,23 @@ def _ot_position_grads(X, Y, T):
     return gX, gY
 
 
-def divergence_grad(A, B, cfg: SinkhornConfig | None = None):
+def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None):
     """Divergence value plus gradients with respect to A and B rows.
 
-    Returns (value, dA, dB, converged). Gradients hold the transport
-    plans fixed at their converged values, which is exact in the limit
-    of a converged solve; finite-difference checks should therefore run
-    the solver at a tight tol.
+    Returns (value, dA, dB, converged). ``self_a`` and ``self_b`` are
+    what ``self_term(A, cfg, grad=True)`` and ``self_term(B, cfg,
+    grad=True)`` returned, for a caller that compares A or B with many
+    sets; the ones not given are solved here. Gradients hold the
+    transport plans fixed at their converged values, which is exact in
+    the limit of a converged solve; finite-difference checks should
+    therefore run the solver at a tight tol.
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
-    v_ab, T_ab, ok_ab, _ = _ot_entropic(A, B, cfg)
-    dA, dB = _ot_position_grads(A, B, T_ab)
+    ab, dA, dB = cross_term(A, B, cfg, grad=True)
     if not cfg.debiased:
-        return v_ab, dA, dB, ok_ab
-
-    v_aa, T_aa, ok_aa, _ = _ot_entropic(A, A, cfg)
-    v_bb, T_bb, ok_bb, _ = _ot_entropic(B, B, cfg)
-    # Both argument slots of the self term see the same matrix.
-    gX, gY = _ot_position_grads(A, A, T_aa)
-    dA = dA - 0.5 * (gX + gY)
-    gX, gY = _ot_position_grads(B, B, T_bb)
-    dB = dB - 0.5 * (gX + gY)
-    value = v_ab - 0.5 * (v_aa + v_bb)
-    return value, dA, dB, ok_ab and ok_aa and ok_bb
+        return ab.value, dA, dB, ab.converged
+    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True)
+    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True)
+    res = _debias(ab, aa, bb)
+    return res.value, dA - half_a, dB - half_b, res.converged

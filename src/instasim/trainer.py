@@ -33,7 +33,14 @@ from .heads import (
     mlp_forward,
     zero_grads,
 )
-from .losses import LossConfig, cls_loss, patch_loss, total_loss
+from .losses import (
+    LossConfig,
+    cls_loss,
+    patch_loss,
+    prepare_patch_set,
+    sinkhorn_patch_loss,
+    total_loss,
+)
 from .metrics import cosine_similarity, triplet_correct
 from .records import ImageManifest, Triplet, manifest_index
 from .rng import derived_rng
@@ -162,6 +169,10 @@ def _micro_batch_pass(
             patch_out[image_id] = Z
             patch_cache[image_id] = zcache
             patch_out_grad[image_id] = np.zeros_like(Z)
+    # each image's unit rows and Sinkhorn self term, once per micro-batch
+    sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
+    if sinkhorn:
+        sets = {i: prepare_patch_set(patch_out[i], cfg.sinkhorn) for i in image_ids}
 
     loss_sum = 0.0
     for t in micro:
@@ -176,13 +187,18 @@ def _micro_batch_pass(
 
         p_loss = 0.0
         if data.use_patch:
-            p_loss, gz_a, gz_p, gz_ns = patch_loss(
-                patch_out[t.anchor],
-                patch_out[t.positive],
-                [patch_out[n] for n in neg_ids],
-                cfg.loss,
-                cfg.sinkhorn,
-            )
+            if sinkhorn:
+                p_loss, gz_a, gz_p, gz_ns = sinkhorn_patch_loss(
+                    sets[t.anchor], sets[t.positive], [sets[n] for n in neg_ids], cfg.loss, cfg.sinkhorn
+                )
+            else:
+                p_loss, gz_a, gz_p, gz_ns = patch_loss(
+                    patch_out[t.anchor],
+                    patch_out[t.positive],
+                    [patch_out[n] for n in neg_ids],
+                    cfg.loss,
+                    cfg.sinkhorn,
+                )
             patch_out_grad[t.anchor] += cfg.loss.lam * gz_a
             patch_out_grad[t.positive] += cfg.loss.lam * gz_p
             for i, n in enumerate(neg_ids):

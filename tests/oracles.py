@@ -151,3 +151,68 @@ def kendall_oracle(x, y) -> float:
                 discordant += 1
     n0 = n * (n - 1) / 2
     return (concordant - discordant) / np.sqrt((n0 - ties_x) * (n0 - ties_y))
+
+
+def rank_average_loop(x) -> np.ndarray:
+    """Mid-ranks by walking each run of ties in a Python loop (the
+    library's earlier implementation of ``rank_average``)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def kendall_tau_b_dense(x, y) -> float:
+    """Tau-b from two dense n x n sign matrices (the library's earlier
+    implementation of ``kendall_tau_b``)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.size
+    sx = np.sign(x[:, None] - x[None, :])
+    sy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(n, k=1)
+    concordant_minus_discordant = float((sx[iu] * sy[iu]).sum())
+    n0 = n * (n - 1) / 2.0
+    n1 = sum(c * (c - 1) / 2.0 for c in np.unique(x, return_counts=True)[1])
+    n2 = sum(c * (c - 1) / 2.0 for c in np.unique(y, return_counts=True)[1])
+    return concordant_minus_discordant / float(np.sqrt((n0 - n1) * (n0 - n2)))
+
+
+def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
+    """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
+    per comparison, so every comparison solves both self terms again.
+    Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...])."""
+    from instasim.losses import BatchScores, infonce_grad, infonce_loss
+    from instasim.sinkhorn import divergence_grad
+
+    def unit(M):
+        norms = np.linalg.norm(M, axis=1, keepdims=True)
+        return M / norms, norms
+
+    def to_raw_rows(G, M_hat, norms):
+        inner = (G * M_hat).sum(axis=1, keepdims=True)
+        return (G - inner * M_hat) / norms
+
+    A_hat, a_norms = unit(anchor_Z)
+    sims, grads = [], []
+    for M in [pos_Z, *neg_Zs]:
+        M_hat, m_norms = unit(M)
+        value, dA, dM, _ = divergence_grad(A_hat, M_hat, sink_cfg)
+        sims.append(-value)
+        grads.append((-dA, -dM, M_hat, m_norms))
+    scores = BatchScores(sims[0], np.array(sims[1:]))
+    loss = infonce_loss(scores, cfg)
+    d_pos, d_neg = infonce_grad(scores, cfg)
+    G_anchor = np.zeros_like(A_hat)
+    out = []
+    for w, (dA, dM, M_hat, m_norms) in zip(np.concatenate(([d_pos], d_neg)), grads):
+        G_anchor += w * dA
+        out.append(to_raw_rows(w * dM, M_hat, m_norms))
+    return loss, to_raw_rows(G_anchor, A_hat, a_norms), out[0], out[1:]

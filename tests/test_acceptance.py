@@ -56,8 +56,7 @@ from instasim.metrics import (
 from instasim.protocols import (
     RetrievalTask,
     TripletTask,
-    mean_average_precision,
-    ndcg,
+    run_protocol,
     triplet_accuracy,
 )
 from instasim.records import ImageManifest, Triplet, VoteRecord
@@ -389,8 +388,9 @@ def test_metric_oracles():
                 l = np.array([1 if g in relevance[q] else 0 for g in keys])
                 aps.append(ap_oracle(s, l, keys))
                 ndcgs.append(ndcg_oracle(s, l, keys))
-            assert abs(mean_average_precision(task, bundle) - np.mean(aps)) <= 1e-12
-            assert abs(ndcg(task, bundle) - np.mean(ndcgs)) <= 1e-12
+            metrics = run_protocol("RETRIEVAL", bundle, task=task)["metrics"]
+            assert abs(metrics["map"] - np.mean(aps)) <= 1e-12
+            assert abs(metrics["mean_ndcg"] - np.mean(ndcgs)) <= 1e-12
 
             ids = gallery + queries
             trips = []

@@ -452,6 +452,20 @@ class TestTriplets:
         assert code == 1
         assert err.startswith("error: InvalidInput:")
 
+    def test_mined_image_missing_from_manifests_is_a_data_error(self, world, tmp_path):
+        mined = tmp_path / "mined.jsonl"
+        mined.write_text('{"anchor": "a1-0", "negatives": ["ghost"]}\n')
+        code, _, err = run_cli(
+            "triplets",
+            "--instances", world.samples,
+            "--mined", mined,
+            "--manifests", world.manifests,
+            "--out", tmp_path / "t.jsonl",
+        )
+        assert code == 1
+        assert err.startswith("error: MissingItem:")
+        assert "ghost" in err
+
     def test_non_object_sample_line_is_a_format_error(self, world, tmp_path):
         samples = tmp_path / "samples.jsonl"
         samples.write_text(world.samples.read_text() + '["A9", "alpha", "a9-0", "a9-1"]\n')

@@ -26,6 +26,7 @@ from instasim.errors import (
     FormatError,
     InsufficientInventory,
     InvalidInput,
+    MissingItem,
     NoCandidates,
 )
 from instasim.records import (
@@ -427,6 +428,12 @@ class TestBuildTriplets:
         assert len(triplets) == 9
         assert len(set(triplets)) == 9
         validate_triplets(triplets, manifest_index(manifests))
+
+    def test_mined_negative_missing_from_manifests(self):
+        manifests = [_manifest("a0", "A"), _manifest("a1", "A")]
+        samples = [InstanceSample("A", "ds0", "a0", "a1")]
+        with pytest.raises(MissingItem, match="ghost"):
+            build_triplets(samples, {"a0": ["ghost"]}, manifests, mix=(1.0, 0.0, 0.0))
 
     def test_largest_remainder_tie_goes_to_declaration_order(self):
         manifests, samples, mined = _triplet_corpus()

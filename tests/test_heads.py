@@ -215,6 +215,18 @@ class TestCheckpoints:
         save_head(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_heads_with_different_dims_are_not_saved(self, tmp_path):
+        # the header holds one set of dims, which load_head checks every
+        # parameter against: a 3-5-4 patch MLP beside a 3-2-4 CLS MLP
+        head = DualHead(
+            cls_head=init_dual_head(3, hidden_dim=2, out_dim=4, seed=0).cls_head,
+            patch_head=init_dual_head(3, hidden_dim=5, out_dim=4, seed=0).patch_head,
+        )
+        path = tmp_path / "mixed.ckpt"
+        with pytest.raises(InvalidInput, match=r"\[3, 2, 4\]"):
+            save_head(path, head)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         raw = json.dumps({"kind": "other"}).encode()

@@ -21,8 +21,10 @@ from oracles import (
     ap_oracle,
     auc_oracle,
     kendall_oracle,
+    kendall_tau_b_dense,
     midranks_oracle,
     ndcg_oracle,
+    rank_average_loop,
     spearman_oracle,
 )
 
@@ -160,6 +162,15 @@ class TestRankAverage:
         x = rng.integers(0, 4, size=40).astype(np.float64)
         np.testing.assert_allclose(rank_average(x), stats.rankdata(x), atol=0)
 
+    def test_equals_the_loop_version_exactly(self, rng):
+        for n in (1, 2, 7, 100, 2000):
+            for levels in (1, 3, 50):
+                x = rng.integers(0, levels, size=n).astype(np.float64)
+                np.testing.assert_array_equal(rank_average(x), rank_average_loop(x))
+        x = rng.normal(size=500)
+        np.testing.assert_array_equal(rank_average(x), rank_average_loop(x))
+        assert rank_average([]).size == 0
+
 
 class TestCorrelations:
     def test_monotone_is_one(self):
@@ -197,6 +208,14 @@ class TestCorrelations:
             rho, tau = rank_correlations(x, y)
             assert abs(rho - stats.spearmanr(x, y).statistic) < 1e-12
             assert abs(tau - stats.kendalltau(x, y).statistic) < 1e-12
+
+    def test_kendall_equals_the_dense_version_exactly(self, rng):
+        for n in (2, 3, 40, 700):
+            for levels in (2, 4, 30):
+                x = rng.integers(0, levels, size=n).astype(np.float64)
+                y = rng.integers(0, levels, size=n).astype(np.float64)
+                x[0], x[1], y[0], y[1] = 0.0, 1.0, 0.0, 1.0  # neither side constant
+                assert kendall_tau_b(x, y) == kendall_tau_b_dense(x, y)
 
     def test_constant_input_is_undefined(self):
         with pytest.raises(UndefinedMetric):

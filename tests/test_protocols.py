@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from instasim import losses, protocols, sinkhorn, trainer
 from instasim.bundle import make_bundle
 from instasim.errors import (
     DuplicateId,
@@ -10,21 +11,25 @@ from instasim.errors import (
     MissingItem,
     UndefinedMetric,
 )
-from instasim.metrics import average_precision, roc_auc
-from instasim.records import PairLabel
+from instasim.heads import init_dual_head, zero_grads
+from instasim.losses import LossConfig
+from instasim.metrics import average_precision, cosine_similarity, roc_auc
+from instasim.records import PairLabel, Triplet
 from instasim.protocols import (
     RetrievalTask,
     TripletTask,
     load_retrieval_task,
     load_triplet_task,
-    mean_average_precision,
-    ndcg,
     run_protocol,
+    score_pairs,
     similarity,
     triplet_accuracy,
 )
 from instasim.reporting import canonical_json
 from instasim.sinkhorn import SinkhornConfig, sinkhorn_divergence
+from instasim.trainer import TrainConfig, _micro_batch_pass, _TrainData
+
+from oracles import patch_loss_per_comparison
 
 
 def _unit(v):
@@ -80,6 +85,127 @@ class TestSimilarity:
             similarity("query", "ghost", planted_bundle)
 
 
+def _unit_rows(M):
+    M = np.asarray(M, dtype=np.float64)
+    return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+
+def _counting(monkeypatch, counts, *modules):
+    """Count the self- and cross-term solves made through ``modules``."""
+    for module in modules:
+        for name in ("self_term", "cross_term"):
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+
+class TestScorePairs:
+    """The engine against the one-pair reference, bit for bit."""
+
+    SINK = SinkhornConfig(epsilon=0.1, max_iters=2000)
+
+    @staticmethod
+    def _pairs(ids):
+        # every ordered pair, the diagonal included, plus one pair twice
+        pairs = [(x, y) for x in ids for y in ids]
+        return pairs + [pairs[1]]
+
+    def test_cls_equals_per_pair_cosine(self, rng):
+        items = {f"i{k}": rng.normal(size=8) for k in range(5)}
+        items["twin"] = items["i0"].copy()
+        bundle = make_bundle("CLS", 8, items)
+        pairs = self._pairs(sorted(items))
+        got = score_pairs(bundle, pairs)
+        want = np.array([cosine_similarity(bundle.get(x), bundle.get(y)) for x, y in pairs])
+        assert got.tobytes() == want.tobytes()
+        # equal embeddings under two ids stay an exact tie
+        by_pair = dict(zip(pairs, got))
+        for other in items:
+            assert by_pair["i1", "i0"] == by_pair["i1", "twin"]
+            assert by_pair[other, "i0"] == by_pair[other, "twin"]
+
+    def test_patch_equals_per_pair_divergence(self, rng):
+        items = {f"p{k}": rng.normal(size=(int(rng.integers(2, 6)), 4)) for k in range(4)}
+        items["twin"] = items["p0"].copy()
+        bundle = make_bundle("PATCH", 4, items)
+        pairs = self._pairs(sorted(items))
+        got = score_pairs(bundle, pairs, self.SINK)
+        want = np.array([
+            -sinkhorn_divergence(_unit_rows(bundle.get(x)), _unit_rows(bundle.get(y)), self.SINK).value
+            for x, y in pairs
+        ])
+        assert got.tobytes() == want.tobytes()
+        by_pair = dict(zip(pairs, got))
+        assert by_pair["p0", "p0"] == by_pair["p0", "twin"] == by_pair["twin", "p0"] == 0.0
+        for other in items:
+            assert by_pair[other, "p0"] == by_pair[other, "twin"]
+
+    def test_raw_patch_equals_per_pair_cost(self, rng):
+        raw = SinkhornConfig(epsilon=0.1, max_iters=2000, debiased=False)
+        items = {f"p{k}": rng.normal(size=(3, 4)) for k in range(3)}
+        bundle = make_bundle("PATCH", 4, items)
+        pairs = self._pairs(sorted(items))
+        want = np.array([
+            -sinkhorn_divergence(_unit_rows(bundle.get(x)), _unit_rows(bundle.get(y)), raw).value
+            for x, y in pairs
+        ])
+        assert score_pairs(bundle, pairs, raw).tobytes() == want.tobytes()
+
+    def test_retrieval_solves_each_self_term_once(self, rng, monkeypatch):
+        queries = [f"q{k}" for k in range(3)]
+        gallery = [f"g{k}" for k in range(5)]
+        bundle = make_bundle(
+            "PATCH", 4, {i: rng.normal(size=(4, 4)) for i in queries + gallery}
+        )
+        task = RetrievalTask(
+            queries=queries, gallery=gallery, relevance={q: {"g0"} for q in queries}
+        )
+        counts = {"self_term": 0, "cross_term": 0}
+        _counting(monkeypatch, counts, protocols, sinkhorn)
+        run_protocol("RETRIEVAL", bundle, task=task, sink_cfg=self.SINK)
+        assert counts == {"cross_term": 3 * 5, "self_term": 3 + 5}
+
+    def test_micro_batch_matches_per_comparison_divergence_grad(self, rng, monkeypatch):
+        dim = 4
+        images = [f"i{k}-{v}" for k in range(3) for v in range(3)]
+        cls = make_bundle("CLS", dim, {i: rng.normal(size=dim) for i in images})
+        patch = make_bundle(
+            "PATCH", dim, {i: rng.normal(size=(int(rng.integers(2, 5)), dim)) for i in images}
+        )
+        cfg = TrainConfig(
+            hidden_dim=5, loss=LossConfig(lam=0.5), sinkhorn=SinkhornConfig(epsilon=0.1)
+        )
+        micro = [Triplet(f"i{k}-0", f"i{k}-1", f"i{(k + 1) % 3}-2", "MINED_REAL") for k in range(3)]
+        inst_of = {i: i.split("-")[0] for i in images}
+        head = init_dual_head(dim, hidden_dim=5, seed=3)
+
+        def one_pass():
+            grads = zero_grads(head)
+            loss = _micro_batch_pass(head, micro, _TrainData(cls, patch, cfg), inst_of, grads)
+            return loss, grads
+
+        counts = {"self_term": 0, "cross_term": 0}
+        _counting(monkeypatch, counts, losses, sinkhorn)
+        loss, grads = one_pass()
+        # 9 images; 3 triplets of 1 positive, 1 hard and 2 in-batch negatives
+        assert counts == {"self_term": 9, "cross_term": 12}
+
+        counts.update(self_term=0, cross_term=0)
+        monkeypatch.setattr(trainer, "prepare_patch_set", lambda Z, sink_cfg: Z)
+        monkeypatch.setattr(trainer, "sinkhorn_patch_loss", patch_loss_per_comparison)
+        want_loss, want_grads = one_pass()
+        assert counts == {"self_term": 24, "cross_term": 12}
+        assert loss == want_loss
+        assert list(grads) == list(want_grads)
+        for name in grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
 class TestRetrieval:
     def _task(self):
         return RetrievalTask(
@@ -89,8 +215,9 @@ class TestRetrieval:
         )
 
     def test_planted_ranking_is_perfect(self, planted_bundle):
-        assert mean_average_precision(self._task(), planted_bundle) == 1.0
-        assert ndcg(self._task(), planted_bundle) == 1.0
+        metrics = run_protocol("RETRIEVAL", planted_bundle, task=self._task())["metrics"]
+        assert metrics["map"] == 1.0
+        assert metrics["mean_ndcg"] == 1.0
 
     def test_map_matches_direct_metric(self, planted_bundle):
         task = self._task()
@@ -100,7 +227,8 @@ class TestRetrieval:
         ]
         labels = [1 if g in task.relevance["query"] else 0 for g in gallery]
         want = average_precision(scores, labels, tie_key=np.array(gallery))
-        assert abs(mean_average_precision(task, planted_bundle) - want) < 1e-15
+        got = run_protocol("RETRIEVAL", planted_bundle, task=task)["metrics"]["map"]
+        assert abs(got - want) < 1e-15
 
     def test_validation(self):
         with pytest.raises(InvalidInput):

@@ -5,7 +5,9 @@ import pytest
 from instasim.errors import InvalidInput, ShapeError
 from instasim.sinkhorn import (
     SinkhornConfig,
+    cross_term,
     divergence_grad,
+    self_term,
     sim_patch,
     sinkhorn_divergence,
     subsample_tokens,
@@ -26,6 +28,31 @@ class TestDivergenceValues:
             X = rng.normal(size=(rng.integers(1, 8), 4))
             res = sinkhorn_divergence(X, X.copy(), TIGHT)
             assert res.value == 0.0
+
+    def test_copy_of_a_unit_row_set_gives_exact_zero(self, rng):
+        # at this size numpy forms X @ X.T with a symmetric product whose
+        # last bits differ from X @ Y.T for a copy Y, so solving the
+        # cross term separately used to leave about -2.8e-17
+        X = rng.normal(size=(32, 64))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        assert sinkhorn_divergence(X, X.copy()).value == 0.0
+        assert sim_patch(X, X.copy()) == 0.0
+
+    def test_given_self_terms_change_no_bit(self, rng):
+        X = rng.normal(size=(5, 3))
+        Y = rng.normal(size=(4, 3))
+        for A, B in ((X, Y), (X, X.copy())):
+            assert sinkhorn_divergence(
+                A, B, TIGHT, self_term(A, TIGHT), self_term(B, TIGHT)
+            ) == sinkhorn_divergence(A, B, TIGHT)
+            got = divergence_grad(
+                A, B, TIGHT, self_term(A, TIGHT, grad=True), self_term(B, TIGHT, grad=True)
+            )
+            want = divergence_grad(A, B, TIGHT)
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        raw = SinkhornConfig(epsilon=0.1, max_iters=2000, debiased=False)
+        assert cross_term(X, Y, raw)[0] == sinkhorn_divergence(X, Y, raw)
 
     def test_symmetry(self, rng):
         for _ in range(10):
