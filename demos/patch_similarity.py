@@ -9,7 +9,7 @@ squared-distance value for single-atom clouds.
 
 import numpy as np
 
-from instasim.sinkhorn import SinkhornConfig, sinkhorn_divergence, sim_patch
+from instasim.sinkhorn import SinkhornConfig, sinkhorn_divergence
 
 
 def unit_rows(M):
@@ -34,7 +34,7 @@ def main():
     print()
     print("similarity is the negated divergence:")
     for b in ("same", "other"):
-        print("  sim(base, %s) = %.6f" % (b, sim_patch(clouds["base"], clouds[b], cfg)))
+        print("  sim(base, %s) = %.6f" % (b, -sinkhorn_divergence(clouds["base"], clouds[b], cfg).value))
 
     # single atoms make the transport plan trivial, so the value is
     # exactly half the squared euclidean distance

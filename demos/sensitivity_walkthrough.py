@@ -13,7 +13,7 @@ hand the two coefficients back with tight confidence intervals.
 import numpy as np
 
 from instasim.bundle import make_bundle
-from instasim.sensitivity import EditGrid, GridPoint, analyze_grids
+from instasim.sensitivity import EditGrid, GridPoint, analyze_grids, grid_scores
 
 DIM = 12
 
@@ -44,7 +44,7 @@ def main():
         grids.append(EditGrid(anchor=anchor, points=points))
 
     bundle = make_bundle("CLS", DIM, items)
-    report = analyze_grids(grids, bundle, n_boot=1000, seed=0)
+    report = analyze_grids(grids, grid_scores(grids, bundle), n_boot=1000, seed=0)
 
     fac = report["factors"]["compression"]
     ident = report["identity"]

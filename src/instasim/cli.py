@@ -250,20 +250,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     grids = load_grids(args.grids)
-    bundle = read_bundle(args.bundle)
-    sink_cfg = _sinkhorn_from(args)
     # one engine pass for the fits and the trend, which share their pairs
-    scores = grid_scores(grids, bundle, sink_cfg)
-    report = analyze_grids(
-        grids, bundle, n_boot=args.n_boot, seed=args.seed, sink_cfg=sink_cfg, scores=scores
-    )
+    scores = grid_scores(grids, read_bundle(args.bundle), _sinkhorn_from(args))
+    report = analyze_grids(grids, scores, n_boot=args.n_boot, seed=args.seed)
     write_json_report(args.out, report)
     if args.out_trend:
         factor_names = sorted({g.factor_name for g in grids})
-        trends = {
-            name: similarity_trend(grids, bundle, name, sink_cfg, scores)
-            for name in factor_names
-        }
+        trends = {name: similarity_trend(grids, name, scores) for name in factor_names}
         write_trend_csv(args.out_trend, trends)
     print(f"wrote {args.out}")
     return 0

@@ -8,20 +8,19 @@ temperature and subtracts margin/tau from the positive logit; the
 hinge and BCE variants consume the scores as given, so their margins
 live directly in score space.
 
-Gradient conventions: every *_grad function returns the derivative of
-the loss with respect to its actual inputs (raw scores or raw
-vectors/matrices), so central finite differences on the loss function
-itself reproduce them.
+Gradient conventions: every objective returns (loss, d_pos, d_neg) and
+every loss returns its derivatives with respect to its actual inputs
+(raw scores or raw vectors/matrices), so central finite differences on
+the loss itself reproduce them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import SinkhornConfig, divergence_grad, self_term
+from .sinkhorn import PatchSet, SinkhornConfig, divergence_grad, patch_set
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
@@ -65,23 +64,13 @@ class BatchScores:
             raise InvalidInput("scores must be finite")
 
 
-def infonce_loss(scores: BatchScores, cfg: LossConfig) -> float:
+def infonce_loss(scores: BatchScores, cfg: LossConfig):
     """L = -log( e^{s+ - m'} / (e^{s+ - m'} + sum_i e^{s_i-}) ) on logits s/tau.
 
     m' = margin/tau is subtracted from the positive logit only. Computed
-    with the max-shift log-sum-exp trick.
+    with the max-shift log-sum-exp trick. Returns (loss, d_pos, d_neg);
+    the gradient components sum to 0.
     """
-    loss, _, _ = _infonce(scores, cfg)
-    return loss
-
-
-def infonce_grad(scores: BatchScores, cfg: LossConfig):
-    """Gradient of infonce_loss w.r.t. (s_pos, s_neg). Components sum to 0."""
-    _, d_pos, d_neg = _infonce(scores, cfg)
-    return d_pos, d_neg
-
-
-def _infonce(scores: BatchScores, cfg: LossConfig):
     cfg.validate()
     z = np.concatenate(([scores.s_pos - cfg.margin], scores.s_neg)) / cfg.tau
     m = z.max()
@@ -124,13 +113,7 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
-def _objective(scores: BatchScores, cfg: LossConfig):
-    """Dispatch to the configured objective; returns (loss, d_pos, d_neg)."""
-    if cfg.objective == "INFONCE":
-        return _infonce(scores, cfg)
-    if cfg.objective == "HINGE":
-        return hinge_loss(scores, cfg)
-    return bce_loss(scores, cfg)
+_OBJECTIVE = {"INFONCE": infonce_loss, "HINGE": hinge_loss, "BCE": bce_loss}
 
 
 def _cosine_and_jacobians(a: np.ndarray, b: np.ndarray):
@@ -174,7 +157,7 @@ def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfi
         neg_sims.append(s)
         neg_jacs.append((ja, jn))
 
-    loss, d_pos, d_neg = _objective(BatchScores(s_pos, np.array(neg_sims)), cfg)
+    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s_pos, np.array(neg_sims)), cfg)
 
     grad_anchor = d_pos * ja_pos
     grad_positive = d_pos * jp
@@ -183,13 +166,6 @@ def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfi
         grad_anchor = grad_anchor + d_neg[i] * ja
         grad_negatives[i] = d_neg[i] * jn
     return loss, grad_anchor, grad_positive, grad_negatives
-
-
-def _normalize_rows(M: np.ndarray):
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise InvalidInput("zero-norm patch row")
-    return M / norms, norms
 
 
 def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.ndarray):
@@ -236,25 +212,8 @@ def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfi
         ]
         return loss, grad_anchor, grad_pos, grad_negs
 
-    sets = [prepare_patch_set(M, sink_cfg) for M in [anchor_Z, pos_Z, *neg_Zs]]
+    sets = [patch_set(M, sink_cfg, grad=True) for M in [anchor_Z, pos_Z, *neg_Zs]]
     return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg)
-
-
-class PatchSet(NamedTuple):
-    """One token matrix ready for every Sinkhorn comparison it enters:
-    its unit rows, their norms and, for the debiased divergence, what
-    ``self_term(unit, grad=True)`` returns."""
-
-    unit: np.ndarray
-    norms: np.ndarray
-    self_ot: tuple | None
-
-
-def prepare_patch_set(Z, sink_cfg: SinkhornConfig) -> PatchSet:
-    """Normalize Z's rows and, when debiased, solve its self term once."""
-    unit, norms = _normalize_rows(np.asarray(Z, dtype=np.float64))
-    self_ot = self_term(unit, sink_cfg, grad=True) if sink_cfg.debiased else None
-    return PatchSet(unit, norms, self_ot)
 
 
 def sinkhorn_patch_loss(
@@ -274,7 +233,7 @@ def sinkhorn_patch_loss(
         sims.append(-val)
         grads.append((-dA, -dM, other))
 
-    loss, d_pos, d_neg = _objective(BatchScores(sims[0], np.array(sims[1:])), cfg)
+    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(sims[0], np.array(sims[1:])), cfg)
     weights = np.concatenate(([d_pos], d_neg))
 
     G_anchor_hat = np.zeros_like(anchor.unit)

@@ -163,8 +163,3 @@ def kendall_tau_b(x, y) -> float:
 def _tie_pair_count(x) -> float:
     _, counts = np.unique(x, return_counts=True)
     return float((counts * (counts - 1) / 2.0).sum())
-
-
-def rank_correlations(pred_scores, human_ratings) -> tuple[float, float]:
-    """(Spearman rho, Kendall tau-b) of predictions against ratings."""
-    return spearman_rho(pred_scores, human_ratings), kendall_tau_b(pred_scores, human_ratings)

@@ -4,12 +4,13 @@ correlation, reported as deterministic canonical JSON.
 One engine, ``score_pairs``, scores bundle item pairs: CLS bundles use
 cosine, PATCH bundles the negated transport divergence on
 L2-normalized rows. Distance is 1 - similarity either way. Every
-protocol, the sensitivity analysis and the one-pair ``similarity`` go
-through it, so no two reports can score a pair differently.
+protocol, the sensitivity analysis, the trainer's validation accuracy
+and the one-pair ``similarity`` go through it, so no two reports can
+score a pair differently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -19,15 +20,14 @@ from .errors import DuplicateId, FormatError, InvalidInput, UndefinedMetric
 from .metrics import (
     average_precision,
     kendall_tau_b,
-    ndcg_from_ranking,
+    ndcg_score,
     roc_auc,
     spearman_rho,
     triplet_correct,
-    _ranked_order,
 )
 from .records import PairLabel, require_str
 from .reporting import iter_jsonl, report_envelope
-from .sinkhorn import SinkhornConfig, self_term, sinkhorn_divergence
+from .sinkhorn import PatchSet, SinkhornConfig, patch_set, sinkhorn_divergence
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
@@ -56,80 +56,54 @@ def score_pairs(
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
 
-    Each item is converted once: a CLS item to a float64 row and its
-    norm, a PATCH item to unit rows whose self term OT(X, X) is solved
-    once. Each distinct ordered pair is scored once; OT(A, B) and
-    OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
-    merged. Scores equal a one-pair computation bit for bit: CLS is
-    ``u @ v / (|u| |v|)`` per pair (a matrix product would move last
-    bits and split exact ties between equal embeddings), PATCH is
-    ``-sinkhorn_divergence`` on the unit rows. The caches live for this
-    call only.
+    Each item is prepared once: a CLS item becomes a float64 row and its
+    norm, a PATCH item a ``patch_set`` (unit rows and, when debiased,
+    its self term OT(X, X)). Each distinct ordered pair is then compared
+    once; OT(A, B) and OT(B, A) differ in the last bits, so (x, y) and
+    (y, x) are not merged. Scores equal a one-pair computation bit for
+    bit: CLS is ``u @ v / (|u| |v|)`` per pair (a matrix product would
+    move last bits and split exact ties between equal embeddings), PATCH
+    is the negated ``sinkhorn_divergence`` on the unit rows, computed
+    as 0.0 - divergence so that identical sets score +0.0, not -0.0.
+    The caches live for this call only.
     """
-    score = _cosine_scorer(bundle) if bundle.token_kind == "CLS" else _patch_scorer(bundle, sink_cfg)
+    prepare, compare = _ENGINE[bundle.token_kind]
+    cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
+    items: dict = {}
     memo: dict[tuple[str, str], float] = {}
     out = np.empty(len(pairs))
     for k, (x_id, y_id) in enumerate(pairs):
         key = (x_id, y_id)
-        sim = memo.get(key)
-        if sim is None:
-            sim = memo[key] = score(x_id, y_id)
-        out[k] = sim
+        if key not in memo:
+            for item_id in key:
+                if item_id not in items:
+                    items[item_id] = prepare(bundle.get(item_id), cfg)
+            memo[key] = compare(items[x_id], items[y_id], cfg)
+        out[k] = memo[key]
     return out
 
 
-def _cosine_scorer(bundle: EmbeddingBundle):
-    rows: dict[str, tuple[np.ndarray, float]] = {}
-
-    def row(item_id):
-        if item_id not in rows:
-            u = np.asarray(bundle.get(item_id), dtype=np.float64).ravel()
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                raise InvalidInput("zero-norm vector in cosine similarity")
-            rows[item_id] = (u, nu)
-        return rows[item_id]
-
-    def score(x_id, y_id):
-        u, nu = row(x_id)
-        v, nv = row(y_id)
-        if u.shape != v.shape:
-            raise InvalidInput(f"vector shapes differ: {u.shape} vs {v.shape}")
-        return float(u @ v / (nu * nv))
-
-    return score
+def _prepare_cls(M, cfg):
+    u = np.asarray(M, dtype=np.float64).ravel()
+    nu = np.linalg.norm(u)
+    if nu == 0.0:
+        raise InvalidInput("zero-norm vector in cosine similarity")
+    return u, nu
 
 
-def _patch_scorer(bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None):
-    cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
-    units: dict[str, np.ndarray] = {}
-    selfs: dict[str, tuple] = {}
-
-    def unit(item_id):
-        if item_id not in units:
-            units[item_id] = _unit_rows(bundle.get(item_id))
-        return units[item_id]
-
-    def solved_self(item_id):
-        if item_id not in selfs:
-            selfs[item_id] = self_term(unit(item_id), cfg)
-        return selfs[item_id]
-
-    def score(x_id, y_id):
-        ux, uy = unit(x_id), unit(y_id)
-        if not cfg.debiased:
-            return -sinkhorn_divergence(ux, uy, cfg).value
-        return -sinkhorn_divergence(ux, uy, cfg, solved_self(x_id), solved_self(y_id)).value
-
-    return score
+def _compare_cls(a, b, cfg) -> float:
+    (u, nu), (v, nv) = a, b
+    if u.shape != v.shape:
+        raise InvalidInput(f"vector shapes differ: {u.shape} vs {v.shape}")
+    return float(u @ v / (nu * nv))
 
 
-def _unit_rows(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise InvalidInput("zero-norm patch row")
-    return M / norms
+def _compare_patch(a: PatchSet, b: PatchSet, cfg) -> float:
+    return 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot).value
+
+
+# per token kind: prepare(item matrix, cfg) and compare(prepared, prepared, cfg)
+_ENGINE = {"CLS": (_prepare_cls, _compare_cls), "PATCH": (patch_set, _compare_patch)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +210,7 @@ def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg=None) -> dict[str
             auc = None
         out[query] = {
             "ap": average_precision(row, labels, tie_key=tie_key),
-            "ndcg": ndcg_from_ranking(labels[_ranked_order(row, tie_key)]),
+            "ndcg": ndcg_score(row, labels, tie_key=tie_key),
             "auc": auc,
         }
     return out
@@ -352,18 +326,11 @@ def run_protocol(
             ]
         }
 
-    sink = sink_cfg if sink_cfg is not None else SinkhornConfig()
     params = {
         "protocol": protocol,
         "seed": int(seed),
         "token_kind": bundle.token_kind,
-        "sinkhorn": {
-            "epsilon": sink.epsilon,
-            "max_iters": sink.max_iters,
-            "tol": sink.tol,
-            "max_tokens": sink.max_tokens,
-            "debiased": sink.debiased,
-        },
+        "sinkhorn": asdict(sink_cfg if sink_cfg is not None else SinkhornConfig()),
     }
     return {
         **report_envelope(seed, params),

@@ -26,15 +26,3 @@ def derived_rng(seed: int, *labels: object) -> np.random.Generator:
         h.update(str(label).encode("utf-8"))
     digest = h.digest()
     return np.random.default_rng(int.from_bytes(digest[:16], "little"))
-
-
-def shuffled(items, seed: int, *labels: object) -> list:
-    """Deterministically shuffle a sequence.
-
-    The input is sorted first so the result depends only on the set of
-    items and the seed, never on incoming order.
-    """
-    ordered = sorted(items)
-    rng = derived_rng(seed, "shuffle", *labels)
-    perm = rng.permutation(len(ordered))
-    return [ordered[i] for i in perm]

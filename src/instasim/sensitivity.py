@@ -98,15 +98,6 @@ def load_grids(path) -> list[EditGrid]:
     return grids
 
 
-def normalized_levels(values) -> np.ndarray:
-    """Map ordinal factor levels onto [0, 1] (fraction of the sweep)."""
-    values = np.asarray(values, dtype=np.float64)
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
 def grid_scores(
     grids: list[EditGrid], bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None = None
 ) -> dict[tuple[str, str], float]:
@@ -132,21 +123,14 @@ def _design_and_targets(grid: EditGrid, scores: dict[tuple[str, str], float]):
     return X, y
 
 
-def fit_instance(
-    grid: EditGrid,
-    bundle: EmbeddingBundle,
-    sink_cfg: SinkhornConfig | None = None,
-    scores: dict[tuple[str, str], float] | None = None,
-) -> InstanceFit:
+def fit_instance(grid: EditGrid, scores: dict[tuple[str, str], float]) -> InstanceFit:
     """OLS fit of anchor similarity over one grid.
 
     Solved by SVD least squares (rank-revealing); a design of rank < 3
     raises SingularDesign. R^2 is conventionally 0 when the target has
     zero variance. ``scores`` is a ``grid_scores`` result covering the
-    grid; without it the grid's pairs are scored here.
+    grid.
     """
-    if scores is None:
-        scores = grid_scores([grid], bundle, sink_cfg)
     X, y = _design_and_targets(grid, scores)
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
@@ -240,24 +224,17 @@ def bootstrap_aggregate(fits: list[InstanceFit], n_boot: int = 1000, seed: int =
 
 
 def similarity_trend(
-    grids: list[EditGrid],
-    bundle: EmbeddingBundle,
-    factor_name: str,
-    sink_cfg: SinkhornConfig | None = None,
-    scores: dict[tuple[str, str], float] | None = None,
+    grids: list[EditGrid], factor_name: str, scores: dict[tuple[str, str], float]
 ) -> list[tuple[float, float, int]]:
     """Mean anchor-similarity per factor level: (level, mean, count) rows.
 
     Only explicit grid points contribute (no implicit anchor point), so
     a single-level grid produces a single row. ``scores`` is a
-    ``grid_scores`` result covering the grids; without it the selected
-    grids' pairs are scored here.
+    ``grid_scores`` result covering the grids of ``factor_name``.
     """
     selected = [g for g in grids if g.factor_name == factor_name]
     if not selected:
         raise InvalidInput(f"no grids for factor {factor_name!r}")
-    if scores is None:
-        scores = grid_scores(selected, bundle, sink_cfg)
     sims_by_level: dict[float, list[float]] = {}
     for grid in selected:
         grid.validate()
@@ -280,22 +257,17 @@ def write_trend_csv(path, trends: dict[str, list[tuple[float, float, int]]]) -> 
 
 def analyze_grids(
     grids: list[EditGrid],
-    bundle: EmbeddingBundle,
+    scores: dict[tuple[str, str], float],
     n_boot: int = 1000,
     seed: int = 0,
-    sink_cfg: SinkhornConfig | None = None,
-    scores: dict[tuple[str, str], float] | None = None,
 ) -> dict:
     """Fit every grid, bootstrap-aggregate, and wrap as a versioned report.
 
-    ``scores`` is a ``grid_scores`` result covering the grids; without
-    it they are scored here, in one engine pass.
+    ``scores`` is a ``grid_scores`` result covering the grids.
     """
     if not grids:
         raise InvalidInput("no grids supplied")
-    if scores is None:
-        scores = grid_scores(grids, bundle, sink_cfg)
-    fits = [fit_instance(g, bundle, sink_cfg, scores) for g in grids]
+    fits = [fit_instance(g, scores) for g in grids]
     report = bootstrap_aggregate(fits, n_boot=n_boot, seed=seed)
     params = {"n_boot": int(n_boot), "seed": int(seed), "protocol": "SENSITIVITY"}
     return {**report, **report_envelope(seed, params)}

@@ -13,8 +13,8 @@ exposed here (0.05 by default); under the quadratic cost a "blur"
 radius parameterization would be blur = sqrt(eps), and no second knob
 is provided.
 
-Callers that want the normalized-token convention (unit L2 rows) must
-normalize before calling; the solver takes rows as given.
+Callers that want the normalized-token convention (unit L2 rows)
+prepare their sets with ``patch_set``; the solver takes rows as given.
 
 Gradients use the envelope theorem: at a converged plan T the value is
 stationary in the potentials, so d OT / d C_ij = T_ij and the position
@@ -23,7 +23,8 @@ the self terms both argument slots contribute.
 
 The solves are public: ``self_term`` (OT_eps(X, X), which depends on
 one set only) and ``cross_term``. A caller that compares one set with
-many others solves its self term once and passes it to
+many others prepares it once with ``patch_set`` (unit rows, their
+norms and the self term) and passes the self term to
 ``sinkhorn_divergence`` or ``divergence_grad``, which then solve only
 the cross term.
 
@@ -39,6 +40,7 @@ tight tol therefore usually still comes with an accurate value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,9 +232,26 @@ def sinkhorn_divergence(
     return _debias(ab, aa, bb)
 
 
-def sim_patch(A, B, cfg: SinkhornConfig | None = None) -> float:
-    """Patch similarity: the negated divergence, 0 for identical sets."""
-    return -sinkhorn_divergence(A, B, cfg).value
+class PatchSet(NamedTuple):
+    """One token matrix ready for every Sinkhorn comparison it enters:
+    its unit rows, their norms and what ``self_term(unit, cfg, grad)``
+    returns (None when the divergence is not debiased)."""
+
+    unit: np.ndarray
+    norms: np.ndarray
+    self_ot: tuple | None
+
+
+def patch_set(Z, cfg: SinkhornConfig | None = None, grad: bool = False) -> PatchSet:
+    """Normalize Z's rows to unit length and, when debiased, solve its
+    self term once. A row of zeros has no direction: InvalidInput."""
+    cfg = cfg if cfg is not None else SinkhornConfig()
+    Z = np.asarray(Z, dtype=np.float64)
+    norms = np.linalg.norm(Z, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise InvalidInput("zero-norm patch row")
+    unit = Z / norms
+    return PatchSet(unit, norms, self_term(unit, cfg, grad) if cfg.debiased else None)
 
 
 def _ot_position_grads(X, Y, T):

@@ -33,18 +33,12 @@ from .heads import (
     mlp_forward,
     zero_grads,
 )
-from .losses import (
-    LossConfig,
-    cls_loss,
-    patch_loss,
-    prepare_patch_set,
-    sinkhorn_patch_loss,
-    total_loss,
-)
-from .metrics import cosine_similarity, triplet_correct
+from .losses import LossConfig, cls_loss, patch_loss, sinkhorn_patch_loss, total_loss
+from .metrics import triplet_correct
+from .protocols import score_pairs
 from .records import ImageManifest, Triplet, manifest_index
 from .rng import derived_rng
-from .sinkhorn import SinkhornConfig, subsample_tokens
+from .sinkhorn import SinkhornConfig, patch_set, subsample_tokens
 
 __all__ = [
     "TrainConfig",
@@ -172,7 +166,7 @@ def _micro_batch_pass(
     # each image's unit rows and Sinkhorn self term, once per micro-batch
     sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
     if sinkhorn:
-        sets = {i: prepare_patch_set(patch_out[i], cfg.sinkhorn) for i in image_ids}
+        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, grad=True) for i in image_ids}
 
     loss_sum = 0.0
     for t in micro:
@@ -248,13 +242,19 @@ def train_step(
 
 
 def _validation_accuracy(head: DualHead, val: list[Triplet], data: _TrainData) -> float:
-    correct = 0
-    for t in val:
-        a, _ = mlp_forward(head.cls_head, data.cls_vec(t.anchor), head.activation)
-        p, _ = mlp_forward(head.cls_head, data.cls_vec(t.positive), head.activation)
-        n, _ = mlp_forward(head.cls_head, data.cls_vec(t.hard_negative), head.activation)
-        if triplet_correct(cosine_similarity(a, p), cosine_similarity(a, n)):
-            correct += 1
+    """Share of triplets whose anchor scores strictly higher with the
+    positive than with the hard negative. Each distinct image is
+    projected once; the float64 projections are scored by
+    ``score_pairs`` (not through ``make_bundle``, whose float32 cast
+    would move the scores)."""
+    image_ids = sorted({i for t in val for i in (t.anchor, t.positive, t.hard_negative)})
+    projected = {
+        i: mlp_forward(head.cls_head, data.cls_vec(i), head.activation)[0] for i in image_ids
+    }
+    bundle = EmbeddingBundle("CLS", head.out_dim, projected)
+    pairs = [pair for t in val for pair in ((t.anchor, t.positive), (t.anchor, t.hard_negative))]
+    sims = score_pairs(bundle, pairs).reshape(-1, 2)
+    correct = sum(1 for s_pos, s_neg in sims if triplet_correct(s_pos, s_neg))
     return correct / len(val)
 
 
@@ -269,10 +269,10 @@ def train(
     """Full training run with per-epoch validation and best-checkpoint
     selection on validation triplet accuracy.
 
-    Validation similarity is the same cosine + strict comparison used
-    by the evaluation suite. An epoch is one pass over the training
-    triplets; best checkpoint is the earliest epoch achieving the
-    highest validation accuracy.
+    Validation scores pairs with ``score_pairs`` and the strict
+    comparison of the evaluation suite. An epoch is one pass over the
+    training triplets; best checkpoint is the earliest epoch achieving
+    the highest validation accuracy.
     """
     cfg.validate()
     data = _TrainData(cls_bundle, patch_bundle, cfg)

@@ -189,7 +189,7 @@ def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
     """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
     per comparison, so every comparison solves both self terms again.
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...])."""
-    from instasim.losses import BatchScores, infonce_grad, infonce_loss
+    from instasim.losses import BatchScores, infonce_loss
     from instasim.sinkhorn import divergence_grad
 
     def unit(M):
@@ -208,11 +208,28 @@ def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
         sims.append(-value)
         grads.append((-dA, -dM, M_hat, m_norms))
     scores = BatchScores(sims[0], np.array(sims[1:]))
-    loss = infonce_loss(scores, cfg)
-    d_pos, d_neg = infonce_grad(scores, cfg)
+    loss, d_pos, d_neg = infonce_loss(scores, cfg)
     G_anchor = np.zeros_like(A_hat)
     out = []
     for w, (dA, dM, M_hat, m_norms) in zip(np.concatenate(([d_pos], d_neg)), grads):
         G_anchor += w * dA
         out.append(to_raw_rows(w * dM, M_hat, m_norms))
     return loss, to_raw_rows(G_anchor, A_hat, a_norms), out[0], out[1:]
+
+
+def validation_accuracy_per_triplet(head, val, data) -> float:
+    """Trainer validation accuracy one triplet at a time: project the
+    anchor, positive and hard negative with the CLS head and compare
+    their cosines strictly (the trainer's earlier implementation of
+    ``_validation_accuracy``)."""
+    from instasim.heads import mlp_forward
+    from instasim.metrics import cosine_similarity, triplet_correct
+
+    correct = 0
+    for t in val:
+        a, _ = mlp_forward(head.cls_head, data.cls_vec(t.anchor), head.activation)
+        p, _ = mlp_forward(head.cls_head, data.cls_vec(t.positive), head.activation)
+        n, _ = mlp_forward(head.cls_head, data.cls_vec(t.hard_negative), head.activation)
+        if triplet_correct(cosine_similarity(a, p), cosine_similarity(a, n)):
+            correct += 1
+    return correct / len(val)

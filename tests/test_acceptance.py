@@ -40,7 +40,6 @@ from instasim.losses import (
     bce_loss,
     cls_loss,
     hinge_loss,
-    infonce_grad,
     infonce_loss,
     patch_loss,
     total_loss,
@@ -67,6 +66,7 @@ from instasim.sensitivity import (
     analyze_grids,
     bootstrap_aggregate,
     fit_instance,
+    grid_scores,
 )
 from instasim.sinkhorn import SinkhornConfig, sinkhorn_divergence
 from instasim.trainer import TrainConfig, train
@@ -110,8 +110,8 @@ def test_gradient_suite():
                 prob /= prob.sum()
                 if prob.min() >= 1e-4 and prob[0] <= 1.0 - 1e-4:
                     break
-            d_pos, d_neg = infonce_grad(BatchScores(s_pos, s_neg), cfg)
-            fd = _fd_scores(lambda s, c: infonce_loss(s, c), s_pos, s_neg, cfg)
+            _, d_pos, d_neg = infonce_loss(BatchScores(s_pos, s_neg), cfg)
+            fd = _fd_scores(lambda s, c: infonce_loss(s, c)[0], s_pos, s_neg, cfg)
             assert rel_err(np.concatenate(([d_pos], d_neg)), fd) <= 1e-5
 
         for trial in range(100):
@@ -541,7 +541,7 @@ def _noisy_grids(rng, n_inst, dim=8, sigma=0.01):
 def test_sensitivity_suite(tmp_path):
     with gate("sensitivity-suite"):
         grid, bundle = _exact_grid()
-        fit = fit_instance(grid, bundle)
+        fit = fit_instance(grid, grid_scores([grid], bundle))
         assert abs(fit.beta0 - 1.0) <= 1e-10
         assert abs(fit.beta_factor - (-0.1)) <= 1e-10
         assert abs(fit.beta_identity - (-0.5)) <= 1e-10
@@ -551,7 +551,8 @@ def test_sensitivity_suite(tmp_path):
         for rep in range(100):
             rng = np.random.default_rng(3000 + rep)
             grids, noisy = _noisy_grids(rng, n_inst=24)
-            fits = [fit_instance(g, noisy) for g in grids]
+            scores = grid_scores(grids, noisy)
+            fits = [fit_instance(g, scores) for g in grids]
             report = bootstrap_aggregate(fits, n_boot=1000, seed=rep)
             fac = report["factors"]["blur"]
             ident = report["identity"]
@@ -562,8 +563,8 @@ def test_sensitivity_suite(tmp_path):
 
         rng = np.random.default_rng(77)
         grids, noisy = _noisy_grids(rng, n_inst=6)
-        rep_a = analyze_grids(grids, noisy, n_boot=1000, seed=5)
-        rep_b = analyze_grids(grids, noisy, n_boot=1000, seed=5)
+        rep_a = analyze_grids(grids, grid_scores(grids, noisy), n_boot=1000, seed=5)
+        rep_b = analyze_grids(grids, grid_scores(grids, noisy), n_boot=1000, seed=5)
         assert canonical_json(rep_a) == canonical_json(rep_b)
 
 

@@ -573,6 +573,13 @@ class TestTrainApplyScore:
         expected = -sinkhorn_divergence(A, B, cfg).value
         assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_score_of_a_patch_set_with_itself_is_positive_zero(self, world):
+        code, out, err = run_cli(
+            "score", "--bundle", world.patch_bundle, "--pair", "a1-0", "a1-0"
+        )
+        assert code == 0, err
+        assert out == "similarity=0 distance=1\n"
+
     def test_score_unknown_image_is_a_data_error(self, world):
         code, _, err = run_cli("score", "--bundle", world.cls_bundle, "--pair", "a1-0", "nope")
         assert code == 1
@@ -658,6 +665,42 @@ class TestEval:
         )
         assert code == 1
         assert "--pairs" in err
+
+    def test_patch_verification_scores_a_set_with_itself_as_positive_zero(self, world, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        _jsonl(pairs, [
+            {"ref_id": "a1-0", "cand_id": "a1-0", "label": 1},
+            {"ref_id": "a1-0", "cand_id": "a1-1", "label": 0},
+        ])
+        out_path = tmp_path / "verification.json"
+        code, _, err = run_cli(
+            "eval", "verification",
+            "--bundle", world.patch_bundle,
+            "--pairs", pairs,
+            "--out", out_path,
+        )
+        assert code == 0, err
+        rows = json.loads(out_path.read_text())["detail"]["pairs"]
+        assert rows[0]["cand_id"] == "a1-0"
+        assert rows[0]["score"] == 0.0 and not np.signbit(rows[0]["score"])
+
+    def test_zero_norm_patch_row_is_a_data_error(self, tmp_path):
+        Z = np.ones((3, 4), dtype=np.float32)
+        Z[1] = 0.0
+        bundle_path = tmp_path / "patch.bin"
+        write_bundle(bundle_path, make_bundle("PATCH", 4, {"ok": np.ones((2, 4)), "zero": Z}))
+        pairs = tmp_path / "pairs.jsonl"
+        _jsonl(pairs, [
+            {"ref_id": "ok", "cand_id": "ok", "label": 1},
+            {"ref_id": "ok", "cand_id": "zero", "label": 0},
+        ])
+        out_path = tmp_path / "verification.json"
+        code, _, err = run_cli(
+            "eval", "verification", "--bundle", bundle_path, "--pairs", pairs, "--out", out_path
+        )
+        assert code == 1
+        assert err.startswith("error: InvalidInput: zero-norm patch row")
+        assert not out_path.exists()
 
     def test_reports_are_identical_across_thread_counts(self, world, tmp_path):
         paths = []

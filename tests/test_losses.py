@@ -9,7 +9,6 @@ from instasim.losses import (
     bce_loss,
     cls_loss,
     hinge_loss,
-    infonce_grad,
     infonce_loss,
     patch_loss,
     total_loss,
@@ -41,7 +40,7 @@ class TestInfoNCE:
         # 0.07 the positive logit dominates by 1/0.07, so the softmax
         # cross-entropy is log(1 + exp(-1/0.07))
         cfg = LossConfig(tau=0.07, margin=0.0)
-        loss = infonce_loss(BatchScores(1.0, np.array([0.0])), cfg)
+        loss = infonce_loss(BatchScores(1.0, np.array([0.0])), cfg)[0]
         assert abs(loss - np.log1p(np.exp(-1.0 / 0.07))) < 1e-12
         assert loss < 1e-6
 
@@ -49,21 +48,21 @@ class TestInfoNCE:
         # margin 0 and equal scores: softmax is uniform over 1 + N logits
         cfg = LossConfig(margin=0.0)
         for n in (1, 3, 9):
-            loss = infonce_loss(BatchScores(0.3, np.full(n, 0.3)), cfg)
+            loss = infonce_loss(BatchScores(0.3, np.full(n, 0.3)), cfg)[0]
             assert abs(loss - np.log(n + 1)) < 1e-12
 
     def test_margin_penalizes_positive_logit(self):
         base = LossConfig(margin=0.0)
         with_margin = LossConfig(margin=0.1)
         scores = BatchScores(0.6, np.array([0.1, 0.4]))
-        assert infonce_loss(scores, with_margin) > infonce_loss(scores, base)
+        assert infonce_loss(scores, with_margin)[0] > infonce_loss(scores, base)[0]
 
     def test_gradient_matches_fd(self, rng):
         cfg = LossConfig()
         for _ in range(100):
             s = BatchScores(float(rng.normal()), rng.normal(size=int(rng.integers(1, 8))))
-            d_pos, d_neg = infonce_grad(s, cfg)
-            fd_pos, fd_neg = _fd_scores(infonce_loss, s, cfg)
+            _, d_pos, d_neg = infonce_loss(s, cfg)
+            fd_pos, fd_neg = _fd_scores(lambda s, c: infonce_loss(s, c)[0], s, cfg)
             assert abs(d_pos - fd_pos) < 1e-6 * max(1.0, abs(fd_pos))
             np.testing.assert_allclose(d_neg, fd_neg, rtol=1e-5, atol=1e-7)
 
@@ -73,15 +72,14 @@ class TestInfoNCE:
         cfg = LossConfig()
         for _ in range(20):
             s = BatchScores(float(rng.normal()), rng.normal(size=5))
-            d_pos, d_neg = infonce_grad(s, cfg)
+            _, d_pos, d_neg = infonce_loss(s, cfg)
             assert abs(d_pos + d_neg.sum()) < 1e-12 / cfg.tau
 
     def test_extreme_scores_stay_finite(self):
         cfg = LossConfig()
         for s_pos, s_neg in ((50.0, -50.0), (-50.0, 50.0)):
-            loss = infonce_loss(BatchScores(s_pos, np.array([s_neg])), cfg)
+            loss, d_pos, d_neg = infonce_loss(BatchScores(s_pos, np.array([s_neg])), cfg)
             assert np.isfinite(loss)
-            d_pos, d_neg = infonce_grad(BatchScores(s_pos, np.array([s_neg])), cfg)
             assert np.isfinite(d_pos) and np.isfinite(d_neg).all()
 
 
@@ -211,6 +209,12 @@ class TestPatchLoss:
                 flat[k] = orig
                 fd[k] = (fp_ - fm) / (2 * h)
             np.testing.assert_allclose(grad.reshape(-1), fd, rtol=1e-3, atol=1e-6)
+
+    def test_zero_norm_row_rejected(self, rng):
+        A = rng.normal(size=(3, 3))
+        A[1] = 0.0
+        with pytest.raises(InvalidInput, match="zero-norm patch row"):
+            patch_loss(A, rng.normal(size=(2, 3)), [rng.normal(size=(2, 3))], LossConfig(), SINK)
 
     def test_meanpool_equals_cls_loss_on_pooled_vectors(self, rng):
         cfg = LossConfig(patch_metric="COSINE_MEANPOOL")

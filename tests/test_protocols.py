@@ -136,7 +136,7 @@ class TestScorePairs:
         pairs = self._pairs(sorted(items))
         got = score_pairs(bundle, pairs, self.SINK)
         want = np.array([
-            -sinkhorn_divergence(_unit_rows(bundle.get(x)), _unit_rows(bundle.get(y)), self.SINK).value
+            0.0 - sinkhorn_divergence(_unit_rows(bundle.get(x)), _unit_rows(bundle.get(y)), self.SINK).value
             for x, y in pairs
         ])
         assert got.tobytes() == want.tobytes()
@@ -155,6 +155,14 @@ class TestScorePairs:
             for x, y in pairs
         ])
         assert score_pairs(bundle, pairs, raw).tobytes() == want.tobytes()
+
+    def test_zero_norm_patch_row_is_rejected(self, rng):
+        Z = rng.normal(size=(3, 4))
+        Z[2] = 0.0
+        bundle = make_bundle("PATCH", 4, {"ok": rng.normal(size=(2, 4)), "zero": Z})
+        for sink in (self.SINK, SinkhornConfig(debiased=False)):
+            with pytest.raises(InvalidInput, match="zero-norm patch row"):
+                score_pairs(bundle, [("ok", "zero")], sink)
 
     def test_retrieval_solves_each_self_term_once(self, rng, monkeypatch):
         queries = [f"q{k}" for k in range(3)]
@@ -196,7 +204,7 @@ class TestScorePairs:
         assert counts == {"self_term": 9, "cross_term": 12}
 
         counts.update(self_term=0, cross_term=0)
-        monkeypatch.setattr(trainer, "prepare_patch_set", lambda Z, sink_cfg: Z)
+        monkeypatch.setattr(trainer, "patch_set", lambda Z, cfg, grad: Z)
         monkeypatch.setattr(trainer, "sinkhorn_patch_loss", patch_loss_per_comparison)
         want_loss, want_grads = one_pass()
         assert counts == {"self_term": 24, "cross_term": 12}

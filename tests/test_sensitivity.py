@@ -13,8 +13,8 @@ from instasim.sensitivity import (
     analyze_grids,
     bootstrap_aggregate,
     fit_instance,
+    grid_scores,
     load_grids,
-    normalized_levels,
     similarity_trend,
     write_trend_csv,
 )
@@ -86,7 +86,7 @@ def _planted_instance(rng, anchor_id, betas, levels, noise=0.0, dim=16, name="vi
 class TestFitInstance:
     def test_exact_recovery_of_planted_coefficients(self):
         grid, bundle = _exact_grid()
-        fit = fit_instance(grid, bundle)
+        fit = fit_instance(grid, grid_scores([grid], bundle))
         assert abs(fit.beta0 - 1.0) < 1e-10
         assert abs(fit.beta_factor - (-0.1)) < 1e-10
         assert abs(fit.beta_identity - (-0.5)) < 1e-10
@@ -101,7 +101,7 @@ class TestFitInstance:
         levels = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
         grid, items = _planted_instance(rng, "inst0", betas=(1.0, -0.1, -0.5), levels=levels)
         bundle = make_bundle("CLS", 16, items)
-        fit = fit_instance(grid, bundle)
+        fit = fit_instance(grid, grid_scores([grid], bundle))
         assert abs(fit.beta0 - 1.0) < 1e-5
         assert abs(fit.beta_factor - (-0.1)) < 1e-5
         assert abs(fit.beta_identity - (-0.5)) < 1e-5
@@ -114,7 +114,7 @@ class TestFitInstance:
             anchor="anchor",
             points=[_point("c1", 1.0, 0.0), _point("c2", 0.0, 1.0), _point("c3", 2.0, 1.0)],
         )
-        fit = fit_instance(grid, bundle)
+        fit = fit_instance(grid, grid_scores([grid], bundle))
         assert fit.r2 == 0.0
         assert abs(fit.beta0 - 1.0) < 1e-12
         assert abs(fit.beta_factor) < 1e-12
@@ -129,7 +129,7 @@ class TestFitInstance:
             anchor="anchor", points=[_point("d1", 1.0, 0.0), _point("d2", 2.0, 0.0)]
         )
         with pytest.raises(SingularDesign):
-            fit_instance(grid, bundle)
+            fit_instance(grid, grid_scores([grid], bundle))
 
     def test_noisy_grid_recovers_within_tolerance(self, rng):
         # (0, 0) is left to the implicit anchor row; planted intercept 1
@@ -141,7 +141,7 @@ class TestFitInstance:
             rng, "inst0", betas=(1.0, -0.1, -0.3), levels=levels, noise=0.005
         )
         bundle = make_bundle("CLS", 16, items)
-        fit = fit_instance(grid, bundle)
+        fit = fit_instance(grid, grid_scores([grid], bundle))
         assert abs(fit.beta_factor - (-0.1)) < 0.02
         assert abs(fit.beta_identity - (-0.3)) < 0.04
         assert fit.r2 > 0.95
@@ -173,7 +173,7 @@ class TestBootstrapAggregate:
             )
             all_items.update(items)
             bundle = make_bundle("CLS", 16, items)
-            fits.append(fit_instance(grid, bundle))
+            fits.append(fit_instance(grid, grid_scores([grid], bundle)))
         return fits
 
     def test_recovers_planted_sensitivities(self, rng):
@@ -227,7 +227,7 @@ class TestTrend:
             grids.append(grid)
             all_items.update(items)
         bundle = make_bundle("CLS", 16, all_items)
-        trend = similarity_trend(grids, bundle, "viewpoint")
+        trend = similarity_trend(grids, "viewpoint", grid_scores(grids, bundle))
         assert [lvl for lvl, _, _ in trend] == [0.0, 1.0, 2.0, 3.0]
         assert all(count == 3 for _, _, count in trend)
         means = [m for _, m, _ in trend]
@@ -241,7 +241,7 @@ class TestTrend:
         )
         bundle = make_bundle("CLS", 16, items)
         with pytest.raises(InvalidInput):
-            similarity_trend([grid], bundle, "lighting")
+            similarity_trend([grid], "lighting", grid_scores([grid], bundle))
 
     def test_trend_csv_layout(self, tmp_path):
         path = tmp_path / "trend.csv"
@@ -254,16 +254,6 @@ class TestTrend:
         assert lines[1].startswith("blur,0.0,")
         assert lines[2] == "viewpoint,0.0,0.5,3"
         assert len(lines) == 4
-
-
-class TestNormalizedLevels:
-    def test_affine_map_to_unit_interval(self):
-        np.testing.assert_allclose(
-            normalized_levels([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0], atol=1e-15
-        )
-
-    def test_constant_levels_map_to_zero(self):
-        np.testing.assert_array_equal(normalized_levels([3.0, 3.0]), [0.0, 0.0])
 
 
 class TestGridIO:
@@ -314,7 +304,7 @@ class TestAnalyzeGrids:
             grids.append(grid)
             all_items.update(items)
         bundle = make_bundle("CLS", 16, all_items)
-        report = analyze_grids(grids, bundle, n_boot=100, seed=1)
+        report = analyze_grids(grids, grid_scores(grids, bundle), n_boot=100, seed=1)
         assert set(report) == {
             "config_hash",
             "factors",
@@ -326,10 +316,9 @@ class TestAnalyzeGrids:
             "tool_version",
         }
         assert len(report["per_instance"]) == 4
-        again = analyze_grids(grids, bundle, n_boot=100, seed=1)
+        again = analyze_grids(grids, grid_scores(grids, bundle), n_boot=100, seed=1)
         assert canonical_json(report) == canonical_json(again)
 
     def test_empty_rejected(self, rng):
-        bundle = make_bundle("CLS", 2, {"a": np.ones((1, 2), dtype=np.float32)})
         with pytest.raises(InvalidInput):
-            analyze_grids([], bundle)
+            analyze_grids([], {})

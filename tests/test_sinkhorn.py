@@ -8,7 +8,6 @@ from instasim.sinkhorn import (
     cross_term,
     divergence_grad,
     self_term,
-    sim_patch,
     sinkhorn_divergence,
     subsample_tokens,
 )
@@ -36,7 +35,6 @@ class TestDivergenceValues:
         X = rng.normal(size=(32, 64))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         assert sinkhorn_divergence(X, X.copy()).value == 0.0
-        assert sim_patch(X, X.copy()) == 0.0
 
     def test_given_self_terms_change_no_bit(self, rng):
         X = rng.normal(size=(5, 3))
@@ -102,11 +100,6 @@ class TestDivergenceValues:
         raw_self = sinkhorn_divergence(X, X.copy(), raw_cfg).value
         assert raw_self != 0.0
         assert sinkhorn_divergence(X, X.copy(), TIGHT).value == 0.0
-
-    def test_sim_patch_is_negated_divergence(self, rng):
-        X = rng.normal(size=(4, 3))
-        Y = rng.normal(size=(5, 3))
-        assert sim_patch(X, Y, TIGHT) == -sinkhorn_divergence(X, Y, TIGHT).value
 
     def test_convergence_flag_and_iterations(self, rng):
         X = rng.normal(size=(5, 3))

@@ -4,10 +4,12 @@ import pytest
 
 from instasim.bundle import make_bundle
 from instasim.errors import InvalidInput, MissingItem
-from instasim.heads import head_params, init_dual_head
+from instasim.heads import head_params, identity_dual_head, init_dual_head
 from instasim.losses import LossConfig
 from instasim.records import ImageManifest, Triplet
-from instasim.trainer import TrainConfig, train
+from instasim.trainer import TrainConfig, _TrainData, _validation_accuracy, train
+
+from oracles import validation_accuracy_per_triplet
 
 
 def _manifest(image_id, instance_id, split):
@@ -180,6 +182,30 @@ class TestTrainingValidation:
         manifests, bundle, triplets = _separable_problem(rng)
         with pytest.raises(InvalidInput):
             train(manifests, bundle, triplets, _small_cfg(lr=-1.0))
+
+
+class TestValidationAccuracy:
+    def test_equals_the_per_triplet_loop_with_duplicate_embeddings(self, rng):
+        # "twin" duplicates "p", so (a, p, twin) is an exact tie, which
+        # counts as incorrect, and the anchor "twin" scores like "p"
+        dim = 6
+        a = rng.normal(size=dim)
+        vecs = {"a": a, "p": a + 0.05 * rng.normal(size=dim), "n": rng.normal(size=dim)}
+        vecs["twin"] = vecs["p"].copy()
+        data = _TrainData(make_bundle("CLS", dim, vecs), None, _small_cfg())
+        val = [
+            Triplet("a", "p", "n", "MINED_REAL"),
+            Triplet("a", "p", "twin", "MINED_REAL"),
+            Triplet("a", "n", "p", "MINED_REAL"),
+            Triplet("twin", "p", "n", "MINED_REAL"),
+        ]
+        ties = val[1:2]
+        for head in (identity_dual_head(dim), init_dual_head(dim, hidden_dim=5, seed=3)):
+            assert _validation_accuracy(head, val, data) == validation_accuracy_per_triplet(
+                head, val, data
+            )
+            assert _validation_accuracy(head, ties, data) == 0.0
+        assert _validation_accuracy(identity_dual_head(dim), val, data) == 0.5
 
 
 class TestGradientAssembly:
