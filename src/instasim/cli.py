@@ -5,9 +5,15 @@ errors print one machine-parsable line to stderr:
 
     error: <code>: <message>
 
-where <code> is the exception class name from the error taxonomy. All
-randomness flows from --seed; --threads is accepted for symmetry with
-parallel deployments but outputs never depend on it.
+where <code> is the exception class name from the error taxonomy.
+``eval``, ``sensitivity`` and ``train`` also print one line
+
+    warning: K of N Sinkhorn solves stopped at --max-iters M
+
+to stderr when any solve of the run did not meet --tol; the reports
+stay as they are. All randomness flows from --seed; --threads is
+accepted for symmetry with parallel deployments but outputs never
+depend on it.
 """
 from __future__ import annotations
 
@@ -57,7 +63,7 @@ from .sensitivity import (
     similarity_trend,
     write_trend_csv,
 )
-from .sinkhorn import SinkhornConfig
+from .sinkhorn import SinkhornConfig, SolveCounts
 from .trainer import TrainConfig, apply_head, train
 
 
@@ -87,6 +93,15 @@ def _sinkhorn_from(args) -> SinkhornConfig:
         max_tokens=args.max_tokens,
         debiased=not args.no_debias,
     )
+
+
+def _warn_unconverged(counts: SolveCounts, cfg: SinkhornConfig) -> None:
+    if counts.unconverged:
+        print(
+            f"warning: {counts.unconverged} of {counts.solves} Sinkhorn solves "
+            f"stopped at --max-iters {cfg.max_iters}",
+            file=sys.stderr,
+        )
 
 
 def _report_envelope(command: str, seed: int, params: dict) -> dict:
@@ -186,7 +201,8 @@ def _cmd_train(args) -> int:
         ),
         sinkhorn=_sinkhorn_from(args),
     )
-    result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle)
+    counts = SolveCounts()
+    result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle, counts=counts)
     params = {
         "lr": cfg.lr,
         "weight_decay": cfg.weight_decay,
@@ -209,6 +225,7 @@ def _cmd_train(args) -> int:
     best = result.history[result.best_epoch - 1] if result.history else None
     acc = f", val accuracy {best['val_accuracy']:.4f}" if best else ""
     print(f"wrote {args.out_head} (best epoch {result.best_epoch}{acc})")
+    _warn_unconverged(counts, cfg.sinkhorn)
     return 0
 
 
@@ -240,18 +257,23 @@ def _cmd_eval(args) -> int:
         if not args.pairs:
             raise InvalidInput(f"{args.protocol} needs --pairs")
         pairs = load_pair_labels(args.pairs)
+    sink_cfg = _sinkhorn_from(args)
+    counts = SolveCounts()
     report = run_protocol(
-        protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=_sinkhorn_from(args)
+        protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=sink_cfg, counts=counts
     )
     write_json_report(args.out, report)
     print(f"wrote {args.out}")
+    _warn_unconverged(counts, sink_cfg)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
     grids = load_grids(args.grids)
     # one engine pass for the fits and the trend, which share their pairs
-    scores = grid_scores(grids, read_bundle(args.bundle), _sinkhorn_from(args))
+    sink_cfg = _sinkhorn_from(args)
+    counts = SolveCounts()
+    scores = grid_scores(grids, read_bundle(args.bundle), sink_cfg, counts)
     report = analyze_grids(grids, scores, n_boot=args.n_boot, seed=args.seed)
     write_json_report(args.out, report)
     if args.out_trend:
@@ -259,6 +281,7 @@ def _cmd_sensitivity(args) -> int:
         trends = {name: similarity_trend(grids, name, scores) for name in factor_names}
         write_trend_csv(args.out_trend, trends)
     print(f"wrote {args.out}")
+    _warn_unconverged(counts, sink_cfg)
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import PatchSet, SinkhornConfig, divergence_grad, patch_set
+from .sinkhorn import PatchSet, SinkhornConfig, SolveCounts, divergence_grad, patch_set
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
@@ -217,10 +217,16 @@ def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfi
 
 
 def sinkhorn_patch_loss(
-    anchor: PatchSet, pos: PatchSet, negs: list[PatchSet], cfg: LossConfig, sink_cfg: SinkhornConfig
+    anchor: PatchSet,
+    pos: PatchSet,
+    negs: list[PatchSet],
+    cfg: LossConfig,
+    sink_cfg: SinkhornConfig,
+    counts: SolveCounts | None = None,
 ):
     """The SINKHORN branch of patch_loss on prepared sets: each
-    comparison solves only its cross term.
+    comparison solves only its cross term, which ``counts`` tallies
+    when given.
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
@@ -228,7 +234,7 @@ def sinkhorn_patch_loss(
     grads = []  # (d sim / d anchor unit rows, d sim / d other unit rows, other)
     for other in [pos, *negs]:
         val, dA, dM, _ = divergence_grad(
-            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot
+            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot, counts
         )
         sims.append(-val)
         grads.append((-dA, -dM, other))

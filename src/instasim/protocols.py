@@ -27,7 +27,7 @@ from .metrics import (
 )
 from .records import PairLabel, require_str
 from .reporting import iter_jsonl, report_envelope
-from .sinkhorn import PatchSet, SinkhornConfig, patch_set, sinkhorn_divergence
+from .sinkhorn import PatchSet, SinkhornConfig, SolveCounts, patch_set, sinkhorn_divergence
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
@@ -52,7 +52,10 @@ def similarity(
 
 
 def score_pairs(
-    bundle: EmbeddingBundle, pairs, sink_cfg: SinkhornConfig | None = None
+    bundle: EmbeddingBundle,
+    pairs,
+    sink_cfg: SinkhornConfig | None = None,
+    counts: SolveCounts | None = None,
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
 
@@ -65,7 +68,8 @@ def score_pairs(
     move last bits and split exact ties between equal embeddings), PATCH
     is the negated ``sinkhorn_divergence`` on the unit rows, computed
     as 0.0 - divergence so that identical sets score +0.0, not -0.0.
-    The caches live for this call only.
+    The caches live for this call only. ``counts``, when given, tallies
+    every Sinkhorn solve the call runs.
     """
     prepare, compare = _ENGINE[bundle.token_kind]
     cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
@@ -77,13 +81,13 @@ def score_pairs(
         if key not in memo:
             for item_id in key:
                 if item_id not in items:
-                    items[item_id] = prepare(bundle.get(item_id), cfg)
-            memo[key] = compare(items[x_id], items[y_id], cfg)
+                    items[item_id] = prepare(bundle.get(item_id), cfg, counts=counts)
+            memo[key] = compare(items[x_id], items[y_id], cfg, counts)
         out[k] = memo[key]
     return out
 
 
-def _prepare_cls(M, cfg):
+def _prepare_cls(M, cfg, counts):
     u = np.asarray(M, dtype=np.float64).ravel()
     nu = np.linalg.norm(u)
     if nu == 0.0:
@@ -91,18 +95,19 @@ def _prepare_cls(M, cfg):
     return u, nu
 
 
-def _compare_cls(a, b, cfg) -> float:
+def _compare_cls(a, b, cfg, counts) -> float:
     (u, nu), (v, nv) = a, b
     if u.shape != v.shape:
         raise InvalidInput(f"vector shapes differ: {u.shape} vs {v.shape}")
     return float(u @ v / (nu * nv))
 
 
-def _compare_patch(a: PatchSet, b: PatchSet, cfg) -> float:
-    return 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot).value
+def _compare_patch(a: PatchSet, b: PatchSet, cfg, counts) -> float:
+    return 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot, counts).value
 
 
-# per token kind: prepare(item matrix, cfg) and compare(prepared, prepared, cfg)
+# per token kind: prepare(item matrix, cfg, counts=) and
+# compare(prepared, prepared, cfg, counts)
 _ENGINE = {"CLS": (_prepare_cls, _compare_cls), "PATCH": (patch_set, _compare_patch)}
 
 
@@ -195,12 +200,12 @@ def _str_list(val, path, lineno, name) -> list[str]:
 # protocol drivers
 
 
-def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg=None) -> dict[str, dict]:
+def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg, counts) -> dict[str, dict]:
     task.validate()
     queries = sorted(task.queries)
     gallery = sorted(task.gallery)
     tie_key = np.array(gallery)
-    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg)
+    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg, counts)
     out: dict[str, dict] = {}
     for query, row in zip(queries, scores.reshape(len(queries), len(gallery))):
         labels = np.array([1 if g in task.relevance[query] else 0 for g in gallery])
@@ -216,11 +221,11 @@ def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg=None) -> dict[str
     return out
 
 
-def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, float]:
+def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None, counts=None) -> dict[str, float]:
     """Accuracy per mode (strict ties-incorrect comparison)."""
     task.validate()
     pairs = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
-    sims = score_pairs(bundle, pairs, sink_cfg).reshape(-1, 2)
+    sims = score_pairs(bundle, pairs, sink_cfg, counts).reshape(-1, 2)
     correct: dict[str, int] = {}
     totals: dict[str, int] = {}
     for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
@@ -229,11 +234,11 @@ def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, floa
     return {mode: correct[mode] / totals[mode] for mode in sorted(totals)}
 
 
-def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, binary: bool):
+def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, counts, binary: bool):
     rows = sorted(pairs, key=lambda p: (p.ref_id, p.cand_id))
     if not rows:
         raise InvalidInput("no labeled pairs")
-    scores = score_pairs(bundle, [(p.ref_id, p.cand_id) for p in rows], sink_cfg)
+    scores = score_pairs(bundle, [(p.ref_id, p.cand_id) for p in rows], sink_cfg, counts)
     labels = np.array([p.label for p in rows])
     if binary and not np.all(np.isin(labels, (0.0, 1.0))):
         raise InvalidInput("verification labels must be binary 0/1")
@@ -247,12 +252,14 @@ def run_protocol(
     pairs: list[PairLabel] | None = None,
     seed: int = 0,
     sink_cfg: SinkhornConfig | None = None,
+    counts: SolveCounts | None = None,
 ) -> dict:
     """Run one evaluation protocol and assemble the EvalReport dict.
 
     The report is a plain dict meant for canonical JSON serialization:
     byte-identical across reruns on the same inputs and independent of
-    input record order.
+    input record order. ``counts``, when given, tallies the Sinkhorn
+    solves, which the report leaves out.
     """
     if protocol not in PROTOCOLS:
         raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -262,7 +269,7 @@ def run_protocol(
     if protocol == "RETRIEVAL":
         if not isinstance(task, RetrievalTask):
             raise InvalidInput("RETRIEVAL needs a RetrievalTask")
-        per_query = _retrieval_per_query(task, bundle, sink_cfg)
+        per_query = _retrieval_per_query(task, bundle, sink_cfg, counts)
         aucs = [d["auc"] for d in per_query.values() if d["auc"] is not None]
         metrics = {
             "map": float(np.mean([d["ap"] for d in per_query.values()])),
@@ -275,7 +282,7 @@ def run_protocol(
     elif protocol == "VERIFICATION":
         if pairs is None:
             raise InvalidInput("VERIFICATION needs labeled pairs")
-        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, binary=True)
+        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, counts, binary=True)
         metrics = {
             "ap": average_precision(scores, labels.astype(int)),
             "auc": roc_auc(scores, labels.astype(int)),
@@ -294,21 +301,21 @@ def run_protocol(
     elif protocol == "TRIPLET":
         if not isinstance(task, TripletTask):
             raise InvalidInput("TRIPLET needs a TripletTask")
-        per_mode = triplet_accuracy(task, bundle, sink_cfg)
-        counts: dict[str, int] = {}
+        per_mode = triplet_accuracy(task, bundle, sink_cfg, counts)
+        mode_counts: dict[str, int] = {}
         for _, _, _, mode in task.triplets:
-            counts[mode] = counts.get(mode, 0) + 1
-        overall_correct = sum(per_mode[m] * counts[m] for m in per_mode)
+            mode_counts[mode] = mode_counts.get(mode, 0) + 1
+        overall_correct = sum(per_mode[m] * mode_counts[m] for m in per_mode)
         metrics = {
             "accuracy": {m: float(per_mode[m]) for m in per_mode},
             "overall_accuracy": float(overall_correct / len(task.triplets)),
             "n_triplets": len(task.triplets),
         }
-        detail = {"per_mode_counts": counts}
+        detail = {"per_mode_counts": mode_counts}
     else:  # CORRELATION
         if pairs is None:
             raise InvalidInput("CORRELATION needs labeled pairs")
-        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, binary=False)
+        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, counts, binary=False)
         metrics = {
             "spearman": spearman_rho(scores, labels),
             "kendall_tau_b": kendall_tau_b(scores, labels),

@@ -28,7 +28,7 @@ from .records import require_str
 from .reporting import atomic_write, iter_jsonl, report_envelope
 from .rng import derived_rng
 from .protocols import score_pairs
-from .sinkhorn import SinkhornConfig
+from .sinkhorn import SinkhornConfig, SolveCounts
 
 IDENTITY_KEY = "identity"
 
@@ -99,18 +99,22 @@ def load_grids(path) -> list[EditGrid]:
 
 
 def grid_scores(
-    grids: list[EditGrid], bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None = None
+    grids: list[EditGrid],
+    bundle: EmbeddingBundle,
+    sink_cfg: SinkhornConfig | None = None,
+    counts: SolveCounts | None = None,
 ) -> dict[tuple[str, str], float]:
     """Anchor similarity of every (anchor, image) pair the grids use, the
     anchor's pair with itself included. One engine pass scores them all,
     so fits and trends over the same grids share each pair and each
-    item's self term."""
+    item's self term. ``counts``, when given, tallies the Sinkhorn
+    solves."""
     for grid in grids:
         grid.validate()
     pairs = list(dict.fromkeys(
         (g.anchor, image_id) for g in grids for image_id in [g.anchor] + [p.image_id for p in g.points]
     ))
-    return dict(zip(pairs, score_pairs(bundle, pairs, sink_cfg)))
+    return dict(zip(pairs, score_pairs(bundle, pairs, sink_cfg, counts)))
 
 
 def _design_and_targets(grid: EditGrid, scores: dict[tuple[str, str], float]):

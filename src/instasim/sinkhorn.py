@@ -26,16 +26,23 @@ one set only) and ``cross_term``. A caller that compares one set with
 many others prepares it once with ``patch_set`` (unit rows, their
 norms and the self term) and passes the self term to
 ``sinkhorn_divergence`` or ``divergence_grad``, which then solve only
-the cross term.
+the cross term. Each of these functions takes an optional
+``SolveCounts`` that tallies the solves it runs, for a caller that
+reports how many stopped at max_iters.
 
-A note on tolerances: on self-term solves with near-decoupled point
-geometry (clusters separated by several times epsilon), alternating
-updates approach the fixed point through the potentials' gauge
-direction at a rate of roughly 1 - exp(-gap/eps), so the row-marginal
-convergence metric can take very long to pass tolerances much below
-1e-6. The dual value and the plan are gauge-invariant and settle to
-full accuracy orders of magnitude sooner; an unconverged flag at a
-tight tol therefore usually still comes with an accurate value.
+A note on tolerances: every solve stops when the worst row-marginal
+violation of its plan drops to tol, and the check reuses the next
+half-step's log-sum-exp, so it costs no pass of its own. The result
+carries that violation as ``marginal_err``. Cross terms use
+alternating updates. Where both sets hold clusters several times
+epsilon apart, these approach the fixed point along the potentials'
+gauge direction at a rate of roughly 1 - exp(-gap/eps), so a tol far
+below 1e-6 can take very many iterations; the value and the plan are
+gauge-invariant and settle orders of magnitude sooner. Self terms use
+the symmetric averaged update, which has no gauge direction, so
+clustered sets do not stall them: a self term that alternating updates
+leave unconverged after hundreds of iterations typically meets tol
+within ten.
 """
 from __future__ import annotations
 
@@ -69,9 +76,28 @@ class SinkhornConfig:
 
 @dataclass
 class SinkhornResult:
+    """A solve's value, whether it met tol within max_iters, the
+    iterations it ran and its final worst row-marginal violation;
+    ``converged`` is ``marginal_err <= tol``."""
+
     value: float
     converged: bool
     iterations: int
+    marginal_err: float
+
+
+@dataclass
+class SolveCounts:
+    """How many Sinkhorn solves ran, and how many of them stopped at
+    max_iters without meeting tol. A caller that wants the tally creates
+    one and passes it down."""
+
+    solves: int = 0
+    unconverged: int = 0
+
+    def add(self, result: SinkhornResult) -> None:
+        self.solves += 1
+        self.unconverged += not result.converged
 
 
 def subsample_tokens(Z: np.ndarray, max_tokens: int, seed: int) -> np.ndarray:
@@ -122,47 +148,84 @@ def _half_sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return 0.5 * np.maximum(sq, 0.0)
 
 
-def _lse(M: np.ndarray, axis: int) -> np.ndarray:
-    mx = M.max(axis=axis, keepdims=True)
-    out = mx + np.log(np.exp(M - mx).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _lse(K: np.ndarray, h: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """log sum exp(K + h) along ``axis``, max-shifted; ``h`` broadcasts
+    against K and ``buf`` (K's shape) is the scratch space."""
+    np.add(K, h, out=buf)
+    mx = buf.max(axis=axis)
+    np.subtract(buf, np.expand_dims(mx, axis), out=buf)
+    np.exp(buf, out=buf)
+    return mx + np.log(buf.sum(axis=axis))
 
 
-def _ot_entropic(X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig):
-    """Log-domain Sinkhorn for uniform marginals.
+def _ot_entropic(X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig, plan: bool = False):
+    """OT_eps(X, Y) by log-domain Sinkhorn with alternating updates, for
+    uniform marginals a and b.
 
-    Returns (value, plan, converged, iterations). The value is the dual
-    objective <a, f> + <b, g>, evaluated right after a column update so
-    the plan's column marginals are exact; convergence is declared when
-    the worst row-marginal violation drops to cfg.tol.
+    Returns (result, T); the plan T is built after the loop, and only
+    when ``plan`` is set (else None). The potentials f and g are kept
+    scaled as u = log a + f / eps and v = log b + g / eps, so with
+    K = -C / eps a half-step is v = log b - lse_i(K_ij + u_i), one pass
+    over K. Each iteration updates v from u, then computes the next
+    u-update u' from v. The row marginal of the plan (u, v) is
+    a * exp(u - u'), so the stopping rule tests the worst row-marginal
+    violation without a pass of its own. The value is the dual
+    objective <a, f> + <b, g> of the tested plan, whose column
+    marginals are exact.
     """
     n, m = X.shape[0], Y.shape[0]
     eps = cfg.epsilon
-    C = _half_sqdist(X, Y)
-    log_a = np.full(n, -np.log(n))
-    log_b = np.full(m, -np.log(m))
-    a = np.exp(log_a)
-    b = np.exp(log_b)
-
-    f = np.zeros(n)
-    g = np.zeros(m)
-    converged = False
-    iterations = 0
-    log_T = log_a[:, None] + log_b[None, :] - C / eps
-    for it in range(1, cfg.max_iters + 1):
-        iterations = it
-        f = -eps * _lse(log_b[None, :] + (g[None, :] - C) / eps, axis=1)
-        g = -eps * _lse(log_a[:, None] + (f[:, None] - C) / eps, axis=0)
-        log_T = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - C) / eps
-        row_err = np.abs(np.exp(_lse(log_T, axis=1)) - a).max()
-        if row_err <= cfg.tol:
-            converged = True
+    K = _half_sqdist(X, Y) / -eps
+    buf = np.empty_like(K)
+    log_a, log_b = -np.log(n), -np.log(m)
+    u_next = log_a - _lse(K, log_b, 1, buf)
+    for iterations in range(1, cfg.max_iters + 1):
+        u = u_next
+        v = log_b - _lse(K, u[:, None], 0, buf)
+        u_next = log_a - _lse(K, v, 1, buf)
+        err = float(np.abs(np.expm1(u - u_next)).max()) / n
+        if err <= cfg.tol:
             break
-    value = float(a @ f + b @ g)
-    return value, np.exp(log_T), converged, iterations
+    value = eps * float((u.mean() - log_a) + (v.mean() - log_b))
+    T = np.exp(K + u[:, None] + v) if plan else None
+    return SinkhornResult(value, err <= cfg.tol, iterations, err), T
 
 
-def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
+def _ot_self(X: np.ndarray, cfg: SinkhornConfig, plan: bool = False):
+    """OT_eps(X, X) by the symmetric averaged update f <- (f + T(f)) / 2
+    (Feydy et al., AISTATS 2019), started from T(0), where T is the
+    f-update of ``_ot_entropic`` with Y = X (potentials scaled the same
+    way: u = log a + f / eps, w = log a + T(f) / eps).
+
+    The self problem's optimal potentials are one symmetric f, and the
+    averaged update has no gauge freedom to drift along. The stopping
+    rule tests the plan (f, f), whose row marginal is a * exp(u - w).
+    The value and the plan are those of (f, T(f)), one half-step on:
+    like the cross terms' plan its column marginals are exact, and its
+    dual value <a, f> + <a, T(f)> is off by the square of the marginal
+    error, where 2 <a, f> is off by the error itself. Returns
+    (result, T) like ``_ot_entropic``.
+    """
+    n = X.shape[0]
+    eps = cfg.epsilon
+    K = _half_sqdist(X, X) / -eps
+    buf = np.empty_like(K)
+    log_a = -np.log(n)
+    u = log_a - _lse(K, log_a, 1, buf)
+    for iterations in range(1, cfg.max_iters + 1):
+        w = log_a - _lse(K, u, 1, buf)
+        err = float(np.abs(np.expm1(u - w)).max()) / n
+        if err <= cfg.tol or iterations == cfg.max_iters:
+            break  # the tested u, not its average with w
+        u = 0.5 * (u + w)
+    value = eps * float((u.mean() - log_a) + (w.mean() - log_a))
+    T = np.exp(K + u[:, None] + w) if plan else None
+    return SinkhornResult(value, err <= cfg.tol, iterations, err), T
+
+
+def self_term(
+    X, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
+):
     """The self term OT_eps(X, X) of the debiased divergence.
 
     It depends on X alone, so a caller that compares X with many sets
@@ -170,25 +233,32 @@ def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
     0.5 * (gX + gY), the plan's position gradient summed over both
     argument slots and halved: the amount the divergence's gradient
     with respect to X subtracts. It is None unless ``grad`` is set.
+    ``counts``, when given, tallies the solve.
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     cfg.validate()
     X = _check_set("X", X, cfg)
-    value, T, ok, iters = _ot_entropic(X, X, cfg)
+    result, T = _ot_self(X, cfg, plan=grad)
+    if counts is not None:
+        counts.add(result)
     half_grad = None
     if grad:
         gX, gY = _ot_position_grads(X, X, T)
         half_grad = 0.5 * (gX + gY)
-    return SinkhornResult(value=value, converged=ok, iterations=iters), half_grad
+    return result, half_grad
 
 
-def cross_term(A, B, cfg: SinkhornConfig | None = None, grad: bool = False):
+def cross_term(
+    A, B, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
+):
     """The cross term OT_eps(A, B). Returns (result, dA, dB); the
-    position gradients are None unless ``grad`` is set."""
+    position gradients are None unless ``grad`` is set. ``counts``,
+    when given, tallies the solve."""
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
-    value, T, ok, iters = _ot_entropic(A, B, cfg)
-    result = SinkhornResult(value=value, converged=ok, iterations=iters)
+    result, T = _ot_entropic(A, B, cfg, plan=grad)
+    if counts is not None:
+        counts.add(result)
     if not grad:
         return result, None, None
     dA, dB = _ot_position_grads(A, B, T)
@@ -197,16 +267,22 @@ def cross_term(A, B, cfg: SinkhornConfig | None = None, grad: bool = False):
 
 def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> SinkhornResult:
     """S_eps = OT(A, B) - 0.5 * (OT(A, A) + OT(B, B)); converged only when
-    all three solves are."""
+    all three solves are, with the largest of their marginal errors."""
     return SinkhornResult(
         value=ab.value - 0.5 * (aa.value + bb.value),
         converged=ab.converged and aa.converged and bb.converged,
         iterations=max(ab.iterations, aa.iterations, bb.iterations),
+        marginal_err=max(ab.marginal_err, aa.marginal_err, bb.marginal_err),
     )
 
 
 def sinkhorn_divergence(
-    A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None
+    A,
+    B,
+    cfg: SinkhornConfig | None = None,
+    self_a=None,
+    self_b=None,
+    counts: SolveCounts | None = None,
 ) -> SinkhornResult:
     """Debiased divergence S_eps(A, B); raw OT_eps(A, B) when debiased=False.
 
@@ -222,13 +298,13 @@ def sinkhorn_divergence(
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     if np.array_equal(A, B):
-        aa, _ = self_a if self_a is not None else self_term(A, cfg)
+        aa, _ = self_a if self_a is not None else self_term(A, cfg, counts=counts)
         return _debias(aa, aa, aa) if cfg.debiased else aa
-    ab, _, _ = cross_term(A, B, cfg)
+    ab, _, _ = cross_term(A, B, cfg, counts=counts)
     if not cfg.debiased:
         return ab
-    aa, _ = self_a if self_a is not None else self_term(A, cfg)
-    bb, _ = self_b if self_b is not None else self_term(B, cfg)
+    aa, _ = self_a if self_a is not None else self_term(A, cfg, counts=counts)
+    bb, _ = self_b if self_b is not None else self_term(B, cfg, counts=counts)
     return _debias(ab, aa, bb)
 
 
@@ -242,7 +318,9 @@ class PatchSet(NamedTuple):
     self_ot: tuple | None
 
 
-def patch_set(Z, cfg: SinkhornConfig | None = None, grad: bool = False) -> PatchSet:
+def patch_set(
+    Z, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
+) -> PatchSet:
     """Normalize Z's rows to unit length and, when debiased, solve its
     self term once. A row of zeros has no direction: InvalidInput."""
     cfg = cfg if cfg is not None else SinkhornConfig()
@@ -251,7 +329,7 @@ def patch_set(Z, cfg: SinkhornConfig | None = None, grad: bool = False) -> Patch
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm patch row")
     unit = Z / norms
-    return PatchSet(unit, norms, self_term(unit, cfg, grad) if cfg.debiased else None)
+    return PatchSet(unit, norms, self_term(unit, cfg, grad, counts) if cfg.debiased else None)
 
 
 def _ot_position_grads(X, Y, T):
@@ -263,7 +341,14 @@ def _ot_position_grads(X, Y, T):
     return gX, gY
 
 
-def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None):
+def divergence_grad(
+    A,
+    B,
+    cfg: SinkhornConfig | None = None,
+    self_a=None,
+    self_b=None,
+    counts: SolveCounts | None = None,
+):
     """Divergence value plus gradients with respect to A and B rows.
 
     Returns (value, dA, dB, converged). ``self_a`` and ``self_b`` are
@@ -276,10 +361,10 @@ def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
-    ab, dA, dB = cross_term(A, B, cfg, grad=True)
+    ab, dA, dB = cross_term(A, B, cfg, grad=True, counts=counts)
     if not cfg.debiased:
         return ab.value, dA, dB, ab.converged
-    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True)
-    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True)
+    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True, counts=counts)
+    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True, counts=counts)
     res = _debias(ab, aa, bb)
     return res.value, dA - half_a, dB - half_b, res.converged

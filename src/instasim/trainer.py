@@ -38,7 +38,7 @@ from .metrics import triplet_correct
 from .protocols import score_pairs
 from .records import ImageManifest, Triplet, manifest_index
 from .rng import derived_rng
-from .sinkhorn import SinkhornConfig, patch_set, subsample_tokens
+from .sinkhorn import SinkhornConfig, SolveCounts, patch_set, subsample_tokens
 
 __all__ = [
     "TrainConfig",
@@ -85,9 +85,16 @@ class TrainResult:
 
 
 class _TrainData:
-    """Per-image access to the frozen embeddings a run trains on."""
+    """Per-image access to the frozen embeddings a run trains on, and
+    the run's tally of Sinkhorn solves (None: not counted)."""
 
-    def __init__(self, cls_bundle: EmbeddingBundle, patch_bundle: EmbeddingBundle | None, cfg: TrainConfig):
+    def __init__(
+        self,
+        cls_bundle: EmbeddingBundle,
+        patch_bundle: EmbeddingBundle | None,
+        cfg: TrainConfig,
+        counts: SolveCounts | None = None,
+    ):
         if cls_bundle.token_kind != "CLS":
             raise InvalidInput("training expects a CLS-kind bundle for global vectors")
         if cfg.loss.lam > 0 and patch_bundle is None:
@@ -97,6 +104,7 @@ class _TrainData:
         self.cls_bundle = cls_bundle
         self.patch_bundle = patch_bundle
         self.cfg = cfg
+        self.counts = counts
         self.use_patch = cfg.loss.lam > 0 and patch_bundle is not None
         self._patch_cache: dict[str, np.ndarray] = {}
 
@@ -166,7 +174,7 @@ def _micro_batch_pass(
     # each image's unit rows and Sinkhorn self term, once per micro-batch
     sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
     if sinkhorn:
-        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, grad=True) for i in image_ids}
+        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True, data.counts) for i in image_ids}
 
     loss_sum = 0.0
     for t in micro:
@@ -183,7 +191,12 @@ def _micro_batch_pass(
         if data.use_patch:
             if sinkhorn:
                 p_loss, gz_a, gz_p, gz_ns = sinkhorn_patch_loss(
-                    sets[t.anchor], sets[t.positive], [sets[n] for n in neg_ids], cfg.loss, cfg.sinkhorn
+                    sets[t.anchor],
+                    sets[t.positive],
+                    [sets[n] for n in neg_ids],
+                    cfg.loss,
+                    cfg.sinkhorn,
+                    data.counts,
                 )
             else:
                 p_loss, gz_a, gz_p, gz_ns = patch_loss(
@@ -265,6 +278,7 @@ def train(
     cfg: TrainConfig,
     patch_bundle: EmbeddingBundle | None = None,
     initial_head: DualHead | None = None,
+    counts: SolveCounts | None = None,
 ) -> TrainResult:
     """Full training run with per-epoch validation and best-checkpoint
     selection on validation triplet accuracy.
@@ -272,10 +286,11 @@ def train(
     Validation scores pairs with ``score_pairs`` and the strict
     comparison of the evaluation suite. An epoch is one pass over the
     training triplets; best checkpoint is the earliest epoch achieving
-    the highest validation accuracy.
+    the highest validation accuracy. ``counts``, when given, tallies
+    the Sinkhorn solves of the patch loss.
     """
     cfg.validate()
-    data = _TrainData(cls_bundle, patch_bundle, cfg)
+    data = _TrainData(cls_bundle, patch_bundle, cfg, counts)
     index = manifest_index(manifests)
     for t in triplets:
         for image_id in (t.anchor, t.positive, t.hard_negative):

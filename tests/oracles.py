@@ -45,6 +45,54 @@ def exact_ot_cost(X: np.ndarray, Y: np.ndarray) -> float:
     return float(res.fun)
 
 
+def _half_sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """C_ij = 0.5 * ||X_i - Y_j||^2, clipped at zero against rounding."""
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    return 0.5 * np.maximum(sq, 0.0)
+
+
+def _lse(M: np.ndarray, axis: int) -> np.ndarray:
+    mx = M.max(axis=axis, keepdims=True)
+    out = mx + np.log(np.exp(M - mx).sum(axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def ot_entropic_alternating(X: np.ndarray, Y: np.ndarray, cfg):
+    """Log-domain Sinkhorn for uniform marginals (the library's earlier
+    solver for every term, self terms included: three log-sum-exp passes
+    per iteration, the third only for the stopping test).
+
+    Returns (value, plan, converged, iterations). The value is the dual
+    objective <a, f> + <b, g>, evaluated right after a column update so
+    the plan's column marginals are exact; convergence is declared when
+    the worst row-marginal violation drops to cfg.tol.
+    """
+    n, m = X.shape[0], Y.shape[0]
+    eps = cfg.epsilon
+    C = _half_sqdist(X, Y)
+    log_a = np.full(n, -np.log(n))
+    log_b = np.full(m, -np.log(m))
+    a = np.exp(log_a)
+    b = np.exp(log_b)
+
+    f = np.zeros(n)
+    g = np.zeros(m)
+    converged = False
+    iterations = 0
+    log_T = log_a[:, None] + log_b[None, :] - C / eps
+    for it in range(1, cfg.max_iters + 1):
+        iterations = it
+        f = -eps * _lse(log_b[None, :] + (g[None, :] - C) / eps, axis=1)
+        g = -eps * _lse(log_a[:, None] + (f[:, None] - C) / eps, axis=0)
+        log_T = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - C) / eps
+        row_err = np.abs(np.exp(_lse(log_T, axis=1)) - a).max()
+        if row_err <= cfg.tol:
+            converged = True
+            break
+    value = float(a @ f + b @ g)
+    return value, np.exp(log_T), converged, iterations
+
+
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function, entry by entry."""
     x = np.asarray(x, dtype=np.float64)
@@ -185,9 +233,10 @@ def kendall_tau_b_dense(x, y) -> float:
     return concordant_minus_discordant / float(np.sqrt((n0 - n1) * (n0 - n2)))
 
 
-def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
+def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg, counts=None):
     """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
     per comparison, so every comparison solves both self terms again.
+    ``counts`` is accepted and ignored, to match ``sinkhorn_patch_loss``.
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...])."""
     from instasim.losses import BatchScores, infonce_loss
     from instasim.sinkhorn import divergence_grad

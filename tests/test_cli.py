@@ -10,6 +10,7 @@ cosines are exactly zero. One test also invokes the installed
 import contextlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -774,6 +775,58 @@ class TestSensitivityCli:
             assert code == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestUnconvergedWarning:
+    """eval, sensitivity and train say on stderr when a Sinkhorn solve
+    stopped at --max-iters, and stay silent when every solve converged."""
+
+    WARNING = re.compile(r"warning: (\d+) of (\d+) Sinkhorn solves stopped at --max-iters 1\n")
+
+    @pytest.fixture(scope="class")
+    def tokens(self, world, tmp_path_factory):
+        """A PATCH bundle with three noisy tokens around every image's
+        CLS vector, so each world task has a PATCH counterpart."""
+        rng = np.random.default_rng(3)
+        items = {**read_bundle(world.cls_bundle).items, **read_bundle(world.aux_bundle).items}
+        path = tmp_path_factory.mktemp("tokens") / "tokens.idse"
+        write_bundle(
+            path,
+            make_bundle("PATCH", DIM, {k: v + 0.3 * rng.normal(size=(3, DIM)) for k, v in items.items()}),
+        )
+        return path
+
+    def _argv(self, stage, world, tokens, out_dir):
+        report = ["--out", out_dir / "report.json"]
+        if stage == "eval":
+            return ["eval", "verification", "--bundle", tokens, "--pairs", world.verif_pairs, *report]
+        if stage == "sensitivity":
+            return ["sensitivity", "--grids", world.grids, "--bundle", tokens, "--n-boot", 8, *report]
+        return [
+            "train",
+            "--manifests", world.manifests,
+            "--cls-bundle", world.cls_bundle,
+            "--patch-bundle", tokens,
+            "--triplets", world.train_triplets,
+            "--out-head", out_dir / "head.ckpt",
+            "--epochs", 1,
+            "--hidden-dim", 4,
+            "--lambda", 0.5,
+        ]
+
+    @pytest.mark.parametrize("stage", ["eval", "sensitivity", "train"])
+    def test_starved_run_warns_and_converged_run_does_not(self, stage, world, tokens, tmp_path):
+        argv = self._argv(stage, world, tokens, tmp_path)
+        code, _, err = run_cli(*argv)
+        assert code == 0 and err == ""
+        code, _, err = run_cli(*argv, "--max-iters", 1)
+        assert code == 0
+        match = self.WARNING.fullmatch(err)
+        assert match, err
+        stopped, solves = int(match[1]), int(match[2])
+        assert 1 <= stopped <= solves
+        # one self term per item plus one cross term per pair of distinct sets
+        assert solves == {"eval": 6 + 5, "sensitivity": 8 + 6}.get(stage, solves)
 
 
 class TestVotesAndInspect:

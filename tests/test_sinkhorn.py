@@ -12,9 +12,9 @@ from instasim.sinkhorn import (
     subsample_tokens,
 )
 
-from oracles import exact_ot_cost
+from oracles import exact_ot_cost, ot_entropic_alternating
 
-# Self-term solves with spread-out points crawl through the potentials'
+# Alternating updates on spread-out points crawl through the potentials'
 # gauge direction, so the row-marginal stopping metric passes 1e-6
 # quickly but can take ~1e6 iterations for much tighter levels. Values
 # and plans are gauge-invariant and accurate well before either point.
@@ -110,6 +110,85 @@ class TestDivergenceValues:
         ok = sinkhorn_divergence(X, Y, TIGHT)
         assert ok.converged
         assert ok.iterations < TIGHT.max_iters
+
+
+def _point_sets(rng, count=12):
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        yield rng.normal(size=(rng.integers(1, 9), d)), rng.normal(size=(rng.integers(1, 9), d))
+
+
+class TestSolver:
+    """The solver against ``ot_entropic_alternating``, the earlier loop
+    that solved every term with alternating updates."""
+
+    def test_cross_terms_match_the_alternating_oracle(self, rng):
+        flags = set()
+        for eps, max_iters in ((0.05, 500), (0.1, 2000), (0.5, 2000), (0.05, 3)):
+            cfg = SinkhornConfig(epsilon=eps, max_iters=max_iters)
+            for X, Y in _point_sets(rng):
+                res, dX, dY = cross_term(X, Y, cfg, grad=True)
+                value, T, converged, iterations = ot_entropic_alternating(X, Y, cfg)
+                assert abs(res.value - value) <= 1e-12 * abs(value)
+                assert (res.iterations, res.converged) == (iterations, converged)
+                row_err = np.abs(T.sum(axis=1) - 1.0 / X.shape[0]).max()
+                assert res.marginal_err == pytest.approx(row_err, rel=1e-6, abs=1e-14)
+                # the plan is rebuilt after the loop from the tested potentials
+                np.testing.assert_allclose(dX, T.sum(axis=1)[:, None] * X - T @ Y, atol=1e-12)
+                np.testing.assert_allclose(dY, T.sum(axis=0)[:, None] * Y - T.T @ X, atol=1e-12)
+                flags.add(converged)
+        assert flags == {True, False}
+
+    def test_self_terms_match_a_tight_oracle_solve(self, rng):
+        # the oracle's own gauge stall leaves some of these sets short of
+        # 1e-12 even after 20000 iterations, values off by up to ~1e-8;
+        # only its converged solves are a reference
+        compared = 0
+        for eps in (0.05, 0.1, 0.5):
+            cfg = SinkhornConfig(epsilon=eps)
+            tight = SinkhornConfig(epsilon=eps, max_iters=2000, tol=1e-12)
+            for X, _ in _point_sets(rng, 8):
+                res, _ = self_term(X, cfg)
+                assert res.converged
+                # the dual value is off by the square of the marginal
+                # error; 2 <a, f> would be off by ~1e-9 on these sets
+                exact, _ = self_term(X, SinkhornConfig(epsilon=eps, max_iters=5000, tol=1e-14))
+                assert exact.converged and abs(res.value - exact.value) <= 1e-11
+                value, _, converged, _ = ot_entropic_alternating(X, X, tight)
+                if converged:
+                    assert abs(res.value - value) <= 1e-9
+                    compared += 1
+        assert compared >= 12
+
+    def test_clustered_self_term_converges(self, rng):
+        # two clusters 0.85 apart: moving mass between them costs about
+        # 7 eps, so alternating updates crawl along the gauge direction
+        X = np.vstack([
+            [0.6, 0.0, 0.0] + 0.02 * rng.normal(size=(3, 3)),
+            [0.0, 0.6, 0.0] + 0.02 * rng.normal(size=(5, 3)),
+        ])
+        cfg = SinkhornConfig(epsilon=0.05, max_iters=500)
+        assert not ot_entropic_alternating(X, X, cfg)[2]
+        res, _ = self_term(X, cfg)
+        assert res.converged
+        tight, _ = self_term(X, SinkhornConfig(epsilon=0.05, max_iters=5000, tol=1e-13))
+        assert abs(res.value - tight.value) <= 1e-9
+
+    def test_marginal_error_decides_convergence(self, rng):
+        X, Y = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+        for debiased in (True, False):
+            for max_iters in (2, 500):
+                cfg = SinkhornConfig(epsilon=0.05, max_iters=max_iters, debiased=debiased)
+                xx, yy = self_term(X, cfg)[0], self_term(Y, cfg)[0]
+                xy = cross_term(X, Y, cfg)[0]
+                res = sinkhorn_divergence(X, Y, cfg)
+                for r in (xx, yy, xy, res):
+                    assert r.converged == (r.marginal_err <= cfg.tol)
+                if debiased:
+                    assert res.marginal_err == max(xx.marginal_err, yy.marginal_err, xy.marginal_err)
+                else:
+                    assert res == xy
+                assert res.converged == (max_iters == 500)
 
 
 class TestDivergenceGradients:
