@@ -6,7 +6,7 @@ errors print one machine-parsable line to stderr:
     error: <code>: <message>
 
 where <code> is the exception class name from the error taxonomy.
-``eval``, ``sensitivity`` and ``train`` also print one line
+``eval``, ``score``, ``sensitivity`` and ``train`` also print one line
 
     warning: K of N Sinkhorn solves stopped at --max-iters M
 
@@ -152,7 +152,10 @@ def _cmd_triplets(args) -> int:
     samples, _ = load_samples(args.instances)
     mined = load_mined(args.mined) if args.mined else {}
     manifests = load_manifest(args.manifests)
-    mix = tuple(float(x) for x in args.mix.split(":"))
+    try:
+        mix = tuple(float(x) for x in args.mix.split(":"))
+    except ValueError:
+        raise InvalidInput(f"--mix weights must be numbers, got {args.mix!r}") from None
     if len(mix) != 3:
         raise InvalidInput(f"--mix needs three colon-separated weights, got {args.mix!r}")
     triplets, shortfall = build_triplets(
@@ -239,8 +242,11 @@ def _cmd_apply(args) -> int:
 
 def _cmd_score(args) -> int:
     bundle = read_bundle(args.bundle)
-    res = similarity(args.pair[0], args.pair[1], bundle, _sinkhorn_from(args))
+    sink_cfg = _sinkhorn_from(args)
+    counts = SolveCounts()
+    res = similarity(args.pair[0], args.pair[1], bundle, sink_cfg, counts)
     print(f"similarity={res.similarity:.12g} distance={res.distance:.12g}")
+    _warn_unconverged(counts, sink_cfg)
     return 0
 
 

@@ -352,9 +352,13 @@ def mine_hard_negatives(
 
 def _largest_remainder_quotas(mix: tuple[float, float, float], total: int) -> dict[str, int]:
     weights = np.asarray(mix, dtype=np.float64)
-    if weights.size != len(TRIPLET_KINDS) or np.any(weights < 0) or weights.sum() <= 0:
-        raise InvalidInput(f"mix must be {len(TRIPLET_KINDS)} non-negative weights, not all zero")
-    exact = weights / weights.sum() * total
+    # a NaN or infinite weight, or a sum that overflows, leaves a non-finite sum
+    total_weight = weights.sum()
+    if weights.size != len(TRIPLET_KINDS) or np.any(weights < 0) or not 0 < total_weight < np.inf:
+        raise InvalidInput(
+            f"mix must be {len(TRIPLET_KINDS)} finite, non-negative weights, not all zero"
+        )
+    exact = weights / total_weight * total
     base = np.floor(exact).astype(int)
     leftover = total - int(base.sum())
     remainders = exact - base

@@ -174,7 +174,14 @@ def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.
     return (G_hat - inner * M_hat) / norms
 
 
-def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfig | None = None):
+def patch_loss(
+    anchor_Z,
+    pos_Z,
+    neg_Zs,
+    cfg: LossConfig,
+    sink_cfg: SinkhornConfig | None = None,
+    counts: SolveCounts | None = None,
+):
     """Patch-level contrastive loss on projected token matrices.
 
     With the SINKHORN metric, rows are L2-normalized internally, patch
@@ -182,7 +189,8 @@ def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfi
     through the converged transport plans (envelope theorem) and the
     row-normalization Jacobian. With COSINE_MEANPOOL, similarities are
     cosines of mean-pooled raw rows, which makes the result identical
-    to cls_loss on the pooled vectors.
+    to cls_loss on the pooled vectors. ``counts``, when given, tallies
+    the Sinkhorn solves.
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
@@ -212,8 +220,8 @@ def patch_loss(anchor_Z, pos_Z, neg_Zs, cfg: LossConfig, sink_cfg: SinkhornConfi
         ]
         return loss, grad_anchor, grad_pos, grad_negs
 
-    sets = [patch_set(M, sink_cfg, grad=True) for M in [anchor_Z, pos_Z, *neg_Zs]]
-    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg)
+    sets = [patch_set(M, sink_cfg, True, counts) for M in [anchor_Z, pos_Z, *neg_Zs]]
+    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg, counts)
 
 
 def sinkhorn_patch_loss(

@@ -39,15 +39,20 @@ class SimilarityResult(NamedTuple):
 
 
 def similarity(
-    x_id: str, y_id: str, bundle: EmbeddingBundle, sink_cfg: SinkhornConfig | None = None
+    x_id: str,
+    y_id: str,
+    bundle: EmbeddingBundle,
+    sink_cfg: SinkhornConfig | None = None,
+    counts: SolveCounts | None = None,
 ) -> SimilarityResult:
     """Pairwise similarity and distance D = 1 - similarity.
 
     CLS bundles: cosine, in [-1, 1]. PATCH bundles: negated debiased
     divergence on row-normalized token matrices (0 for identical sets,
-    negative otherwise).
+    negative otherwise). ``counts``, when given, tallies the Sinkhorn
+    solves.
     """
-    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg)[0])
+    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg, counts)[0])
     return SimilarityResult(similarity=sim, distance=1.0 - sim)
 
 

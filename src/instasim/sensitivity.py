@@ -83,10 +83,10 @@ def load_grids(path) -> list[EditGrid]:
         try:
             points = [
                 GridPoint(
-                    image_id=str(p["image_id"]),
+                    image_id=require_str(p, "image_id", path, lineno),
                     identity_change=float(p["identity_change"]),
                     factor_change=float(p["factor_change"]),
-                    factor_name=str(p["factor_name"]),
+                    factor_name=require_str(p, "factor_name", path, lineno),
                 )
                 for p in points
             ]

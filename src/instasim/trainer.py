@@ -7,7 +7,8 @@ the per-triplet gradient over the whole chunk, and applies one AdamW
 update. Within a micro-batch every triplet sees its own hard negative
 plus the positives of the other triplets whose instance differs
 (in-batch negatives); the loss functions themselves stay agnostic to
-where negatives came from.
+where negatives came from. Each head runs one forward and one backward
+pass per micro-batch, over the stacked rows of its distinct images.
 
 Everything is sequential and seed-derived: file order of the triplet
 list never matters because triplets are canonically sorted before the
@@ -147,83 +148,53 @@ def _micro_batch_pass(
     param_grads: dict[str, np.ndarray],
 ) -> float:
     """Forward+backward one micro-batch; accumulates parameter gradients
-    in place and returns the summed per-triplet loss."""
-    cfg = data.cfg
-    image_ids = sorted(
-        {t.anchor for t in micro}
-        | {t.positive for t in micro}
-        | {n for t in micro for n in _batch_negative_ids(t, micro, inst_of)}
-    )
+    in place and returns the summed per-triplet loss.
 
-    cls_out: dict[str, np.ndarray] = {}
-    cls_cache: dict[str, tuple] = {}
-    cls_out_grad: dict[str, np.ndarray] = {}
-    patch_out: dict[str, np.ndarray] = {}
-    patch_cache: dict[str, tuple] = {}
-    patch_out_grad: dict[str, np.ndarray] = {}
-    for image_id in image_ids:
-        y, cache = mlp_forward(head.cls_head, data.cls_vec(image_id), head.activation)
-        cls_out[image_id] = y
-        cls_cache[image_id] = cache
-        cls_out_grad[image_id] = np.zeros_like(y)
-        if data.use_patch:
-            Z, zcache = mlp_forward(head.patch_head, data.patch_mat(image_id), head.activation)
-            patch_out[image_id] = Z
-            patch_cache[image_id] = zcache
-            patch_out_grad[image_id] = np.zeros_like(Z)
-    # each image's unit rows and Sinkhorn self term, once per micro-batch
-    sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
-    if sinkhorn:
-        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True, data.counts) for i in image_ids}
+    The distinct images are stacked in sorted id order: one row each for
+    the CLS head, all token rows for the patch head, whose per-image
+    outputs and output gradients are views of those rows."""
+    cfg = data.cfg
+    negs = [_batch_negative_ids(t, micro, inst_of) for t in micro]
+    image_ids = sorted({i for t, n in zip(micro, negs) for i in (t.anchor, t.positive, *n)})
+    row = {image_id: k for k, image_id in enumerate(image_ids)}
+    X = np.stack([data.cls_vec(i) for i in image_ids])
+    Y, cls_cache = mlp_forward(head.cls_head, X, head.activation)
+    dY = np.zeros_like(Y)
+    if data.use_patch:
+        mats = [data.patch_mat(i) for i in image_ids]
+        Z, patch_cache = mlp_forward(head.patch_head, np.concatenate(mats), head.activation)
+        dZ = np.zeros_like(Z)
+        splits = np.cumsum([len(M) for M in mats[:-1]])
+        Zs, dZs = np.split(Z, splits), np.split(dZ, splits)
+        p_loss_fn = patch_loss
+        if cfg.loss.patch_metric == "SINKHORN":
+            # each image's unit rows and Sinkhorn self term, once per micro-batch
+            Zs = [patch_set(M, cfg.sinkhorn, True, data.counts) for M in Zs]
+            p_loss_fn = sinkhorn_patch_loss
 
     loss_sum = 0.0
-    for t in micro:
-        neg_ids = _batch_negative_ids(t, micro, inst_of)
-        c_loss, g_a, g_p, g_ns = cls_loss(
-            cls_out[t.anchor], cls_out[t.positive], [cls_out[n] for n in neg_ids], cfg.loss
-        )
-        cls_out_grad[t.anchor] += g_a
-        cls_out_grad[t.positive] += g_p
-        for i, n in enumerate(neg_ids):
-            cls_out_grad[n] += g_ns[i]
-
+    for t, neg_ids in zip(micro, negs):
+        rows = [row[i] for i in (t.anchor, t.positive, *neg_ids)]
+        c_loss, g_a, g_p, g_ns = cls_loss(Y[rows[0]], Y[rows[1]], Y[rows[2:]], cfg.loss)
+        for k, g in zip(rows, [g_a, g_p, *g_ns]):
+            dY[k] += g
         p_loss = 0.0
         if data.use_patch:
-            if sinkhorn:
-                p_loss, gz_a, gz_p, gz_ns = sinkhorn_patch_loss(
-                    sets[t.anchor],
-                    sets[t.positive],
-                    [sets[n] for n in neg_ids],
-                    cfg.loss,
-                    cfg.sinkhorn,
-                    data.counts,
-                )
-            else:
-                p_loss, gz_a, gz_p, gz_ns = patch_loss(
-                    patch_out[t.anchor],
-                    patch_out[t.positive],
-                    [patch_out[n] for n in neg_ids],
-                    cfg.loss,
-                    cfg.sinkhorn,
-                )
-            patch_out_grad[t.anchor] += cfg.loss.lam * gz_a
-            patch_out_grad[t.positive] += cfg.loss.lam * gz_p
-            for i, n in enumerate(neg_ids):
-                patch_out_grad[n] += cfg.loss.lam * gz_ns[i]
+            p_loss, gz_a, gz_p, gz_ns = p_loss_fn(
+                Zs[rows[0]], Zs[rows[1]], [Zs[k] for k in rows[2:]],
+                cfg.loss, cfg.sinkhorn, data.counts,
+            )
+            for k, g in zip(rows, [gz_a, gz_p, *gz_ns]):
+                dZs[k] += cfg.loss.lam * g
         loss_sum += total_loss(c_loss, p_loss, cfg.loss)
 
-    for image_id in image_ids:
-        _, grads = mlp_backward(
-            head.cls_head, cls_cache[image_id], cls_out_grad[image_id], head.activation
-        )
+    passes = [("cls", head.cls_head, cls_cache, dY)]
+    if data.use_patch:
+        passes.append(("patch", head.patch_head, patch_cache, dZ))
+    for name, mlp, cache, d_out in passes:
+        _, grads = mlp_backward(mlp, cache, d_out, head.activation)
         for pname, g in grads.items():
-            param_grads[f"cls.{pname}"] += g
-        if data.use_patch:
-            _, grads = mlp_backward(
-                head.patch_head, patch_cache[image_id], patch_out_grad[image_id], head.activation
-            )
-            for pname, g in grads.items():
-                param_grads[f"patch.{pname}"] += g
+            param_grads[f"{name}.{pname}"] += g
     return loss_sum
 
 
@@ -256,15 +227,14 @@ def train_step(
 
 def _validation_accuracy(head: DualHead, val: list[Triplet], data: _TrainData) -> float:
     """Share of triplets whose anchor scores strictly higher with the
-    positive than with the hard negative. Each distinct image is
-    projected once; the float64 projections are scored by
+    positive than with the hard negative. One forward pass projects
+    every distinct image once; the float64 projections are scored by
     ``score_pairs`` (not through ``make_bundle``, whose float32 cast
     would move the scores)."""
     image_ids = sorted({i for t in val for i in (t.anchor, t.positive, t.hard_negative)})
-    projected = {
-        i: mlp_forward(head.cls_head, data.cls_vec(i), head.activation)[0] for i in image_ids
-    }
-    bundle = EmbeddingBundle("CLS", head.out_dim, projected)
+    X = np.stack([data.cls_vec(i) for i in image_ids])
+    Y, _ = mlp_forward(head.cls_head, X, head.activation)
+    bundle = EmbeddingBundle("CLS", head.out_dim, dict(zip(image_ids, Y)))
     pairs = [pair for t in val for pair in ((t.anchor, t.positive), (t.anchor, t.hard_negative))]
     sims = score_pairs(bundle, pairs).reshape(-1, 2)
     correct = sum(1 for s_pos, s_neg in sims if triplet_correct(s_pos, s_neg))

@@ -282,3 +282,93 @@ def validation_accuracy_per_triplet(head, val, data) -> float:
         if triplet_correct(cosine_similarity(a, p), cosine_similarity(a, n)):
             correct += 1
     return correct / len(val)
+
+
+def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float:
+    """Forward+backward one micro-batch with one single-row
+    ``mlp_forward`` and ``mlp_backward`` per head and distinct image (the
+    trainer's earlier implementation of ``_micro_batch_pass``);
+    accumulates parameter gradients in place and returns the summed
+    per-triplet loss."""
+    from instasim.heads import mlp_backward, mlp_forward
+    from instasim.losses import cls_loss, patch_loss, sinkhorn_patch_loss, total_loss
+    from instasim.sinkhorn import patch_set
+    from instasim.trainer import _batch_negative_ids
+
+    cfg = data.cfg
+    image_ids = sorted(
+        {t.anchor for t in micro}
+        | {t.positive for t in micro}
+        | {n for t in micro for n in _batch_negative_ids(t, micro, inst_of)}
+    )
+
+    cls_out: dict[str, np.ndarray] = {}
+    cls_cache: dict[str, tuple] = {}
+    cls_out_grad: dict[str, np.ndarray] = {}
+    patch_out: dict[str, np.ndarray] = {}
+    patch_cache: dict[str, tuple] = {}
+    patch_out_grad: dict[str, np.ndarray] = {}
+    for image_id in image_ids:
+        y, cache = mlp_forward(head.cls_head, data.cls_vec(image_id), head.activation)
+        cls_out[image_id] = y
+        cls_cache[image_id] = cache
+        cls_out_grad[image_id] = np.zeros_like(y)
+        if data.use_patch:
+            Z, zcache = mlp_forward(head.patch_head, data.patch_mat(image_id), head.activation)
+            patch_out[image_id] = Z
+            patch_cache[image_id] = zcache
+            patch_out_grad[image_id] = np.zeros_like(Z)
+    # each image's unit rows and Sinkhorn self term, once per micro-batch
+    sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
+    if sinkhorn:
+        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True, data.counts) for i in image_ids}
+
+    loss_sum = 0.0
+    for t in micro:
+        neg_ids = _batch_negative_ids(t, micro, inst_of)
+        c_loss, g_a, g_p, g_ns = cls_loss(
+            cls_out[t.anchor], cls_out[t.positive], [cls_out[n] for n in neg_ids], cfg.loss
+        )
+        cls_out_grad[t.anchor] += g_a
+        cls_out_grad[t.positive] += g_p
+        for i, n in enumerate(neg_ids):
+            cls_out_grad[n] += g_ns[i]
+
+        p_loss = 0.0
+        if data.use_patch:
+            if sinkhorn:
+                p_loss, gz_a, gz_p, gz_ns = sinkhorn_patch_loss(
+                    sets[t.anchor],
+                    sets[t.positive],
+                    [sets[n] for n in neg_ids],
+                    cfg.loss,
+                    cfg.sinkhorn,
+                    data.counts,
+                )
+            else:
+                p_loss, gz_a, gz_p, gz_ns = patch_loss(
+                    patch_out[t.anchor],
+                    patch_out[t.positive],
+                    [patch_out[n] for n in neg_ids],
+                    cfg.loss,
+                    cfg.sinkhorn,
+                )
+            patch_out_grad[t.anchor] += cfg.loss.lam * gz_a
+            patch_out_grad[t.positive] += cfg.loss.lam * gz_p
+            for i, n in enumerate(neg_ids):
+                patch_out_grad[n] += cfg.loss.lam * gz_ns[i]
+        loss_sum += total_loss(c_loss, p_loss, cfg.loss)
+
+    for image_id in image_ids:
+        _, grads = mlp_backward(
+            head.cls_head, cls_cache[image_id], cls_out_grad[image_id], head.activation
+        )
+        for pname, g in grads.items():
+            param_grads[f"cls.{pname}"] += g
+        if data.use_patch:
+            _, grads = mlp_backward(
+                head.patch_head, patch_cache[image_id], patch_out_grad[image_id], head.activation
+            )
+            for pname, g in grads.items():
+                param_grads[f"patch.{pname}"] += g
+    return loss_sum

@@ -443,15 +443,21 @@ class TestTriplets:
         assert rerun_path.read_bytes() == out_path.read_bytes()
 
     def test_mix_needs_three_weights(self, world, tmp_path):
-        code, _, err = run_cli(
-            "triplets",
-            "--instances", world.samples,
-            "--manifests", world.manifests,
-            "--mix", "2:1",
-            "--out", tmp_path / "t.jsonl",
-        )
-        assert code == 1
-        assert err.startswith("error: InvalidInput:")
+        # three finite, non-negative numbers: a missing weight, a word, NaN
+        # and infinities all fail before any output is written
+        out_path = tmp_path / "t.jsonl"
+        for mix in ("2:1", "1:x:1", "nan:1:1", "1:1:inf", "inf:1:1"):
+            code, _, err = run_cli(
+                "triplets",
+                "--instances", world.samples,
+                "--mined", world.mined,
+                "--manifests", world.manifests,
+                "--mix", mix,
+                "--out", out_path,
+            )
+            assert code == 1, mix
+            assert err.startswith("error: InvalidInput:"), (mix, err)
+            assert not out_path.exists(), mix
 
     def test_mined_image_missing_from_manifests_is_a_data_error(self, world, tmp_path):
         mined = tmp_path / "mined.jsonl"
@@ -778,8 +784,9 @@ class TestSensitivityCli:
 
 
 class TestUnconvergedWarning:
-    """eval, sensitivity and train say on stderr when a Sinkhorn solve
-    stopped at --max-iters, and stay silent when every solve converged."""
+    """eval, score, sensitivity and train say on stderr when a Sinkhorn
+    solve stopped at --max-iters, and stay silent when every solve
+    converged."""
 
     WARNING = re.compile(r"warning: (\d+) of (\d+) Sinkhorn solves stopped at --max-iters 1\n")
 
@@ -827,6 +834,20 @@ class TestUnconvergedWarning:
         assert 1 <= stopped <= solves
         # one self term per item plus one cross term per pair of distinct sets
         assert solves == {"eval": 6 + 5, "sensitivity": 8 + 6}.get(stage, solves)
+
+    def test_score_warns_like_eval(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "pair.idse"
+        write_bundle(
+            path, make_bundle("PATCH", 8, {"x": rng.normal(size=(4, 8)), "y": rng.normal(size=(5, 8))})
+        )
+        argv = ["score", "--bundle", path, "--pair", "x", "y"]
+        code, _, err = run_cli(*argv)
+        assert code == 0 and err == ""
+        # two self terms and one cross term
+        code, _, err = run_cli(*argv, "--max-iters", 1)
+        assert code == 0
+        assert err == "warning: 3 of 3 Sinkhorn solves stopped at --max-iters 1\n"
 
 
 class TestVotesAndInspect:

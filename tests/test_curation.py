@@ -484,8 +484,9 @@ class TestBuildTriplets:
         manifests, samples, mined = _triplet_corpus()
         with pytest.raises(InvalidInput):
             build_triplets(samples, mined, manifests, mix=(0.0, 0.0, 0.0))
-        with pytest.raises(InvalidInput):
-            build_triplets(samples, mined, manifests, mix=(-1.0, 1.0, 1.0))
+        for mix in [(-1.0, 1.0, 1.0), (np.nan, 1.0, 1.0), (1.0, 1.0, np.inf), (1e308, 1e308, 1.0)]:
+            with pytest.raises(InvalidInput):
+                build_triplets(samples, mined, manifests, mix=mix)
         with pytest.raises(InvalidInput):
             build_triplets(samples, mined, manifests, total=-1)
 

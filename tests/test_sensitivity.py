@@ -286,6 +286,8 @@ class TestGridIO:
             {"anchor": "a", "points": ["x"]},
             {"anchor": "a", "points": [{**point, "factor_change": 10**400}]},
             {"anchor": 5, "points": [point]},
+            {"anchor": "a", "points": [{**point, "image_id": 5}]},
+            {"anchor": "a", "points": [{**point, "factor_name": None}]},
         ):
             path.write_text(json.dumps(bad) + "\n")
             with pytest.raises(FormatError, match="grids.jsonl:1:"):

@@ -2,14 +2,23 @@
 import numpy as np
 import pytest
 
+from instasim import trainer
 from instasim.bundle import make_bundle
 from instasim.errors import InvalidInput, MissingItem
-from instasim.heads import head_params, identity_dual_head, init_dual_head
+from instasim.heads import adamw_init, head_params, identity_dual_head, init_dual_head, zero_grads
 from instasim.losses import LossConfig
 from instasim.records import ImageManifest, Triplet
-from instasim.trainer import TrainConfig, _TrainData, _validation_accuracy, train
+from instasim.sinkhorn import SinkhornConfig
+from instasim.trainer import (
+    TrainConfig,
+    _micro_batch_pass,
+    _TrainData,
+    _validation_accuracy,
+    train,
+    train_step,
+)
 
-from oracles import validation_accuracy_per_triplet
+from oracles import micro_batch_pass_per_image, validation_accuracy_per_triplet
 
 
 def _manifest(image_id, instance_id, split):
@@ -206,6 +215,67 @@ class TestValidationAccuracy:
             )
             assert _validation_accuracy(head, ties, data) == 0.0
         assert _validation_accuracy(identity_dual_head(dim), val, data) == 0.5
+
+
+class TestMicroBatchPass:
+    """One stacked pass per head against the per-image oracle. In the
+    micro-batch, a1 and b1 each appear in two triplets, and b2 is the
+    positive of two instance-B triplets, so the instance-A triplet sees
+    it twice among its in-batch negatives."""
+
+    MICRO = [
+        Triplet("a1", "a2", "b1", "MINED_REAL"),
+        Triplet("b1", "b2", "a1", "MINED_REAL"),
+        Triplet("b3", "b2", "c1", "MINED_REAL"),
+        Triplet("c1", "c2", "a3", "MINED_REAL"),
+    ]
+
+    def _setup(self, rng, lam, metric="SINKHORN"):
+        dim = 6
+        images = ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2"]
+        cls = make_bundle("CLS", dim, {i: rng.normal(size=dim) for i in images})
+        patch = make_bundle(
+            "PATCH", dim, {i: rng.normal(size=(int(rng.integers(2, 6)), dim)) for i in images}
+        )
+        cfg = TrainConfig(
+            hidden_dim=5,
+            loss=LossConfig(lam=lam, patch_metric=metric),
+            sinkhorn=SinkhornConfig(epsilon=0.1),
+        )
+        head = init_dual_head(dim, hidden_dim=5, seed=3)
+        inst_of = {i: i[0] for i in images}
+        return head, _TrainData(cls, patch, cfg), inst_of, cfg
+
+    @pytest.mark.parametrize(
+        "lam, metric", [(0.0, "SINKHORN"), (0.5, "SINKHORN"), (0.5, "COSINE_MEANPOOL")]
+    )
+    def test_matches_the_per_image_oracle(self, rng, lam, metric):
+        head, data, inst_of, _ = self._setup(rng, lam, metric)
+        got, want = zero_grads(head), zero_grads(head)
+        loss = _micro_batch_pass(head, self.MICRO, data, inst_of, got)
+        want_loss = micro_batch_pass_per_image(head, self.MICRO, data, inst_of, want)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.any(want["patch.W1"]) == (lam > 0)
+        for name, w in want.items():
+            assert np.max(np.abs(got[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_one_mlp_pass_per_head(self, rng, monkeypatch, lam):
+        head, data, inst_of, cfg = self._setup(rng, lam)
+        calls = {"mlp_forward": 0, "mlp_backward": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(trainer, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(trainer, name, counted)
+        assert len(self.MICRO) <= cfg.batch_size
+        train_step(head, adamw_init(head), self.MICRO, data, inst_of, cfg)
+        heads_used = 2 if lam > 0 else 1
+        assert calls == {"mlp_forward": heads_used, "mlp_backward": heads_used}
+        calls.update(mlp_forward=0, mlp_backward=0)
+        _validation_accuracy(head, self.MICRO, data)
+        assert calls == {"mlp_forward": 1, "mlp_backward": 0}
 
 
 class TestGradientAssembly:
