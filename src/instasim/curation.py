@@ -304,6 +304,14 @@ def mine_hard_negatives(
     Brute force over the full pool; ties broken by ascending image_id.
     Every query gets a list (length <= k); an empty eligible pool for
     any query raises NoCandidates.
+
+    Each query is scored by its own matrix-vector product with the unit
+    pool rows: a matrix product over all queries would move the last
+    bits of the scores, and with them the order of near ties. When the
+    eligible pool holds more than k items, ``np.partition`` finds the
+    k-th best score and the stable sort runs over the items at or above
+    it only, which gives the list a full stable sort gives, ties
+    included.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -340,8 +348,13 @@ def mine_hard_negatives(
         if not eligible.any():
             raise NoCandidates(f"no different-instance pool items for {query_id!r}")
         idx = np.flatnonzero(eligible)
+        neg = -sims[idx]
+        if k < idx.size:
+            # only items at or above the k-th best score can make the list
+            keep = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+            idx, neg = idx[keep], neg[keep]
         # pool_ids is sorted, so a stable sort on -sims keeps id order on ties
-        order = idx[np.argsort(-sims[idx], kind="stable")]
+        order = idx[np.argsort(neg, kind="stable")]
         out[query_id] = [pool_ids[i] for i in order[:k]]
     return out
 

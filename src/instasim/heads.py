@@ -25,6 +25,8 @@ from .rng import derived_rng
 
 ACTIVATIONS = ("gelu", "identity")
 CHECKPOINT_VERSION = 1
+# rows per mlp_forward pass in apply_head; bounds its float64 temporaries
+APPLY_ROW_BLOCK = 256
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -324,12 +326,38 @@ def load_head(path) -> tuple[DualHead, dict]:
 
 def apply_head(head: DualHead, bundle: EmbeddingBundle) -> EmbeddingBundle:
     """Project every item of a bundle; CLS bundles use the CLS head,
-    PATCH bundles the patch head. Output arrays are float32."""
+    PATCH bundles the patch head. Output arrays are float32.
+
+    Whole items, in id order, are concatenated into blocks of at most
+    ``APPLY_ROW_BLOCK`` rows (an item with more rows is a block of its
+    own), and each block takes one ``mlp_forward`` pass, so the float64
+    temporaries stay bounded however large the bundle is. Each item's
+    output equals that of a one-item pass, byte for byte.
+    """
     mlp = head.cls_head if bundle.token_kind == "CLS" else head.patch_head
     if bundle.dim != head.in_dim:
         raise ShapeError(f"bundle dim {bundle.dim} does not match head input {head.in_dim}")
+    mats = {i: np.atleast_2d(bundle.items[i]) for i in sorted(bundle.items)}
+    rows = {i: len(m) for i, m in mats.items()}
     items: dict[str, np.ndarray] = {}
-    for image_id in sorted(bundle.items):
-        Y, _ = mlp_forward(mlp, bundle.items[image_id].astype(np.float64), head.activation)
-        items[image_id] = np.asarray(Y, dtype=np.float32).reshape(-1, head.out_dim)
+    for block in _row_blocks(rows, APPLY_ROW_BLOCK):
+        X = np.concatenate([mats[i] for i in block], dtype=np.float64)
+        Y, _ = mlp_forward(mlp, X, head.activation)
+        ends = np.cumsum([rows[i] for i in block])[:-1]
+        items.update(zip(block, np.split(Y.astype(np.float32), ends)))
     return EmbeddingBundle(token_kind=bundle.token_kind, dim=head.out_dim, items=items)
+
+
+def _row_blocks(rows: dict[str, int], bound: int):
+    """Consecutive runs of ids whose row counts sum to at most ``bound``;
+    an id with more rows than ``bound`` is a run of its own."""
+    block: list[str] = []
+    total = 0
+    for item_id, n in rows.items():
+        if block and total + n > bound:
+            yield block
+            block, total = [], 0
+        block.append(item_id)
+        total += n
+    if block:
+        yield block

@@ -56,6 +56,11 @@ def similarity(
     return SimilarityResult(similarity=sim, distance=1.0 - sim)
 
 
+# pairs per vectorized block in the CLS branch of ``score_pairs``; bounds
+# its two gathered (block, dim) float64 temporaries
+CLS_PAIR_BLOCK = 1024
+
+
 def score_pairs(
     bundle: EmbeddingBundle,
     pairs,
@@ -64,21 +69,27 @@ def score_pairs(
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
 
-    Each item is prepared once: a CLS item becomes a float64 row and its
-    norm, a PATCH item a ``patch_set`` (unit rows and, when debiased,
-    its self term OT(X, X)). Each distinct ordered pair is then compared
-    once; OT(A, B) and OT(B, A) differ in the last bits, so (x, y) and
-    (y, x) are not merged. Scores equal a one-pair computation bit for
-    bit: CLS is ``u @ v / (|u| |v|)`` per pair (a matrix product would
-    move last bits and split exact ties between equal embeddings), PATCH
-    is the negated ``sinkhorn_divergence`` on the unit rows, computed
-    as 0.0 - divergence so that identical sets score +0.0, not -0.0.
-    The caches live for this call only. ``counts``, when given, tallies
-    every Sinkhorn solve the call runs.
+    Scores equal a one-pair computation bit for bit. CLS: each distinct
+    item is stacked once as a float64 row of ``U`` with norm
+    ``sqrt(vecdot(U, U))``, and the pairs are scored in blocks of
+    ``CLS_PAIR_BLOCK`` as ``vecdot(U[x], U[y]) / (n[x] * n[y])``.
+    ``np.vecdot`` runs one ``ddot`` per row, the kernel of ``u @ v``
+    and of ``np.linalg.norm(u)``, so every score equals
+    ``metrics.cosine_similarity`` and equal embeddings under two ids
+    stay an exact tie; ``np.linalg.norm(U, axis=1)`` sums in another
+    order and would move last bits. PATCH: each item is prepared once
+    by ``patch_set`` (unit rows and, when debiased, its self term
+    OT(X, X)) and each distinct ordered pair is compared once, as
+    0.0 - ``sinkhorn_divergence`` on the unit rows, so that identical
+    sets score +0.0, not -0.0; OT(A, B) and OT(B, A) differ in the last
+    bits, so (x, y) and (y, x) are not merged. The caches live for this
+    call only. ``counts``, when given, tallies every Sinkhorn solve the
+    call runs.
     """
-    prepare, compare = _ENGINE[bundle.token_kind]
+    if bundle.token_kind == "CLS":
+        return _score_cls_pairs(bundle, pairs)
     cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
-    items: dict = {}
+    items: dict[str, PatchSet] = {}
     memo: dict[tuple[str, str], float] = {}
     out = np.empty(len(pairs))
     for k, (x_id, y_id) in enumerate(pairs):
@@ -86,34 +97,34 @@ def score_pairs(
         if key not in memo:
             for item_id in key:
                 if item_id not in items:
-                    items[item_id] = prepare(bundle.get(item_id), cfg, counts=counts)
-            memo[key] = compare(items[x_id], items[y_id], cfg, counts)
+                    items[item_id] = patch_set(bundle.get(item_id), cfg, counts=counts)
+            a, b = items[x_id], items[y_id]
+            memo[key] = 0.0 - sinkhorn_divergence(
+                a.unit, b.unit, cfg, a.self_ot, b.self_ot, counts
+            ).value
         out[k] = memo[key]
     return out
 
 
-def _prepare_cls(M, cfg, counts):
-    u = np.asarray(M, dtype=np.float64).ravel()
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
+def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:
+    row: dict[str, int] = {}
+    xy = np.array(
+        [row.setdefault(item_id, len(row)) for pair in pairs for item_id in pair], dtype=np.intp
+    ).reshape(-1, 2)
+    out = np.empty(len(xy))
+    if not row:
+        return out
+    rows = [np.asarray(bundle.get(item_id), dtype=np.float64).ravel() for item_id in row]
+    if len({u.shape for u in rows}) > 1:
+        raise InvalidInput("vector shapes differ within the bundle")
+    U = np.stack(rows)
+    norms = np.sqrt(np.vecdot(U, U))
+    if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in cosine similarity")
-    return u, nu
-
-
-def _compare_cls(a, b, cfg, counts) -> float:
-    (u, nu), (v, nv) = a, b
-    if u.shape != v.shape:
-        raise InvalidInput(f"vector shapes differ: {u.shape} vs {v.shape}")
-    return float(u @ v / (nu * nv))
-
-
-def _compare_patch(a: PatchSet, b: PatchSet, cfg, counts) -> float:
-    return 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot, counts).value
-
-
-# per token kind: prepare(item matrix, cfg, counts=) and
-# compare(prepared, prepared, cfg, counts)
-_ENGINE = {"CLS": (_prepare_cls, _compare_cls), "PATCH": (patch_set, _compare_patch)}
+    for lo in range(0, len(xy), CLS_PAIR_BLOCK):
+        x, y = xy[lo : lo + CLS_PAIR_BLOCK].T
+        out[lo : lo + CLS_PAIR_BLOCK] = np.vecdot(U[x], U[y]) / (norms[x] * norms[y])
+    return out
 
 
 # ---------------------------------------------------------------------------

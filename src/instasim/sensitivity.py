@@ -84,18 +84,26 @@ def load_grids(path) -> list[EditGrid]:
             points = [
                 GridPoint(
                     image_id=require_str(p, "image_id", path, lineno),
-                    identity_change=float(p["identity_change"]),
-                    factor_change=float(p["factor_change"]),
+                    identity_change=_grid_number(p, "identity_change", path, lineno),
+                    factor_change=_grid_number(p, "factor_change", path, lineno),
                     factor_name=require_str(p, "factor_name", path, lineno),
                 )
                 for p in points
             ]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
         grid = EditGrid(anchor=require_str(obj, "anchor", path, lineno), points=points)
         grid.validate()
         grids.append(grid)
     return grids
+
+
+def _grid_number(point: dict, key: str, path, lineno) -> float:
+    val = point[key]
+    # bool is an int subclass; a grid coordinate is a JSON number only
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise FormatError(f"{path}:{lineno}: {key} must be a number")
+    return float(val)
 
 
 def grid_scores(

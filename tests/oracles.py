@@ -372,3 +372,68 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
             for pname, g in grads.items():
                 param_grads[f"patch.{pname}"] += g
     return loss_sum
+
+
+def mine_hard_negatives_full_sort(query_bundle, pool_bundle, manifests, k=1):
+    """Hard-negative mining with a full stable argsort over each query's
+    eligible pool (the earlier implementation of
+    ``curation.mine_hard_negatives``)."""
+    from instasim.curation import manifest_index
+    from instasim.errors import InvalidInput, MissingItem, NoCandidates
+
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    if query_bundle.dim != pool_bundle.dim:
+        raise InvalidInput(
+            f"bundle dims differ: {query_bundle.dim} vs {pool_bundle.dim}"
+        )
+    index = manifest_index(manifests)
+
+    def instance_of(image_id: str) -> str:
+        if image_id not in index:
+            raise MissingItem(f"image {image_id!r} not in manifests")
+        return index[image_id].instance_id
+
+    pool_ids = sorted(pool_bundle.items)
+    pool_mat = np.stack([pool_bundle.items[i].ravel() for i in pool_ids]).astype(np.float64)
+    norms = np.linalg.norm(pool_mat, axis=1)
+    if np.any(norms == 0.0):
+        raise InvalidInput("zero-norm vector in pool bundle")
+    pool_unit = pool_mat / norms[:, None]
+    # instances as integer codes; a pool item with the query's own id
+    # has the query's instance, so one code comparison excludes it too
+    inst_code: dict[str, int] = {}
+    pool_code = np.array([inst_code.setdefault(instance_of(i), len(inst_code)) for i in pool_ids])
+
+    out: dict[str, list[str]] = {}
+    for query_id in sorted(query_bundle.items):
+        q = query_bundle.items[query_id].astype(np.float64).ravel()
+        qn = np.linalg.norm(q)
+        if qn == 0.0:
+            raise InvalidInput(f"zero-norm query vector {query_id!r}")
+        sims = pool_unit @ (q / qn)
+        eligible = pool_code != inst_code.get(instance_of(query_id), -1)
+        if not eligible.any():
+            raise NoCandidates(f"no different-instance pool items for {query_id!r}")
+        idx = np.flatnonzero(eligible)
+        # pool_ids is sorted, so a stable sort on -sims keeps id order on ties
+        order = idx[np.argsort(-sims[idx], kind="stable")]
+        out[query_id] = [pool_ids[i] for i in order[:k]]
+    return out
+
+
+def apply_head_per_item(head, bundle):
+    """Project a bundle with one ``mlp_forward`` call per item (the
+    earlier implementation of ``heads.apply_head``)."""
+    from instasim.bundle import EmbeddingBundle
+    from instasim.errors import ShapeError
+    from instasim.heads import mlp_forward
+
+    mlp = head.cls_head if bundle.token_kind == "CLS" else head.patch_head
+    if bundle.dim != head.in_dim:
+        raise ShapeError(f"bundle dim {bundle.dim} does not match head input {head.in_dim}")
+    items: dict[str, np.ndarray] = {}
+    for image_id in sorted(bundle.items):
+        Y, _ = mlp_forward(mlp, bundle.items[image_id].astype(np.float64), head.activation)
+        items[image_id] = np.asarray(Y, dtype=np.float32).reshape(-1, head.out_dim)
+    return EmbeddingBundle(token_kind=bundle.token_kind, dim=head.out_dim, items=items)

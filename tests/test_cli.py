@@ -709,6 +709,22 @@ class TestEval:
         assert err.startswith("error: InvalidInput: zero-norm patch row")
         assert not out_path.exists()
 
+    def test_zero_norm_cls_item_is_a_data_error(self, tmp_path):
+        bundle_path = tmp_path / "cls.bin"
+        write_bundle(bundle_path, make_bundle("CLS", 4, {"ok": np.ones(4), "zero": np.zeros(4)}))
+        pairs = tmp_path / "pairs.jsonl"
+        _jsonl(pairs, [
+            {"ref_id": "ok", "cand_id": "ok", "label": 1},
+            {"ref_id": "ok", "cand_id": "zero", "label": 0},
+        ])
+        out_path = tmp_path / "verification.json"
+        code, _, err = run_cli(
+            "eval", "verification", "--bundle", bundle_path, "--pairs", pairs, "--out", out_path
+        )
+        assert code == 1
+        assert err.startswith("error: InvalidInput: zero-norm vector")
+        assert not out_path.exists()
+
     def test_reports_are_identical_across_thread_counts(self, world, tmp_path):
         paths = []
         for threads in (1, 8):

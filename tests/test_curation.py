@@ -37,6 +37,8 @@ from instasim.records import (
     validate_triplets,
 )
 
+from oracles import mine_hard_negatives_full_sort
+
 
 def _manifest(image_id, instance_id, dataset="MET", subset="S1", split="train", meta=None):
     return ImageManifest(
@@ -332,6 +334,31 @@ class TestMining:
         ]
         mined = mine_hard_negatives(bundle, bundle, manifests, k=2)
         assert mined["q"] == ["aa", "zz"]
+
+    def test_equals_full_sort_oracle(self, rng):
+        boundary_ties = 0
+        for trial in range(40):
+            # a few small-integer directions: many duplicated embeddings,
+            # so exact ties fall at the k-th place
+            base = rng.integers(-1, 2, size=(5, 3)).astype(np.float32)
+            base[~base.any(axis=1)] = 1.0
+            n = int(rng.integers(4, 25))
+            vecs = {f"img{j:02d}": base[rng.integers(0, 5)].reshape(1, -1) for j in range(n)}
+            manifests = [
+                _manifest(i, f"inst{j if j < 2 else int(rng.integers(0, 4))}")
+                for j, i in enumerate(vecs)
+            ]
+            bundle = make_bundle("CLS", 3, vecs)
+            full = mine_hard_negatives_full_sort(bundle, bundle, manifests, k=n)
+            for k in (1, 2, 3, n - 1, n, n + 3):
+                want = mine_hard_negatives_full_sort(bundle, bundle, manifests, k=k)
+                assert mine_hard_negatives(bundle, bundle, manifests, k=k) == want, (trial, k)
+                boundary_ties += sum(
+                    1
+                    for ranked in full.values()
+                    if k < len(ranked) and np.array_equal(vecs[ranked[k - 1]], vecs[ranked[k]])
+                )
+        assert boundary_ties > 100
 
     def test_same_instance_and_self_excluded(self, rng):
         manifests, bundle = self._bundles(rng, n_inst=2, per_inst=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from instasim import heads
 from instasim.bundle import make_bundle
 from instasim.errors import FormatError, InvalidInput, ShapeError
 from instasim.heads import (
@@ -26,6 +27,8 @@ from instasim.heads import (
     save_head,
     zero_grads,
 )
+
+from oracles import apply_head_per_item
 
 
 class TestGelu:
@@ -356,6 +359,50 @@ class TestApplyHead:
                 out.items[image_id], expected.astype(np.float32)
             )
             assert out.items[image_id].dtype == np.float32
+
+    @staticmethod
+    def _assert_equals_oracle(head, bundle):
+        got, want = apply_head(head, bundle), apply_head_per_item(head, bundle)
+        assert (got.token_kind, got.dim) == (want.token_kind, want.dim)
+        assert list(got.items) == list(want.items)
+        for image_id, arr in want.items.items():
+            assert got.items[image_id].dtype == np.float32
+            assert got.items[image_id].shape == arr.shape
+            assert got.items[image_id].tobytes() == arr.tobytes()
+
+    def test_cls_blocks_equal_per_item_oracle(self, rng):
+        head = init_dual_head(8, hidden_dim=16, out_dim=6, seed=3)
+        n = 2 * heads.APPLY_ROW_BLOCK + 9
+        bundle = make_bundle("CLS", 8, {f"c{k:04d}": rng.normal(size=8) for k in range(n)})
+        self._assert_equals_oracle(head, bundle)
+
+    def test_patch_blocks_equal_per_item_oracle(self, rng):
+        head = init_dual_head(8, hidden_dim=16, out_dim=6, seed=5)
+        block = heads.APPLY_ROW_BLOCK
+        mats = {f"p{k:03d}": rng.normal(size=(int(rng.integers(1, block // 4)), 8)) for k in range(30)}
+        # one item larger than a block, between smaller ones
+        mats["p015x"] = rng.normal(size=(block + 7, 8))
+        assert sum(len(m) for m in mats.values()) > 3 * block
+        self._assert_equals_oracle(head, make_bundle("PATCH", 8, mats))
+
+    def test_one_forward_pass_per_row_block(self, rng, monkeypatch):
+        calls = []
+
+        def counted(mlp, X, activation):
+            calls.append(len(X))
+            return mlp_forward(mlp, X, activation)
+
+        monkeypatch.setattr(heads, "mlp_forward", counted)
+        head = init_dual_head(8, hidden_dim=4, seed=0)
+        block = heads.APPLY_ROW_BLOCK
+        for kind, rows, n_items in (("CLS", 1, 2 * block + 1), ("PATCH", 4, block // 2 + 3)):
+            calls.clear()
+            bundle = make_bundle(
+                kind, 8, {f"i{k:04d}": rng.normal(size=(rows, 8)) for k in range(n_items)}
+            )
+            apply_head(head, bundle)
+            assert len(calls) == -(-rows * n_items // block)
+            assert max(calls) == block
 
     def test_dim_mismatch_rejected(self, rng):
         head = init_dual_head(4, hidden_dim=2, seed=0)

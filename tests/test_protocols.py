@@ -129,6 +129,29 @@ class TestScorePairs:
             assert by_pair["i1", "i0"] == by_pair["i1", "twin"]
             assert by_pair[other, "i0"] == by_pair[other, "twin"]
 
+    def test_cls_blocks_equal_per_pair_cosine(self, rng):
+        items = {f"i{k}": rng.normal(size=16) for k in range(40)}
+        items["twin"] = items["i0"].copy()
+        bundle = make_bundle("CLS", 16, items)
+        ids = sorted(items)
+        block = protocols.CLS_PAIR_BLOCK
+        pairs = [(ids[k % len(ids)], ids[(7 * k) % len(ids)]) for k in range(block + 50)]
+        # the twin tie straddles the block boundary
+        pairs[block - 1], pairs[block] = ("i3", "i0"), ("i3", "twin")
+        got = score_pairs(bundle, pairs)
+        want = np.array([cosine_similarity(bundle.get(x), bundle.get(y)) for x, y in pairs])
+        assert got.tobytes() == want.tobytes()
+        assert got[block - 1] == got[block]
+
+    def test_cls_edge_cases(self, rng):
+        bundle = make_bundle("CLS", 4, {"a": rng.normal(size=4), "zero": np.zeros(4)})
+        empty = score_pairs(bundle, [])
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        with pytest.raises(MissingItem, match="ghost"):
+            score_pairs(bundle, [("a", "a"), ("a", "ghost")])
+        with pytest.raises(InvalidInput, match="zero-norm vector"):
+            score_pairs(bundle, [("a", "a"), ("zero", "a")])
+
     def test_patch_equals_per_pair_divergence(self, rng):
         items = {f"p{k}": rng.normal(size=(int(rng.integers(2, 6)), 4)) for k in range(4)}
         items["twin"] = items["p0"].copy()

@@ -285,6 +285,8 @@ class TestGridIO:
             {"anchor": "a", "points": {"x": point}},
             {"anchor": "a", "points": ["x"]},
             {"anchor": "a", "points": [{**point, "factor_change": 10**400}]},
+            {"anchor": "a", "points": [{**point, "identity_change": True}]},
+            {"anchor": "a", "points": [{**point, "factor_change": "1"}]},
             {"anchor": 5, "points": [point]},
             {"anchor": "a", "points": [{**point, "image_id": 5}]},
             {"anchor": "a", "points": [{**point, "factor_name": None}]},
