@@ -6,14 +6,15 @@ errors print one machine-parsable line to stderr:
     error: <code>: <message>
 
 where <code> is the exception class name from the error taxonomy.
-``eval``, ``score``, ``sensitivity`` and ``train`` also print one line
+A command that returns normally after any of its Sinkhorn solves
+missed --tol (only ``eval``, ``score``, ``sensitivity`` and ``train``
+solve) also prints one line
 
     warning: K of N Sinkhorn solves stopped at --max-iters M
 
-to stderr when any solve of the run did not meet --tol; the reports
-stay as they are. All randomness flows from --seed; --threads is
-accepted for symmetry with parallel deployments but outputs never
-depend on it.
+to stderr; the reports stay as they are. All randomness flows from
+--seed; --threads is accepted for symmetry with parallel deployments
+but outputs never depend on it.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ from .sensitivity import (
     similarity_trend,
     write_trend_csv,
 )
-from .sinkhorn import SinkhornConfig, SolveCounts
+from .sinkhorn import SinkhornConfig, solve_counts
 from .trainer import TrainConfig, apply_head, train
 
 
@@ -93,15 +94,6 @@ def _sinkhorn_from(args) -> SinkhornConfig:
         max_tokens=args.max_tokens,
         debiased=not args.no_debias,
     )
-
-
-def _warn_unconverged(counts: SolveCounts, cfg: SinkhornConfig) -> None:
-    if counts.unconverged:
-        print(
-            f"warning: {counts.unconverged} of {counts.solves} Sinkhorn solves "
-            f"stopped at --max-iters {cfg.max_iters}",
-            file=sys.stderr,
-        )
 
 
 def _report_envelope(command: str, seed: int, params: dict) -> dict:
@@ -204,8 +196,7 @@ def _cmd_train(args) -> int:
         ),
         sinkhorn=_sinkhorn_from(args),
     )
-    counts = SolveCounts()
-    result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle, counts=counts)
+    result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle)
     params = {
         "lr": cfg.lr,
         "weight_decay": cfg.weight_decay,
@@ -228,7 +219,6 @@ def _cmd_train(args) -> int:
     best = result.history[result.best_epoch - 1] if result.history else None
     acc = f", val accuracy {best['val_accuracy']:.4f}" if best else ""
     print(f"wrote {args.out_head} (best epoch {result.best_epoch}{acc})")
-    _warn_unconverged(counts, cfg.sinkhorn)
     return 0
 
 
@@ -242,11 +232,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_score(args) -> int:
     bundle = read_bundle(args.bundle)
-    sink_cfg = _sinkhorn_from(args)
-    counts = SolveCounts()
-    res = similarity(args.pair[0], args.pair[1], bundle, sink_cfg, counts)
+    res = similarity(args.pair[0], args.pair[1], bundle, _sinkhorn_from(args))
     print(f"similarity={res.similarity:.12g} distance={res.distance:.12g}")
-    _warn_unconverged(counts, sink_cfg)
     return 0
 
 
@@ -263,23 +250,18 @@ def _cmd_eval(args) -> int:
         if not args.pairs:
             raise InvalidInput(f"{args.protocol} needs --pairs")
         pairs = load_pair_labels(args.pairs)
-    sink_cfg = _sinkhorn_from(args)
-    counts = SolveCounts()
     report = run_protocol(
-        protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=sink_cfg, counts=counts
+        protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=_sinkhorn_from(args)
     )
     write_json_report(args.out, report)
     print(f"wrote {args.out}")
-    _warn_unconverged(counts, sink_cfg)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
     grids = load_grids(args.grids)
     # one engine pass for the fits and the trend, which share their pairs
-    sink_cfg = _sinkhorn_from(args)
-    counts = SolveCounts()
-    scores = grid_scores(grids, read_bundle(args.bundle), sink_cfg, counts)
+    scores = grid_scores(grids, read_bundle(args.bundle), _sinkhorn_from(args))
     report = analyze_grids(grids, scores, n_boot=args.n_boot, seed=args.seed)
     write_json_report(args.out, report)
     if args.out_trend:
@@ -287,7 +269,6 @@ def _cmd_sensitivity(args) -> int:
         trends = {name: similarity_trend(grids, name, scores) for name in factor_names}
         write_trend_csv(args.out_trend, trends)
     print(f"wrote {args.out}")
-    _warn_unconverged(counts, sink_cfg)
     return 0
 
 
@@ -445,10 +426,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with solve_counts() as counts:
+            status = args.func(args)
     except Error as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
+    if counts.unconverged:
+        print(
+            f"warning: {counts.unconverged} of {counts.solves} Sinkhorn solves "
+            f"stopped at --max-iters {args.max_iters}",
+            file=sys.stderr,
+        )
+    return status
 
 
 if __name__ == "__main__":

@@ -365,8 +365,9 @@ def mine_hard_negatives(
 
 def _largest_remainder_quotas(mix: tuple[float, float, float], total: int) -> dict[str, int]:
     weights = np.asarray(mix, dtype=np.float64)
-    # a NaN or infinite weight, or a sum that overflows, leaves a non-finite sum
-    total_weight = weights.sum()
+    # a NaN or infinite weight, or a sum that overflows, leaves a non-finite
+    # sum; Python floats overflow to inf without numpy's RuntimeWarning
+    total_weight = sum(weights.tolist())
     if weights.size != len(TRIPLET_KINDS) or np.any(weights < 0) or not 0 < total_weight < np.inf:
         raise InvalidInput(
             f"mix must be {len(TRIPLET_KINDS)} finite, non-negative weights, not all zero"

@@ -209,18 +209,33 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     After a single step from zero state the update direction is
-    -lr * g / (|g| + eps), the closed form used by the tests.
+    -lr * g / (|g| + eps), the closed form used by the tests. The
+    moments are updated in place and each parameter needs two
+    temporaries, ``buf`` and ``upd``; every operation is one of
+    p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), in its order, so
+    the bits are those of that expression.
     """
     state.step += 1
     t = state.step
-    params = head_params(head)
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for name, p in head_params(head).items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        buf = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - beta2
+        v *= beta2
+        v += buf
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        upd = m / c1
+        upd /= buf
+        np.multiply(p, weight_decay, out=buf)
+        upd += buf
+        upd *= lr
+        p -= upd
         if not np.all(np.isfinite(p)):
             raise InvalidInput(f"parameter {name} became non-finite after step {t}")
 

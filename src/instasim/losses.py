@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import PatchSet, SinkhornConfig, SolveCounts, divergence_grad, patch_set
+from .sinkhorn import PatchSet, SinkhornConfig, divergence_grad, patch_set
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
@@ -180,7 +180,6 @@ def patch_loss(
     neg_Zs,
     cfg: LossConfig,
     sink_cfg: SinkhornConfig | None = None,
-    counts: SolveCounts | None = None,
 ):
     """Patch-level contrastive loss on projected token matrices.
 
@@ -189,8 +188,7 @@ def patch_loss(
     through the converged transport plans (envelope theorem) and the
     row-normalization Jacobian. With COSINE_MEANPOOL, similarities are
     cosines of mean-pooled raw rows, which makes the result identical
-    to cls_loss on the pooled vectors. ``counts``, when given, tallies
-    the Sinkhorn solves.
+    to cls_loss on the pooled vectors.
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
@@ -220,8 +218,8 @@ def patch_loss(
         ]
         return loss, grad_anchor, grad_pos, grad_negs
 
-    sets = [patch_set(M, sink_cfg, True, counts) for M in [anchor_Z, pos_Z, *neg_Zs]]
-    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg, counts)
+    sets = [patch_set(M, sink_cfg, True) for M in [anchor_Z, pos_Z, *neg_Zs]]
+    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg)
 
 
 def sinkhorn_patch_loss(
@@ -230,11 +228,9 @@ def sinkhorn_patch_loss(
     negs: list[PatchSet],
     cfg: LossConfig,
     sink_cfg: SinkhornConfig,
-    counts: SolveCounts | None = None,
 ):
     """The SINKHORN branch of patch_loss on prepared sets: each
-    comparison solves only its cross term, which ``counts`` tallies
-    when given.
+    comparison solves only its cross term.
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
@@ -242,7 +238,7 @@ def sinkhorn_patch_loss(
     grads = []  # (d sim / d anchor unit rows, d sim / d other unit rows, other)
     for other in [pos, *negs]:
         val, dA, dM, _ = divergence_grad(
-            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot, counts
+            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot
         )
         sims.append(-val)
         grads.append((-dA, -dM, other))

@@ -27,7 +27,7 @@ from .metrics import (
 )
 from .records import PairLabel, require_str
 from .reporting import iter_jsonl, report_envelope
-from .sinkhorn import PatchSet, SinkhornConfig, SolveCounts, patch_set, sinkhorn_divergence
+from .sinkhorn import PatchSet, SinkhornConfig, patch_set, sinkhorn_divergence
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
@@ -43,16 +43,14 @@ def similarity(
     y_id: str,
     bundle: EmbeddingBundle,
     sink_cfg: SinkhornConfig | None = None,
-    counts: SolveCounts | None = None,
 ) -> SimilarityResult:
     """Pairwise similarity and distance D = 1 - similarity.
 
     CLS bundles: cosine, in [-1, 1]. PATCH bundles: negated debiased
     divergence on row-normalized token matrices (0 for identical sets,
-    negative otherwise). ``counts``, when given, tallies the Sinkhorn
-    solves.
+    negative otherwise).
     """
-    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg, counts)[0])
+    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg)[0])
     return SimilarityResult(similarity=sim, distance=1.0 - sim)
 
 
@@ -65,7 +63,6 @@ def score_pairs(
     bundle: EmbeddingBundle,
     pairs,
     sink_cfg: SinkhornConfig | None = None,
-    counts: SolveCounts | None = None,
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
 
@@ -83,8 +80,7 @@ def score_pairs(
     0.0 - ``sinkhorn_divergence`` on the unit rows, so that identical
     sets score +0.0, not -0.0; OT(A, B) and OT(B, A) differ in the last
     bits, so (x, y) and (y, x) are not merged. The caches live for this
-    call only. ``counts``, when given, tallies every Sinkhorn solve the
-    call runs.
+    call only.
     """
     if bundle.token_kind == "CLS":
         return _score_cls_pairs(bundle, pairs)
@@ -97,11 +93,9 @@ def score_pairs(
         if key not in memo:
             for item_id in key:
                 if item_id not in items:
-                    items[item_id] = patch_set(bundle.get(item_id), cfg, counts=counts)
+                    items[item_id] = patch_set(bundle.get(item_id), cfg)
             a, b = items[x_id], items[y_id]
-            memo[key] = 0.0 - sinkhorn_divergence(
-                a.unit, b.unit, cfg, a.self_ot, b.self_ot, counts
-            ).value
+            memo[key] = 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot).value
         out[k] = memo[key]
     return out
 
@@ -216,12 +210,12 @@ def _str_list(val, path, lineno, name) -> list[str]:
 # protocol drivers
 
 
-def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg, counts) -> dict[str, dict]:
+def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg) -> dict[str, dict]:
     task.validate()
     queries = sorted(task.queries)
     gallery = sorted(task.gallery)
     tie_key = np.array(gallery)
-    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg, counts)
+    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg)
     out: dict[str, dict] = {}
     for query, row in zip(queries, scores.reshape(len(queries), len(gallery))):
         labels = np.array([1 if g in task.relevance[query] else 0 for g in gallery])
@@ -237,11 +231,11 @@ def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg, counts) -> dict[
     return out
 
 
-def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None, counts=None) -> dict[str, float]:
+def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, float]:
     """Accuracy per mode (strict ties-incorrect comparison)."""
     task.validate()
     pairs = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
-    sims = score_pairs(bundle, pairs, sink_cfg, counts).reshape(-1, 2)
+    sims = score_pairs(bundle, pairs, sink_cfg).reshape(-1, 2)
     correct: dict[str, int] = {}
     totals: dict[str, int] = {}
     for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
@@ -250,11 +244,11 @@ def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None, counts=None) -> d
     return {mode: correct[mode] / totals[mode] for mode in sorted(totals)}
 
 
-def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, counts, binary: bool):
+def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, binary: bool):
     rows = sorted(pairs, key=lambda p: (p.ref_id, p.cand_id))
     if not rows:
         raise InvalidInput("no labeled pairs")
-    scores = score_pairs(bundle, [(p.ref_id, p.cand_id) for p in rows], sink_cfg, counts)
+    scores = score_pairs(bundle, [(p.ref_id, p.cand_id) for p in rows], sink_cfg)
     labels = np.array([p.label for p in rows])
     if binary and not np.all(np.isin(labels, (0.0, 1.0))):
         raise InvalidInput("verification labels must be binary 0/1")
@@ -268,14 +262,12 @@ def run_protocol(
     pairs: list[PairLabel] | None = None,
     seed: int = 0,
     sink_cfg: SinkhornConfig | None = None,
-    counts: SolveCounts | None = None,
 ) -> dict:
     """Run one evaluation protocol and assemble the EvalReport dict.
 
     The report is a plain dict meant for canonical JSON serialization:
     byte-identical across reruns on the same inputs and independent of
-    input record order. ``counts``, when given, tallies the Sinkhorn
-    solves, which the report leaves out.
+    input record order.
     """
     if protocol not in PROTOCOLS:
         raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -285,7 +277,7 @@ def run_protocol(
     if protocol == "RETRIEVAL":
         if not isinstance(task, RetrievalTask):
             raise InvalidInput("RETRIEVAL needs a RetrievalTask")
-        per_query = _retrieval_per_query(task, bundle, sink_cfg, counts)
+        per_query = _retrieval_per_query(task, bundle, sink_cfg)
         aucs = [d["auc"] for d in per_query.values() if d["auc"] is not None]
         metrics = {
             "map": float(np.mean([d["ap"] for d in per_query.values()])),
@@ -298,7 +290,7 @@ def run_protocol(
     elif protocol == "VERIFICATION":
         if pairs is None:
             raise InvalidInput("VERIFICATION needs labeled pairs")
-        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, counts, binary=True)
+        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, binary=True)
         metrics = {
             "ap": average_precision(scores, labels.astype(int)),
             "auc": roc_auc(scores, labels.astype(int)),
@@ -317,7 +309,7 @@ def run_protocol(
     elif protocol == "TRIPLET":
         if not isinstance(task, TripletTask):
             raise InvalidInput("TRIPLET needs a TripletTask")
-        per_mode = triplet_accuracy(task, bundle, sink_cfg, counts)
+        per_mode = triplet_accuracy(task, bundle, sink_cfg)
         mode_counts: dict[str, int] = {}
         for _, _, _, mode in task.triplets:
             mode_counts[mode] = mode_counts.get(mode, 0) + 1
@@ -331,7 +323,7 @@ def run_protocol(
     else:  # CORRELATION
         if pairs is None:
             raise InvalidInput("CORRELATION needs labeled pairs")
-        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, counts, binary=False)
+        rows, scores, labels = _verification_rows(pairs, bundle, sink_cfg, binary=False)
         metrics = {
             "spearman": spearman_rho(scores, labels),
             "kendall_tau_b": kendall_tau_b(scores, labels),

@@ -26,9 +26,9 @@ one set only) and ``cross_term``. A caller that compares one set with
 many others prepares it once with ``patch_set`` (unit rows, their
 norms and the self term) and passes the self term to
 ``sinkhorn_divergence`` or ``divergence_grad``, which then solve only
-the cross term. Each of these functions takes an optional
-``SolveCounts`` that tallies the solves it runs, for a caller that
-reports how many stopped at max_iters.
+the cross term. A caller that reports how many solves stopped at
+max_iters opens ``with solve_counts() as counts:``; every solve run
+inside the block, at any depth of calls, adds to ``counts``.
 
 A note on tolerances: every solve stops when the worst row-marginal
 violation of its plan drops to tol, and the check reuses the next
@@ -46,8 +46,10 @@ within ten.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,8 +91,7 @@ class SinkhornResult:
 @dataclass
 class SolveCounts:
     """How many Sinkhorn solves ran, and how many of them stopped at
-    max_iters without meeting tol. A caller that wants the tally creates
-    one and passes it down."""
+    max_iters without meeting tol; ``solve_counts`` yields one."""
 
     solves: int = 0
     unconverged: int = 0
@@ -98,6 +99,28 @@ class SolveCounts:
     def add(self, result: SinkhornResult) -> None:
         self.solves += 1
         self.unconverged += not result.converged
+
+
+# the tallies of the open ``solve_counts`` blocks, outermost first
+_open_tallies: ContextVar[tuple[SolveCounts, ...]] = ContextVar("_open_tallies", default=())
+
+
+@contextmanager
+def solve_counts() -> Iterator[SolveCounts]:
+    """Tally every solve that ``self_term`` and ``cross_term`` run inside
+    the block, in this thread or task. Nested blocks each count every
+    solve run inside them."""
+    counts = SolveCounts()
+    token = _open_tallies.set(_open_tallies.get() + (counts,))
+    try:
+        yield counts
+    finally:
+        _open_tallies.reset(token)
+
+
+def _tally(result: SinkhornResult) -> None:
+    for counts in _open_tallies.get():
+        counts.add(result)
 
 
 def subsample_tokens(Z: np.ndarray, max_tokens: int, seed: int) -> np.ndarray:
@@ -223,9 +246,7 @@ def _ot_self(X: np.ndarray, cfg: SinkhornConfig, plan: bool = False):
     return SinkhornResult(value, err <= cfg.tol, iterations, err), T
 
 
-def self_term(
-    X, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
-):
+def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
     """The self term OT_eps(X, X) of the debiased divergence.
 
     It depends on X alone, so a caller that compares X with many sets
@@ -233,14 +254,12 @@ def self_term(
     0.5 * (gX + gY), the plan's position gradient summed over both
     argument slots and halved: the amount the divergence's gradient
     with respect to X subtracts. It is None unless ``grad`` is set.
-    ``counts``, when given, tallies the solve.
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     cfg.validate()
     X = _check_set("X", X, cfg)
     result, T = _ot_self(X, cfg, plan=grad)
-    if counts is not None:
-        counts.add(result)
+    _tally(result)
     half_grad = None
     if grad:
         gX, gY = _ot_position_grads(X, X, T)
@@ -248,17 +267,13 @@ def self_term(
     return result, half_grad
 
 
-def cross_term(
-    A, B, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
-):
+def cross_term(A, B, cfg: SinkhornConfig | None = None, grad: bool = False):
     """The cross term OT_eps(A, B). Returns (result, dA, dB); the
-    position gradients are None unless ``grad`` is set. ``counts``,
-    when given, tallies the solve."""
+    position gradients are None unless ``grad`` is set."""
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     result, T = _ot_entropic(A, B, cfg, plan=grad)
-    if counts is not None:
-        counts.add(result)
+    _tally(result)
     if not grad:
         return result, None, None
     dA, dB = _ot_position_grads(A, B, T)
@@ -277,12 +292,7 @@ def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> Sinkh
 
 
 def sinkhorn_divergence(
-    A,
-    B,
-    cfg: SinkhornConfig | None = None,
-    self_a=None,
-    self_b=None,
-    counts: SolveCounts | None = None,
+    A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None
 ) -> SinkhornResult:
     """Debiased divergence S_eps(A, B); raw OT_eps(A, B) when debiased=False.
 
@@ -298,13 +308,13 @@ def sinkhorn_divergence(
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     if np.array_equal(A, B):
-        aa, _ = self_a if self_a is not None else self_term(A, cfg, counts=counts)
+        aa, _ = self_a if self_a is not None else self_term(A, cfg)
         return _debias(aa, aa, aa) if cfg.debiased else aa
-    ab, _, _ = cross_term(A, B, cfg, counts=counts)
+    ab, _, _ = cross_term(A, B, cfg)
     if not cfg.debiased:
         return ab
-    aa, _ = self_a if self_a is not None else self_term(A, cfg, counts=counts)
-    bb, _ = self_b if self_b is not None else self_term(B, cfg, counts=counts)
+    aa, _ = self_a if self_a is not None else self_term(A, cfg)
+    bb, _ = self_b if self_b is not None else self_term(B, cfg)
     return _debias(ab, aa, bb)
 
 
@@ -318,9 +328,7 @@ class PatchSet(NamedTuple):
     self_ot: tuple | None
 
 
-def patch_set(
-    Z, cfg: SinkhornConfig | None = None, grad: bool = False, counts: SolveCounts | None = None
-) -> PatchSet:
+def patch_set(Z, cfg: SinkhornConfig | None = None, grad: bool = False) -> PatchSet:
     """Normalize Z's rows to unit length and, when debiased, solve its
     self term once. A row of zeros has no direction: InvalidInput."""
     cfg = cfg if cfg is not None else SinkhornConfig()
@@ -329,7 +337,7 @@ def patch_set(
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm patch row")
     unit = Z / norms
-    return PatchSet(unit, norms, self_term(unit, cfg, grad, counts) if cfg.debiased else None)
+    return PatchSet(unit, norms, self_term(unit, cfg, grad) if cfg.debiased else None)
 
 
 def _ot_position_grads(X, Y, T):
@@ -341,14 +349,7 @@ def _ot_position_grads(X, Y, T):
     return gX, gY
 
 
-def divergence_grad(
-    A,
-    B,
-    cfg: SinkhornConfig | None = None,
-    self_a=None,
-    self_b=None,
-    counts: SolveCounts | None = None,
-):
+def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None):
     """Divergence value plus gradients with respect to A and B rows.
 
     Returns (value, dA, dB, converged). ``self_a`` and ``self_b`` are
@@ -361,10 +362,10 @@ def divergence_grad(
     """
     cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
-    ab, dA, dB = cross_term(A, B, cfg, grad=True, counts=counts)
+    ab, dA, dB = cross_term(A, B, cfg, grad=True)
     if not cfg.debiased:
         return ab.value, dA, dB, ab.converged
-    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True, counts=counts)
-    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True, counts=counts)
+    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True)
+    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True)
     res = _debias(ab, aa, bb)
     return res.value, dA - half_a, dB - half_b, res.converged

@@ -39,7 +39,7 @@ from .metrics import triplet_correct
 from .protocols import score_pairs
 from .records import ImageManifest, Triplet, manifest_index
 from .rng import derived_rng
-from .sinkhorn import SinkhornConfig, SolveCounts, patch_set, subsample_tokens
+from .sinkhorn import SinkhornConfig, patch_set, subsample_tokens
 
 __all__ = [
     "TrainConfig",
@@ -86,15 +86,10 @@ class TrainResult:
 
 
 class _TrainData:
-    """Per-image access to the frozen embeddings a run trains on, and
-    the run's tally of Sinkhorn solves (None: not counted)."""
+    """Per-image access to the frozen embeddings a run trains on."""
 
     def __init__(
-        self,
-        cls_bundle: EmbeddingBundle,
-        patch_bundle: EmbeddingBundle | None,
-        cfg: TrainConfig,
-        counts: SolveCounts | None = None,
+        self, cls_bundle: EmbeddingBundle, patch_bundle: EmbeddingBundle | None, cfg: TrainConfig
     ):
         if cls_bundle.token_kind != "CLS":
             raise InvalidInput("training expects a CLS-kind bundle for global vectors")
@@ -105,7 +100,6 @@ class _TrainData:
         self.cls_bundle = cls_bundle
         self.patch_bundle = patch_bundle
         self.cfg = cfg
-        self.counts = counts
         self.use_patch = cfg.loss.lam > 0 and patch_bundle is not None
         self._patch_cache: dict[str, np.ndarray] = {}
 
@@ -169,7 +163,7 @@ def _micro_batch_pass(
         p_loss_fn = patch_loss
         if cfg.loss.patch_metric == "SINKHORN":
             # each image's unit rows and Sinkhorn self term, once per micro-batch
-            Zs = [patch_set(M, cfg.sinkhorn, True, data.counts) for M in Zs]
+            Zs = [patch_set(M, cfg.sinkhorn, True) for M in Zs]
             p_loss_fn = sinkhorn_patch_loss
 
     loss_sum = 0.0
@@ -181,8 +175,7 @@ def _micro_batch_pass(
         p_loss = 0.0
         if data.use_patch:
             p_loss, gz_a, gz_p, gz_ns = p_loss_fn(
-                Zs[rows[0]], Zs[rows[1]], [Zs[k] for k in rows[2:]],
-                cfg.loss, cfg.sinkhorn, data.counts,
+                Zs[rows[0]], Zs[rows[1]], [Zs[k] for k in rows[2:]], cfg.loss, cfg.sinkhorn
             )
             for k, g in zip(rows, [gz_a, gz_p, *gz_ns]):
                 dZs[k] += cfg.loss.lam * g
@@ -248,7 +241,6 @@ def train(
     cfg: TrainConfig,
     patch_bundle: EmbeddingBundle | None = None,
     initial_head: DualHead | None = None,
-    counts: SolveCounts | None = None,
 ) -> TrainResult:
     """Full training run with per-epoch validation and best-checkpoint
     selection on validation triplet accuracy.
@@ -256,11 +248,10 @@ def train(
     Validation scores pairs with ``score_pairs`` and the strict
     comparison of the evaluation suite. An epoch is one pass over the
     training triplets; best checkpoint is the earliest epoch achieving
-    the highest validation accuracy. ``counts``, when given, tallies
-    the Sinkhorn solves of the patch loss.
+    the highest validation accuracy.
     """
     cfg.validate()
-    data = _TrainData(cls_bundle, patch_bundle, cfg, counts)
+    data = _TrainData(cls_bundle, patch_bundle, cfg)
     index = manifest_index(manifests)
     for t in triplets:
         for image_id in (t.anchor, t.positive, t.hard_negative):

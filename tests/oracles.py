@@ -233,10 +233,38 @@ def kendall_tau_b_dense(x, y) -> float:
     return concordant_minus_discordant / float(np.sqrt((n0 - n1) * (n0 - n2)))
 
 
-def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg, counts=None):
+def adamw_step_allocating(
+    head,
+    grads: dict[str, np.ndarray],
+    state,
+    lr: float,
+    weight_decay: float = 0.0,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """AdamW as one expression per moment and per update, allocating
+    fresh arrays; the in-place ``heads.adamw_step`` must match its bits."""
+    from instasim.errors import InvalidInput
+    from instasim.heads import head_params
+
+    state.step += 1
+    t = state.step
+    params = head_params(head)
+    for name, p in params.items():
+        g = grads[name]
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
+        m_hat = state.m[name] / (1.0 - beta1**t)
+        v_hat = state.v[name] / (1.0 - beta2**t)
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+        if not np.all(np.isfinite(p)):
+            raise InvalidInput(f"parameter {name} became non-finite after step {t}")
+
+
+def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
     """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
     per comparison, so every comparison solves both self terms again.
-    ``counts`` is accepted and ignored, to match ``sinkhorn_patch_loss``.
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...])."""
     from instasim.losses import BatchScores, infonce_loss
     from instasim.sinkhorn import divergence_grad
@@ -321,7 +349,7 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
     # each image's unit rows and Sinkhorn self term, once per micro-batch
     sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
     if sinkhorn:
-        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True, data.counts) for i in image_ids}
+        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True) for i in image_ids}
 
     loss_sum = 0.0
     for t in micro:
@@ -343,7 +371,6 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
                     [sets[n] for n in neg_ids],
                     cfg.loss,
                     cfg.sinkhorn,
-                    data.counts,
                 )
             else:
                 p_loss, gz_a, gz_p, gz_ns = patch_loss(

@@ -443,10 +443,11 @@ class TestTriplets:
         assert rerun_path.read_bytes() == out_path.read_bytes()
 
     def test_mix_needs_three_weights(self, world, tmp_path):
-        # three finite, non-negative numbers: a missing weight, a word, NaN
-        # and infinities all fail before any output is written
+        # three finite, non-negative numbers: a missing weight, a word, NaN,
+        # infinities and an overflowing sum all fail before any output is
+        # written, on one stderr line
         out_path = tmp_path / "t.jsonl"
-        for mix in ("2:1", "1:x:1", "nan:1:1", "1:1:inf", "inf:1:1"):
+        for mix in ("2:1", "1:x:1", "nan:1:1", "1:1:inf", "inf:1:1", "1e308:1e308:1"):
             code, _, err = run_cli(
                 "triplets",
                 "--instances", world.samples,
@@ -457,6 +458,7 @@ class TestTriplets:
             )
             assert code == 1, mix
             assert err.startswith("error: InvalidInput:"), (mix, err)
+            assert err.count("\n") == 1, (mix, err)
             assert not out_path.exists(), mix
 
     def test_mined_image_missing_from_manifests_is_a_data_error(self, world, tmp_path):
@@ -864,6 +866,13 @@ class TestUnconvergedWarning:
         code, _, err = run_cli(*argv, "--max-iters", 1)
         assert code == 0
         assert err == "warning: 3 of 3 Sinkhorn solves stopped at --max-iters 1\n"
+
+    def test_failed_command_prints_its_error_and_no_warning(self, world, tokens, tmp_path):
+        argv = self._argv("eval", world, tokens, tmp_path)
+        argv[argv.index("--out") + 1] = tmp_path / "missing" / "r.json"
+        code, _, err = run_cli(*argv, "--max-iters", 1)
+        assert code == 1
+        assert re.fullmatch(r"error: IoError: [^\n]*\n", err), err
 
 
 class TestVotesAndInspect:

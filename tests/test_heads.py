@@ -28,7 +28,7 @@ from instasim.heads import (
     zero_grads,
 )
 
-from oracles import apply_head_per_item
+from oracles import adamw_step_allocating, apply_head_per_item
 
 
 class TestGelu:
@@ -192,6 +192,22 @@ class TestAdamW:
             grads["cls.W1"] = 2.0 * head.cls_head.W1
             adamw_step(head, grads, state, lr=0.01)
         assert float(np.abs(head.cls_head.W1).sum()) < start
+
+    def test_in_place_step_matches_the_allocating_oracle_bit_for_bit(self, rng):
+        head = init_dual_head(5, hidden_dim=7, out_dim=3, seed=8)
+        twin = clone_head(head)
+        state, twin_state = adamw_init(head), adamw_init(twin)
+        for step in range(6):
+            grads = {k: rng.normal(size=v.shape) for k, v in head_params(head).items()}
+            grads["patch.W2"][:] = 0.0
+            twin_grads = {k: g.copy() for k, g in grads.items()}
+            adamw_step(head, grads, state, lr=0.01, weight_decay=0.05)
+            adamw_step_allocating(twin, twin_grads, twin_state, lr=0.01, weight_decay=0.05)
+        assert state.step == twin_state.step == 6
+        for name, p in head_params(head).items():
+            assert p.tobytes() == head_params(twin)[name].tobytes(), name
+            assert state.m[name].tobytes() == twin_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == twin_state.v[name].tobytes(), name
 
 
 class TestCheckpoints:

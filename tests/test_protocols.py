@@ -26,7 +26,7 @@ from instasim.protocols import (
     triplet_accuracy,
 )
 from instasim.reporting import canonical_json
-from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence
+from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence, solve_counts
 from instasim.trainer import TrainConfig, _micro_batch_pass, _TrainData
 
 from oracles import patch_loss_per_comparison
@@ -198,8 +198,8 @@ class TestScorePairs:
         )
         counts = {"self_term": 0, "cross_term": 0}
         _counting(monkeypatch, counts, protocols, sinkhorn)
-        tally = SolveCounts()
-        run_protocol("RETRIEVAL", bundle, task=task, sink_cfg=self.SINK, counts=tally)
+        with solve_counts() as tally:
+            run_protocol("RETRIEVAL", bundle, task=task, sink_cfg=self.SINK)
         assert counts == {"cross_term": 3 * 5, "self_term": 3 + 5}
         assert tally == SolveCounts(solves=3 * 5 + 3 + 5, unconverged=0)
 
@@ -217,22 +217,21 @@ class TestScorePairs:
         inst_of = {i: i.split("-")[0] for i in images}
         head = init_dual_head(dim, hidden_dim=5, seed=3)
 
-        tally = SolveCounts()
-
         def one_pass():
             grads = zero_grads(head)
-            loss = _micro_batch_pass(head, micro, _TrainData(cls, patch, cfg, tally), inst_of, grads)
+            loss = _micro_batch_pass(head, micro, _TrainData(cls, patch, cfg), inst_of, grads)
             return loss, grads
 
         counts = {"self_term": 0, "cross_term": 0}
         _counting(monkeypatch, counts, losses, sinkhorn)
-        loss, grads = one_pass()
+        with solve_counts() as tally:
+            loss, grads = one_pass()
         # 9 images; 3 triplets of 1 positive, 1 hard and 2 in-batch negatives
         assert counts == {"self_term": 9, "cross_term": 12}
         assert tally == SolveCounts(solves=9 + 12, unconverged=0)
 
         counts.update(self_term=0, cross_term=0)
-        monkeypatch.setattr(trainer, "patch_set", lambda Z, cfg, grad, counts: Z)
+        monkeypatch.setattr(trainer, "patch_set", lambda Z, cfg, grad: Z)
         monkeypatch.setattr(trainer, "sinkhorn_patch_loss", patch_loss_per_comparison)
         want_loss, want_grads = one_pass()
         assert counts == {"self_term": 24, "cross_term": 12}

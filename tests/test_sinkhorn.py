@@ -5,10 +5,12 @@ import pytest
 from instasim.errors import InvalidInput, ShapeError
 from instasim.sinkhorn import (
     SinkhornConfig,
+    SolveCounts,
     cross_term,
     divergence_grad,
     self_term,
     sinkhorn_divergence,
+    solve_counts,
     subsample_tokens,
 )
 
@@ -228,6 +230,55 @@ class TestDivergenceGradients:
         Y = rng.normal(size=(6, 3))
         _, dX, dY, _ = divergence_grad(X, Y, TIGHT)
         np.testing.assert_allclose(dX.sum(axis=0) + dY.sum(axis=0), 0.0, atol=1e-7)
+
+
+class TestSolveCounts:
+    def test_nested_blocks_both_count_the_inner_solves(self, rng):
+        A, B = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        with solve_counts() as outer:
+            self_term(A)
+            with solve_counts() as inner:
+                sinkhorn_divergence(A, B)
+            self_term(B)
+        assert inner == SolveCounts(solves=3, unconverged=0)
+        assert outer == SolveCounts(solves=5, unconverged=0)
+
+    def test_block_left_by_an_exception_stops_counting(self, rng):
+        X = rng.normal(size=(3, 2))
+        with pytest.raises(RuntimeError):
+            with solve_counts() as counts:
+                self_term(X)
+                raise RuntimeError
+        self_term(X)
+        assert counts.solves == 1
+
+    def test_solves_outside_a_block_are_not_counted(self, rng):
+        X = rng.normal(size=(3, 2))
+        with solve_counts() as before:
+            pass
+        self_term(X)
+        with solve_counts() as after:
+            pass
+        assert before.solves == after.solves == 0
+
+    def test_divergence_counts_the_self_terms_it_solves(self, rng):
+        A, B = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        starved = SinkhornConfig(epsilon=0.1, max_iters=1)
+        self_a, self_b = self_term(A, starved), self_term(B, starved)
+        with solve_counts() as counts:
+            sinkhorn_divergence(A, B, starved)
+        assert counts == SolveCounts(solves=3, unconverged=3)
+        with solve_counts() as counts:
+            sinkhorn_divergence(A, B, starved, self_a, self_b)
+        assert counts == SolveCounts(solves=1, unconverged=1)
+
+        self_a, self_b = self_term(A, TIGHT, grad=True), self_term(B, TIGHT, grad=True)
+        with solve_counts() as counts:
+            divergence_grad(A, B, TIGHT)
+        assert counts == SolveCounts(solves=3, unconverged=0)
+        with solve_counts() as counts:
+            divergence_grad(A, B, TIGHT, self_a, self_b)
+        assert counts == SolveCounts(solves=1, unconverged=0)
 
 
 class TestSubsampling:
