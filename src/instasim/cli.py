@@ -13,8 +13,8 @@ solve) also prints one line
     warning: K of N Sinkhorn solves stopped at --max-iters M
 
 to stderr; the reports stay as they are. All randomness flows from
---seed; --threads is accepted for symmetry with parallel deployments
-but outputs never depend on it.
+--seed. --threads is accepted and ignored; no command reads it, so
+outputs never depend on it.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="worker count; outputs are identical for any value",
+        help="accepted and ignored; no command reads it",
     )
 
 

@@ -49,22 +49,25 @@ def load_inventory(path) -> dict:
         raise FormatError(f"{path}: inventory must be a non-empty object")
     inv: dict = {}
     for name, val in raw.items():
-        if isinstance(val, int) and not isinstance(val, bool) and val >= 1:
+        if _is_count(val, 1):
             inv[name] = val
         elif isinstance(val, dict):
             cats = val.get("categories")
             if cats is not None:
-                if not isinstance(cats, dict) or not all(
-                    isinstance(c, int) and c >= 0 for c in cats.values()
-                ):
+                if not isinstance(cats, dict) or not all(_is_count(c, 0) for c in cats.values()):
                     raise FormatError(f"{path}: bad categories for {name!r}")
             count = val.get("instances", sum(cats.values()) if cats else None)
-            if not isinstance(count, int) or count < 1:
+            if not _is_count(count, 1):
                 raise FormatError(f"{path}: bad instance count for {name!r}")
             inv[name] = {"instances": count, **({"categories": dict(cats)} if cats else {})}
         else:
             raise FormatError(f"{path}: bad inventory entry for {name!r}")
     return inv
+
+
+def _is_count(val, least: int) -> bool:
+    """A JSON integer (not a boolean) of at least ``least``."""
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
 def inventory_counts(inv: dict) -> dict[str, int]:

@@ -206,7 +206,8 @@ def adamw_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update, in place, of the
+    parameters named in ``grads``; the others are left as they are.
 
     After a single step from zero state the update direction is
     -lr * g / (|g| + eps), the closed form used by the tests. The
@@ -218,8 +219,9 @@ def adamw_step(
     state.step += 1
     t = state.step
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
-    for name, p in head_params(head).items():
-        g, m, v = grads[name], state.m[name], state.v[name]
+    params = head_params(head)
+    for name, g in grads.items():
+        p, m, v = params[name], state.m[name], state.v[name]
         buf = np.multiply(g, 1.0 - beta1)
         m *= beta1
         m += buf

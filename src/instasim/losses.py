@@ -8,6 +8,13 @@ temperature and subtracts margin/tau from the positive logit; the
 hinge and BCE variants consume the scores as given, so their margins
 live directly in score space.
 
+The trainer makes one loss call per head per micro-batch:
+``cosine_losses`` scores every entry (an anchor with its positive and
+negatives, as row indices) from one normalized k x k score matrix over
+the micro-batch's k distinct images, and ``patch_losses`` does the same
+for token matrices. ``cls_loss`` and ``patch_loss`` are their one-entry
+forms.
+
 Gradient conventions: every objective returns (loss, d_pos, d_neg) and
 every loss returns its derivatives with respect to its actual inputs
 (raw scores or raw vectors/matrices), so central finite differences on
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import PatchSet, SinkhornConfig, divergence_grad, patch_set
+from .sinkhorn import SinkhornConfig, divergence_grad, patch_set
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
@@ -116,23 +123,38 @@ def _sigmoid(x):
 _OBJECTIVE = {"INFONCE": infonce_loss, "HINGE": hinge_loss, "BCE": bce_loss}
 
 
-def _cosine_and_jacobians(a: np.ndarray, b: np.ndarray):
-    """cos(a, b) plus its gradients w.r.t. a and b."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def cosine_losses(V: np.ndarray, rows, cfg: LossConfig):
+    """The configured objective on cosine scores, for many entries that
+    share one set of vectors.
+
+    Each entry of ``rows`` is ``(anchor, [positive, negative, ...])``,
+    given as row indices of V; indices may repeat within and across
+    entries. The unit rows U and the score matrix S = U U^T are formed
+    once. Each entry's score gradients are scattered into one matrix G
+    (with ``np.add.at``, so a repeated index adds up), and
+    dS -> dU = (G + G^T) U is chained through the row normalization.
+
+    Returns (per-entry losses, dV) with dV shaped like V.
+    """
+    cfg.validate()
+    V = np.asarray(V, dtype=np.float64)
+    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in cosine similarity")
-    cos = float(a @ b / (na * nb))
-    grad_a = b / (na * nb) - cos * a / (na * na)
-    grad_b = a / (na * nb) - cos * b / (nb * nb)
-    return cos, grad_a, grad_b
+    U = V / norms
+    S = U @ U.T
+    G = np.zeros_like(S)
+    losses = np.zeros(len(rows))
+    for e, (a, others) in enumerate(rows):
+        s = S[a, others]
+        losses[e], d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s[0], s[1:]), cfg)
+        np.add.at(G, (a, others), np.concatenate(([d_pos], d_neg)))
+    return losses, _backprop_row_normalization((G + G.T) @ U, U, norms)
 
 
 def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfig):
-    """Global contrastive loss on projected CLS vectors.
-
-    Cosine similarities feed the configured objective; returned
-    gradients chain through the cosine normalization Jacobian.
+    """Global contrastive loss on projected CLS vectors: one entry of
+    ``cosine_losses``.
 
     Returns (loss, grad_anchor, grad_positive, grad_negatives) where
     grad_negatives is an (N, D) array aligned with the input list.
@@ -148,30 +170,55 @@ def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfi
             raise ShapeError("all vectors must share one dimension")
         if not np.all(np.isfinite(v)):
             raise InvalidInput("non-finite vector")
-
-    s_pos, ja_pos, jp = _cosine_and_jacobians(anchor, positive)
-    neg_sims = []
-    neg_jacs = []
-    for n in negatives:
-        s, ja, jn = _cosine_and_jacobians(anchor, n)
-        neg_sims.append(s)
-        neg_jacs.append((ja, jn))
-
-    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s_pos, np.array(neg_sims)), cfg)
-
-    grad_anchor = d_pos * ja_pos
-    grad_positive = d_pos * jp
-    grad_negatives = np.zeros((len(negatives), anchor.size))
-    for i, (ja, jn) in enumerate(neg_jacs):
-        grad_anchor = grad_anchor + d_neg[i] * ja
-        grad_negatives[i] = d_neg[i] * jn
-    return loss, grad_anchor, grad_positive, grad_negatives
+    V = np.stack([anchor, positive, *negatives])
+    losses, dV = cosine_losses(V, [(0, list(range(1, len(V))))], cfg)
+    return float(losses[0]), dV[0], dV[1], dV[2:]
 
 
 def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.ndarray):
     """Chain a gradient on unit rows back to the raw rows."""
     inner = (G_hat * M_hat).sum(axis=1, keepdims=True)
     return (G_hat - inner * M_hat) / norms
+
+
+def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig | None = None):
+    """``cosine_losses`` for token matrices: entries index into ``mats``.
+
+    With COSINE_MEANPOOL the scores are cosines of mean-pooled raw rows,
+    and each pooled gradient g is spread as g / n over its matrix's n
+    rows. With SINKHORN each matrix is prepared once by ``patch_set``
+    (unit rows and self term); a score is the negated debiased
+    divergence, and gradients flow through the converged transport plans
+    (envelope theorem) and the row-normalization Jacobian. For each
+    entry, the anchor's gradient is added first, then each other
+    matrix's in order.
+
+    Returns (per-entry losses, [gradient for each matrix in mats]).
+    """
+    cfg.validate()
+    sink_cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
+    if cfg.patch_metric == "COSINE_MEANPOOL":
+        losses, dV = cosine_losses(np.stack([M.mean(axis=0) for M in mats]), rows, cfg)
+        return losses, [np.full(M.shape, g / len(M)) for g, M in zip(dV, mats)]
+
+    sets = [patch_set(M, sink_cfg, True) for M in mats]
+    grads = [np.zeros_like(p.unit) for p in sets]
+    losses = np.zeros(len(rows))
+    for e, (a, others) in enumerate(rows):
+        A = sets[a]
+        # (value, dA, dB, converged) of each comparison; a score is -value
+        comps = [
+            divergence_grad(A.unit, sets[j].unit, sink_cfg, A.self_ot, sets[j].self_ot)
+            for j in others
+        ]
+        scores = BatchScores(-comps[0][0], -np.array([c[0] for c in comps[1:]]))
+        losses[e], d_pos, d_neg = _OBJECTIVE[cfg.objective](scores, cfg)
+        weights = np.concatenate(([d_pos], d_neg))
+        G_anchor_hat = sum(w * -c[1] for w, c in zip(weights, comps))
+        grads[a] += _backprop_row_normalization(G_anchor_hat, A.unit, A.norms)
+        for w, j, c in zip(weights, others, comps):
+            grads[j] += _backprop_row_normalization(w * -c[2], sets[j].unit, sets[j].norms)
+    return losses, grads
 
 
 def patch_loss(
@@ -181,78 +228,25 @@ def patch_loss(
     cfg: LossConfig,
     sink_cfg: SinkhornConfig | None = None,
 ):
-    """Patch-level contrastive loss on projected token matrices.
-
-    With the SINKHORN metric, rows are L2-normalized internally, patch
-    similarity is the negated debiased divergence, and gradients flow
-    through the converged transport plans (envelope theorem) and the
-    row-normalization Jacobian. With COSINE_MEANPOOL, similarities are
-    cosines of mean-pooled raw rows, which makes the result identical
-    to cls_loss on the pooled vectors.
+    """Patch-level contrastive loss on projected token matrices: one
+    entry of ``patch_losses``. With COSINE_MEANPOOL the result is
+    cls_loss on the pooled vectors.
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
     cfg.validate()
-    sink_cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
-    anchor_Z = np.asarray(anchor_Z, dtype=np.float64)
-    pos_Z = np.asarray(pos_Z, dtype=np.float64)
-    neg_Zs = [np.asarray(n, dtype=np.float64) for n in neg_Zs]
-    if not neg_Zs:
+    mats = [np.asarray(M, dtype=np.float64) for M in [anchor_Z, pos_Z, *neg_Zs]]
+    if len(mats) < 3:
         raise InvalidInput("need at least one negative")
-    for M in [anchor_Z, pos_Z, *neg_Zs]:
+    for M in mats:
         if M.ndim != 2 or M.shape[0] < 1:
             raise InvalidInput(f"patch matrices must be non-empty 2-D, got shape {M.shape}")
-        if M.shape[1] != anchor_Z.shape[1]:
+        if M.shape[1] != mats[0].shape[1]:
             raise ShapeError("patch matrices must share one embedding dim")
         if not np.all(np.isfinite(M)):
             raise InvalidInput("non-finite patch matrix")
-
-    if cfg.patch_metric == "COSINE_MEANPOOL":
-        pooled = [M.mean(axis=0) for M in [anchor_Z, pos_Z, *neg_Zs]]
-        loss, g_a, g_p, g_ns = cls_loss(pooled[0], pooled[1], pooled[2:], cfg)
-        grad_anchor = np.tile(g_a / anchor_Z.shape[0], (anchor_Z.shape[0], 1))
-        grad_pos = np.tile(g_p / pos_Z.shape[0], (pos_Z.shape[0], 1))
-        grad_negs = [
-            np.tile(g_ns[i] / neg_Zs[i].shape[0], (neg_Zs[i].shape[0], 1))
-            for i in range(len(neg_Zs))
-        ]
-        return loss, grad_anchor, grad_pos, grad_negs
-
-    sets = [patch_set(M, sink_cfg, True) for M in [anchor_Z, pos_Z, *neg_Zs]]
-    return sinkhorn_patch_loss(sets[0], sets[1], sets[2:], cfg, sink_cfg)
-
-
-def sinkhorn_patch_loss(
-    anchor: PatchSet,
-    pos: PatchSet,
-    negs: list[PatchSet],
-    cfg: LossConfig,
-    sink_cfg: SinkhornConfig,
-):
-    """The SINKHORN branch of patch_loss on prepared sets: each
-    comparison solves only its cross term.
-
-    Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
-    """
-    sims = []
-    grads = []  # (d sim / d anchor unit rows, d sim / d other unit rows, other)
-    for other in [pos, *negs]:
-        val, dA, dM, _ = divergence_grad(
-            anchor.unit, other.unit, sink_cfg, anchor.self_ot, other.self_ot
-        )
-        sims.append(-val)
-        grads.append((-dA, -dM, other))
-
-    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(sims[0], np.array(sims[1:])), cfg)
-    weights = np.concatenate(([d_pos], d_neg))
-
-    G_anchor_hat = np.zeros_like(anchor.unit)
-    out_grads = []
-    for w, (dA, dM, other) in zip(weights, grads):
-        G_anchor_hat += w * dA
-        out_grads.append(_backprop_row_normalization(w * dM, other.unit, other.norms))
-    grad_anchor = _backprop_row_normalization(G_anchor_hat, anchor.unit, anchor.norms)
-    return loss, grad_anchor, out_grads[0], out_grads[1:]
+    losses, grads = patch_losses(mats, [(0, list(range(1, len(mats))))], cfg, sink_cfg)
+    return float(losses[0]), grads[0], grads[1], grads[2:]
 
 
 def total_loss(cls_part: float, patch_part: float, cfg: LossConfig) -> float:

@@ -7,8 +7,12 @@ the per-triplet gradient over the whole chunk, and applies one AdamW
 update. Within a micro-batch every triplet sees its own hard negative
 plus the positives of the other triplets whose instance differs
 (in-batch negatives); the loss functions themselves stay agnostic to
-where negatives came from. Each head runs one forward and one backward
-pass per micro-batch, over the stacked rows of its distinct images.
+where negatives came from. Each head used runs one forward pass, one
+loss call and one backward pass per micro-batch, over the stacked rows
+of its distinct images: ``losses.cosine_losses`` scores all triplets
+from one normalized k x k matrix over the k distinct CLS rows, and
+``losses.patch_losses`` compares their token matrices. At lambda = 0
+only the CLS head is used.
 
 Everything is sequential and seed-derived: file order of the triplet
 list never matters because triplets are canonically sorted before the
@@ -34,12 +38,12 @@ from .heads import (
     mlp_forward,
     zero_grads,
 )
-from .losses import LossConfig, cls_loss, patch_loss, sinkhorn_patch_loss, total_loss
+from .losses import LossConfig, cosine_losses, patch_losses, total_loss
 from .metrics import triplet_correct
 from .protocols import score_pairs
 from .records import ImageManifest, Triplet, manifest_index
 from .rng import derived_rng
-from .sinkhorn import SinkhornConfig, patch_set, subsample_tokens
+from .sinkhorn import SinkhornConfig, subsample_tokens
 
 __all__ = [
     "TrainConfig",
@@ -146,49 +150,31 @@ def _micro_batch_pass(
 
     The distinct images are stacked in sorted id order: one row each for
     the CLS head, all token rows for the patch head, whose per-image
-    outputs and output gradients are views of those rows."""
+    outputs are views of those rows. Each head used makes one loss call
+    over every triplet of the micro-batch."""
     cfg = data.cfg
     negs = [_batch_negative_ids(t, micro, inst_of) for t in micro]
     image_ids = sorted({i for t, n in zip(micro, negs) for i in (t.anchor, t.positive, *n)})
     row = {image_id: k for k, image_id in enumerate(image_ids)}
+    rows = [(row[t.anchor], [row[i] for i in (t.positive, *n)]) for t, n in zip(micro, negs)]
     X = np.stack([data.cls_vec(i) for i in image_ids])
     Y, cls_cache = mlp_forward(head.cls_head, X, head.activation)
-    dY = np.zeros_like(Y)
+    c_losses, dY = cosine_losses(Y, rows, cfg.loss)
+    passes = [("cls", head.cls_head, cls_cache, dY)]
+    p_sum = 0.0
     if data.use_patch:
         mats = [data.patch_mat(i) for i in image_ids]
         Z, patch_cache = mlp_forward(head.patch_head, np.concatenate(mats), head.activation)
-        dZ = np.zeros_like(Z)
-        splits = np.cumsum([len(M) for M in mats[:-1]])
-        Zs, dZs = np.split(Z, splits), np.split(dZ, splits)
-        p_loss_fn = patch_loss
-        if cfg.loss.patch_metric == "SINKHORN":
-            # each image's unit rows and Sinkhorn self term, once per micro-batch
-            Zs = [patch_set(M, cfg.sinkhorn, True) for M in Zs]
-            p_loss_fn = sinkhorn_patch_loss
+        Zs = np.split(Z, np.cumsum([len(M) for M in mats[:-1]]))
+        p_losses, dZs = patch_losses(Zs, rows, cfg.loss, cfg.sinkhorn)
+        p_sum = p_losses.sum()
+        passes.append(("patch", head.patch_head, patch_cache, cfg.loss.lam * np.concatenate(dZs)))
 
-    loss_sum = 0.0
-    for t, neg_ids in zip(micro, negs):
-        rows = [row[i] for i in (t.anchor, t.positive, *neg_ids)]
-        c_loss, g_a, g_p, g_ns = cls_loss(Y[rows[0]], Y[rows[1]], Y[rows[2:]], cfg.loss)
-        for k, g in zip(rows, [g_a, g_p, *g_ns]):
-            dY[k] += g
-        p_loss = 0.0
-        if data.use_patch:
-            p_loss, gz_a, gz_p, gz_ns = p_loss_fn(
-                Zs[rows[0]], Zs[rows[1]], [Zs[k] for k in rows[2:]], cfg.loss, cfg.sinkhorn
-            )
-            for k, g in zip(rows, [gz_a, gz_p, *gz_ns]):
-                dZs[k] += cfg.loss.lam * g
-        loss_sum += total_loss(c_loss, p_loss, cfg.loss)
-
-    passes = [("cls", head.cls_head, cls_cache, dY)]
-    if data.use_patch:
-        passes.append(("patch", head.patch_head, patch_cache, dZ))
     for name, mlp, cache, d_out in passes:
         _, grads = mlp_backward(mlp, cache, d_out, head.activation)
         for pname, g in grads.items():
             param_grads[f"{name}.{pname}"] += g
-    return loss_sum
+    return total_loss(c_losses.sum(), p_sum, cfg.loss)
 
 
 def train_step(
@@ -202,11 +188,15 @@ def train_step(
     """One optimizer step over up to batch_size * grad_accum triplets.
 
     Gradients are accumulated across micro-batches, averaged per
-    triplet, then applied with AdamW. Returns the mean triplet loss.
+    triplet, then applied with AdamW. At lambda = 0 the unused patch
+    head gets no gradient and is not stepped. Returns the mean triplet
+    loss.
     """
     if not chunk:
         raise InvalidInput("empty triplet chunk")
-    param_grads = zero_grads(head)
+    param_grads = {
+        name: g for name, g in zero_grads(head).items() if data.use_patch or name.startswith("cls.")
+    }
     loss_sum = 0.0
     for start in range(0, len(chunk), cfg.batch_size):
         micro = chunk[start : start + cfg.batch_size]

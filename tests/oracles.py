@@ -262,6 +262,63 @@ def adamw_step_allocating(
             raise InvalidInput(f"parameter {name} became non-finite after step {t}")
 
 
+def _cosine_and_jacobians(a: np.ndarray, b: np.ndarray):
+    """cos(a, b) plus its gradients w.r.t. a and b."""
+    from instasim.errors import InvalidInput
+
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise InvalidInput("zero-norm vector in cosine similarity")
+    cos = float(a @ b / (na * nb))
+    grad_a = b / (na * nb) - cos * a / (na * na)
+    grad_b = a / (na * nb) - cos * b / (nb * nb)
+    return cos, grad_a, grad_b
+
+
+def cls_loss_per_negative(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfig):
+    """The global contrastive loss with one cosine and one pair of
+    Jacobians per comparison (the earlier implementation of
+    ``losses.cls_loss``, before it became one entry of
+    ``losses.cosine_losses``).
+
+    Returns (loss, grad_anchor, grad_positive, grad_negatives) where
+    grad_negatives is an (N, D) array aligned with the input list.
+    """
+    from instasim.errors import InvalidInput, ShapeError
+    from instasim.losses import _OBJECTIVE, BatchScores
+
+    cfg.validate()
+    anchor = np.asarray(anchor, dtype=np.float64).ravel()
+    positive = np.asarray(positive, dtype=np.float64).ravel()
+    negatives = [np.asarray(n, dtype=np.float64).ravel() for n in negatives]
+    if not negatives:
+        raise InvalidInput("need at least one negative")
+    for v in [anchor, positive, *negatives]:
+        if v.shape != anchor.shape:
+            raise ShapeError("all vectors must share one dimension")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInput("non-finite vector")
+
+    s_pos, ja_pos, jp = _cosine_and_jacobians(anchor, positive)
+    neg_sims = []
+    neg_jacs = []
+    for n in negatives:
+        s, ja, jn = _cosine_and_jacobians(anchor, n)
+        neg_sims.append(s)
+        neg_jacs.append((ja, jn))
+
+    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s_pos, np.array(neg_sims)), cfg)
+
+    grad_anchor = d_pos * ja_pos
+    grad_positive = d_pos * jp
+    grad_negatives = np.zeros((len(negatives), anchor.size))
+    for i, (ja, jn) in enumerate(neg_jacs):
+        grad_anchor = grad_anchor + d_neg[i] * ja
+        grad_negatives[i] = d_neg[i] * jn
+    return loss, grad_anchor, grad_positive, grad_negatives
+
+
 def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
     """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
     per comparison, so every comparison solves both self terms again.
@@ -319,8 +376,7 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
     accumulates parameter gradients in place and returns the summed
     per-triplet loss."""
     from instasim.heads import mlp_backward, mlp_forward
-    from instasim.losses import cls_loss, patch_loss, sinkhorn_patch_loss, total_loss
-    from instasim.sinkhorn import patch_set
+    from instasim.losses import patch_loss, total_loss
     from instasim.trainer import _batch_negative_ids
 
     cfg = data.cfg
@@ -346,15 +402,11 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
             patch_out[image_id] = Z
             patch_cache[image_id] = zcache
             patch_out_grad[image_id] = np.zeros_like(Z)
-    # each image's unit rows and Sinkhorn self term, once per micro-batch
-    sinkhorn = data.use_patch and cfg.loss.patch_metric == "SINKHORN"
-    if sinkhorn:
-        sets = {i: patch_set(patch_out[i], cfg.sinkhorn, True) for i in image_ids}
 
     loss_sum = 0.0
     for t in micro:
         neg_ids = _batch_negative_ids(t, micro, inst_of)
-        c_loss, g_a, g_p, g_ns = cls_loss(
+        c_loss, g_a, g_p, g_ns = cls_loss_per_negative(
             cls_out[t.anchor], cls_out[t.positive], [cls_out[n] for n in neg_ids], cfg.loss
         )
         cls_out_grad[t.anchor] += g_a
@@ -364,22 +416,13 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
 
         p_loss = 0.0
         if data.use_patch:
-            if sinkhorn:
-                p_loss, gz_a, gz_p, gz_ns = sinkhorn_patch_loss(
-                    sets[t.anchor],
-                    sets[t.positive],
-                    [sets[n] for n in neg_ids],
-                    cfg.loss,
-                    cfg.sinkhorn,
-                )
-            else:
-                p_loss, gz_a, gz_p, gz_ns = patch_loss(
-                    patch_out[t.anchor],
-                    patch_out[t.positive],
-                    [patch_out[n] for n in neg_ids],
-                    cfg.loss,
-                    cfg.sinkhorn,
-                )
+            p_loss, gz_a, gz_p, gz_ns = patch_loss(
+                patch_out[t.anchor],
+                patch_out[t.positive],
+                [patch_out[n] for n in neg_ids],
+                cfg.loss,
+                cfg.sinkhorn,
+            )
             patch_out_grad[t.anchor] += cfg.loss.lam * gz_a
             patch_out_grad[t.positive] += cfg.loss.lam * gz_p
             for i, n in enumerate(neg_ids):

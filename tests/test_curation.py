@@ -114,7 +114,15 @@ class TestInventoryAndFilters:
 
     def test_load_inventory_rejects_bad_entries(self, tmp_path):
         path = tmp_path / "inv.json"
-        for bad in ('{"A": 0}', '{"A": "three"}', "[]", "{}", '{"A": true}'):
+        for bad in (
+            '{"A": 0}',
+            '{"A": "three"}',
+            "[]",
+            "{}",
+            '{"A": true}',
+            '{"ds0": {"instances": true}}',
+            '{"ds1": {"categories": {"a": true, "b": 2}}}',
+        ):
             path.write_text(bad)
             with pytest.raises(FormatError):
                 load_inventory(path)

@@ -8,12 +8,16 @@ from instasim.losses import (
     LossConfig,
     bce_loss,
     cls_loss,
+    cosine_losses,
     hinge_loss,
     infonce_loss,
     patch_loss,
+    patch_losses,
     total_loss,
 )
 from instasim.sinkhorn import SinkhornConfig
+
+from oracles import cls_loss_per_negative, patch_loss_per_comparison
 
 SINK = SinkhornConfig(epsilon=0.2, max_iters=20000, tol=1e-6)
 
@@ -254,6 +258,63 @@ class TestPatchLoss:
         good = patch_loss(A, A.copy(), N, cfg, SINK)[0]
         worse = patch_loss(A, A + 1.0, N, cfg, SINK)[0]
         assert good < worse
+
+
+class TestMicroBatchLosses:
+    """One loss call over a micro-batch against per-triplet oracles. Row
+    2 is a negative of entry 0 and the anchor of entry 1, row 0 is the
+    anchor of entry 0 and a negative of entry 1, and row 3 appears twice
+    among entry 1's negatives."""
+
+    ROWS = [(0, [1, 2, 3]), (2, [4, 0, 3, 3]), (5, [1, 3])]
+
+    @staticmethod
+    def _summed(oracle, mats):
+        """Per-entry oracle losses and the oracle gradients summed per row."""
+        losses, grads = [], [np.zeros_like(M) for M in mats]
+        for a, others in TestMicroBatchLosses.ROWS:
+            loss, g_a, g_p, g_ns = oracle(mats[a], mats[others[0]], [mats[j] for j in others[1:]])
+            losses.append(loss)
+            for j, g in zip([a, *others], [g_a, g_p, *g_ns]):
+                grads[j] += g
+        return np.array(losses), grads
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("objective", ["INFONCE", "HINGE", "BCE"])
+    def test_cosine_losses_match_per_negative_oracle(self, rng, objective):
+        cfg = LossConfig(objective=objective, margin=0.2)
+        V = rng.normal(size=(6, 5))
+        losses, dV = cosine_losses(V, self.ROWS, cfg)
+        want_losses, want_grads = self._summed(
+            lambda a, p, ns: cls_loss_per_negative(a, p, ns, cfg), list(V)
+        )
+        self._assert_close(losses, want_losses)
+        assert np.all(np.any(np.stack(want_grads), axis=1))
+        self._assert_close(dV, np.stack(want_grads))
+
+    def test_patch_losses_match_per_comparison_oracle(self, rng):
+        cfg = LossConfig(patch_metric="SINKHORN")
+        mats = [rng.normal(size=(int(rng.integers(2, 5)), 3)) for _ in range(6)]
+        losses, grads = patch_losses(mats, self.ROWS, cfg, SINK)
+        want_losses, want_grads = self._summed(
+            lambda a, p, ns: patch_loss_per_comparison(a, p, ns, cfg, SINK), mats
+        )
+        self._assert_close(losses, want_losses)
+        for g, w in zip(grads, want_grads):
+            self._assert_close(g, w)
+
+    def test_meanpool_spreads_the_pooled_gradient(self, rng):
+        cfg = LossConfig(patch_metric="COSINE_MEANPOOL")
+        mats = [rng.normal(size=(int(rng.integers(2, 5)), 3)) for _ in range(6)]
+        losses, grads = patch_losses(mats, self.ROWS, cfg, SINK)
+        want_losses, dV = cosine_losses(np.stack([M.mean(axis=0) for M in mats]), self.ROWS, cfg)
+        assert np.array_equal(losses, want_losses)
+        for g, M, d in zip(grads, mats, dV):
+            assert g.shape == M.shape
+            assert np.array_equal(g, np.tile(d / len(M), (len(M), 1)))
 
 
 class TestTotalLoss:

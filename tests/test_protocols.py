@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from instasim import losses, protocols, sinkhorn, trainer
+from instasim import losses, protocols, sinkhorn
 from instasim.bundle import make_bundle
 from instasim.errors import (
     DuplicateId,
@@ -28,8 +28,6 @@ from instasim.protocols import (
 from instasim.reporting import canonical_json
 from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence, solve_counts
 from instasim.trainer import TrainConfig, _micro_batch_pass, _TrainData
-
-from oracles import patch_loss_per_comparison
 
 
 def _unit(v):
@@ -231,10 +229,14 @@ class TestScorePairs:
         assert tally == SolveCounts(solves=9 + 12, unconverged=0)
 
         counts.update(self_term=0, cross_term=0)
-        monkeypatch.setattr(trainer, "patch_set", lambda Z, cfg, grad: Z)
-        monkeypatch.setattr(trainer, "sinkhorn_patch_loss", patch_loss_per_comparison)
+        monkeypatch.setattr(
+            losses,
+            "divergence_grad",
+            lambda A, B, cfg, self_a, self_b, _fn=losses.divergence_grad: _fn(A, B, cfg),
+        )
         want_loss, want_grads = one_pass()
-        assert counts == {"self_term": 24, "cross_term": 12}
+        # the 9 self terms are still solved once each, then ignored
+        assert counts == {"self_term": 9 + 24, "cross_term": 12}
         assert loss == want_loss
         assert list(grads) == list(want_grads)
         for name in grads:

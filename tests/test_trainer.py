@@ -123,6 +123,21 @@ class TestTraining:
         for name, arr in head_params(res.final_head).items():
             np.testing.assert_array_equal(arr, head_params(ref)[name])
 
+    def test_lambda_zero_leaves_the_patch_head_at_its_init(self, rng):
+        # the unused patch head gets no gradient, so weight decay does
+        # not shrink it either
+        manifests, bundle, triplets = _separable_problem(rng)
+        cfg = _small_cfg(weight_decay=0.1)
+        res = train(manifests, bundle, triplets, cfg)
+        ref = init_dual_head(
+            in_dim=bundle.dim, hidden_dim=cfg.hidden_dim, activation=cfg.activation, seed=cfg.seed
+        )
+        got, want = head_params(res.final_head), head_params(ref)
+        for name in want:
+            if name.startswith("patch."):
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert not np.array_equal(got["cls.W1"], want["cls.W1"])
+
     def test_best_epoch_is_earliest_peak(self, rng):
         # validation saturates immediately on this problem, so later
         # equal epochs must not displace the first best checkpoint
@@ -276,6 +291,20 @@ class TestMicroBatchPass:
         calls.update(mlp_forward=0, mlp_backward=0)
         _validation_accuracy(head, self.MICRO, data)
         assert calls == {"mlp_forward": 1, "mlp_backward": 0}
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_one_loss_call_per_head_per_micro_batch(self, rng, monkeypatch, lam):
+        head, data, inst_of, cfg = self._setup(rng, lam)
+        calls = {"cosine_losses": 0, "patch_losses": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(trainer, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(trainer, name, counted)
+        cfg.batch_size = 2
+        train_step(head, adamw_init(head), self.MICRO, data, inst_of, cfg)
+        assert calls == {"cosine_losses": 2, "patch_losses": 2 if lam > 0 else 0}
 
 
 class TestGradientAssembly:
