@@ -56,9 +56,14 @@ def load_inventory(path) -> dict:
             if cats is not None:
                 if not isinstance(cats, dict) or not all(_is_count(c, 0) for c in cats.values()):
                     raise FormatError(f"{path}: bad categories for {name!r}")
-            count = val.get("instances", sum(cats.values()) if cats else None)
+            total = sum(cats.values()) if cats else None
+            count = val.get("instances", total)
             if not _is_count(count, 1):
                 raise FormatError(f"{path}: bad instance count for {name!r}")
+            if total is not None and count != total:
+                raise FormatError(
+                    f"{path}: {name!r} has {count} instances but its categories sum to {total}"
+                )
             inv[name] = {"instances": count, **({"categories": dict(cats)} if cats else {})}
         else:
             raise FormatError(f"{path}: bad inventory entry for {name!r}")

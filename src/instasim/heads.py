@@ -7,6 +7,15 @@ are float64 while training and stored float32 in checkpoints.
 
 The "identity" activation exists for linear test modes where a head
 initialized to identity matrices must reproduce its input exactly.
+
+``erf`` is W. J. Cody's rational Chebyshev approximation ("Rational
+Chebyshev Approximations for the Error Function", Math. Comp. 23, 1969)
+with the coefficients and operation order of Cephes' ``ndtr.c``, which
+``scipy.special.erf`` runs. For |x| <= 1 it is x T(x^2) / U(x^2) and
+equals scipy bit for bit. For 1 < |x| < 8 it is 1 - exp(-x^2) P(|x|) /
+Q(|x|), within 2 ulp of scipy: numpy's vectorised ``exp`` may round
+differently from the C library's ``exp``. From 8 on it is exactly +-1,
+as scipy's is.
 """
 from __future__ import annotations
 
@@ -16,7 +25,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .bundle import EmbeddingBundle
 from .errors import FormatError, InvalidInput, IoError, ShapeError
@@ -30,6 +38,61 @@ APPLY_ROW_BLOCK = 256
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# Cephes' ndtr.c coefficients rounded to double, leading coefficient
+# first; the denominators U and Q are monic, their leading 1 left out
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+          55592.30130103949)
+_ERF_U = (33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
+          49267.39426086359)
+_ERFC_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
+           196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
+           557.5353353693994)
+_ERFC_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+           1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Cephes' polevl: Horner's rule in its operation order, in place."""
+    y = x * coefs[0]
+    for c in coefs[1:-1]:
+        y += c
+        y *= x
+    y += coefs[-1]
+    return y
+
+
+def _p1evl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Cephes' p1evl: ``_polevl`` with a leading coefficient of 1."""
+    y = x + coefs[0]
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a float64 array (see the module docstring)."""
+    x = np.asarray(x, dtype=np.float64)
+    # x T(x^2) / U(x^2) everywhere; the entries with x^2 > 1, which
+    # include those whose x^2 overflows, are overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x * x
+        y = _polevl(z, _ERF_T)
+        y *= x
+        y /= _p1evl(z, _ERF_U)
+    tail = z > 1.0  # false for NaN, which stays NaN
+    if tail.any():
+        xt = x[tail]
+        t = np.abs(xt)
+        # Cephes' erfc switches to a third fit at |x| = 8, but erfc(8) < 2e-29,
+        # so 1 - erfc rounds to exactly 1 from there on, as it does at inf
+        erfc = np.zeros_like(t)
+        mid = t < 8.0
+        tm = t[mid]
+        erfc[mid] = np.exp(-tm * tm) * _polevl(tm, _ERFC_P) / _p1evl(tm, _ERFC_Q)
+        y[tail] = np.copysign(1.0 - erfc, xt)
+    return y
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

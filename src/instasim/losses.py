@@ -22,6 +22,7 @@ the loss itself reproduce them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,12 @@ class LossConfig:
     patch_metric: str = "SINKHORN"
 
     def validate(self) -> None:
-        if not self.tau > 0:
-            raise InvalidInput(f"tau must be positive, got {self.tau}")
-        if self.lam < 0:
-            raise InvalidInput(f"lambda must be non-negative, got {self.lam}")
-        if self.margin < 0:
-            raise InvalidInput(f"margin must be non-negative, got {self.margin}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise InvalidInput(f"tau must be positive and finite, got {self.tau}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidInput(f"lambda must be non-negative and finite, got {self.lam}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise InvalidInput(f"margin must be non-negative and finite, got {self.margin}")
         if self.objective not in OBJECTIVES:
             raise InvalidInput(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.patch_metric not in PATCH_METRICS:

@@ -46,6 +46,7 @@ within ten.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -66,12 +67,12 @@ class SinkhornConfig:
     debiased: bool = True
 
     def validate(self) -> None:
-        if not self.epsilon > 0:
-            raise InvalidInput(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidInput(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise InvalidInput(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInput(f"tol must be positive and finite, got {self.tol}")
         if self.max_tokens < 1:
             raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens}")
 

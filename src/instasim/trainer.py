@@ -20,6 +20,7 @@ per-epoch shuffle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,8 @@ class TrainConfig:
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def validate(self) -> None:
-        if self.lr < 0 or self.weight_decay < 0:
-            raise InvalidInput("lr and weight_decay must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lr, self.weight_decay)):
+            raise InvalidInput("lr and weight_decay must be finite and non-negative")
         if self.batch_size < 1 or self.grad_accum < 1:
             raise InvalidInput("batch_size and grad_accum must be >= 1")
         if self.epochs < 0:

@@ -10,10 +10,12 @@ cosines are exactly zero. One test also invokes the installed
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -286,6 +288,20 @@ def world(tmp_path_factory):
     )
 
 
+@pytest.fixture(scope="module")
+def tokens(world, tmp_path_factory):
+    """A PATCH bundle with three noisy tokens around every image's CLS
+    vector, so each world task has a PATCH counterpart."""
+    rng = np.random.default_rng(3)
+    items = {**read_bundle(world.cls_bundle).items, **read_bundle(world.aux_bundle).items}
+    path = tmp_path_factory.mktemp("tokens") / "tokens.idse"
+    write_bundle(
+        path,
+        make_bundle("PATCH", DIM, {k: v + 0.3 * rng.normal(size=(3, DIM)) for k, v in items.items()}),
+    )
+    return path
+
+
 def _f32_cosine(a, b):
     a = np.asarray(a, dtype=np.float32).astype(np.float64)
     b = np.asarray(b, dtype=np.float32).astype(np.float64)
@@ -311,6 +327,19 @@ class TestTopLevel:
         code, _, err = run_cli("eval", "RETRIEVAL", "--bundle", world.cls_bundle, "--out", "x")
         assert code == 2
         assert "invalid choice" in err
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only: it would add to every command's start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, instasim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestCurate:
@@ -808,19 +837,6 @@ class TestUnconvergedWarning:
 
     WARNING = re.compile(r"warning: (\d+) of (\d+) Sinkhorn solves stopped at --max-iters 1\n")
 
-    @pytest.fixture(scope="class")
-    def tokens(self, world, tmp_path_factory):
-        """A PATCH bundle with three noisy tokens around every image's
-        CLS vector, so each world task has a PATCH counterpart."""
-        rng = np.random.default_rng(3)
-        items = {**read_bundle(world.cls_bundle).items, **read_bundle(world.aux_bundle).items}
-        path = tmp_path_factory.mktemp("tokens") / "tokens.idse"
-        write_bundle(
-            path,
-            make_bundle("PATCH", DIM, {k: v + 0.3 * rng.normal(size=(3, DIM)) for k, v in items.items()}),
-        )
-        return path
-
     def _argv(self, stage, world, tokens, out_dir):
         report = ["--out", out_dir / "report.json"]
         if stage == "eval":
@@ -873,6 +889,55 @@ class TestUnconvergedWarning:
         code, _, err = run_cli(*argv, "--max-iters", 1)
         assert code == 1
         assert re.fullmatch(r"error: IoError: [^\n]*\n", err), err
+
+
+class TestNonFiniteSettings:
+    """A NaN or infinite numeric flag is an InvalidInput before any
+    solve or training step, and no output is written."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval triplet", "--epsilon", "inf"),
+            ("eval triplet", "--tol", "inf"),
+            ("eval retrieval", "--epsilon", "nan"),
+            ("train", "--lambda", "nan"),
+            ("train", "--lambda", "inf"),
+            ("train", "--tau", "inf"),
+            ("train", "--margin", "nan"),
+            ("train", "--lr", "inf"),
+            ("train", "--weight-decay", "nan"),
+        ],
+    )
+    def test_exits_1_with_one_error_line_and_no_output(
+        self, command, flag, value, world, tokens, tmp_path
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command == "train":
+            argv = [
+                "train",
+                "--manifests", world.manifests,
+                "--cls-bundle", world.cls_bundle,
+                "--patch-bundle", tokens,
+                "--triplets", world.train_triplets,
+                "--out-head", out_dir / "head.ckpt",
+                "--out-history", out_dir / "history.json",
+                "--epochs", 1,
+                "--hidden-dim", 4,
+            ]
+        elif command == "eval triplet":
+            argv = ["eval", "triplet", "--bundle", tokens, "--task", world.triplet_task]
+        else:
+            argv = ["eval", "retrieval", "--bundle", world.cls_bundle, "--task", world.retrieval_task]
+        if command != "train":
+            argv += ["--out", out_dir / "report.json"]
+        code, _, err = run_cli(*argv, flag, value)
+        assert code == 1
+        assert re.fullmatch(r"error: InvalidInput: [^\n]*\n", err), err
+        # the error names the setting, not a symptom such as an unserializable report
+        assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", err), err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestVotesAndInspect:

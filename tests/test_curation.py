@@ -122,6 +122,7 @@ class TestInventoryAndFilters:
             '{"A": true}',
             '{"ds0": {"instances": true}}',
             '{"ds1": {"categories": {"a": true, "b": 2}}}',
+            '{"ds0": {"instances": 50, "categories": {"a": 1}}, "ds1": 4}',
         ):
             path.write_text(bad)
             with pytest.raises(FormatError):

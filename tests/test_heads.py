@@ -1,10 +1,12 @@
-"""Projection heads: GELU, init, backprop, AdamW, and checkpoints."""
+"""Projection heads: erf and GELU, init, backprop, AdamW, and checkpoints."""
 import json
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy import special
 
 from instasim import heads
 from instasim.bundle import make_bundle
@@ -16,6 +18,7 @@ from instasim.heads import (
     adamw_step,
     apply_head,
     clone_head,
+    erf,
     gelu,
     gelu_grad,
     head_params,
@@ -31,10 +34,62 @@ from instasim.heads import (
 from oracles import adamw_step_allocating, apply_head_per_item
 
 
+def _quiet_erf(x):
+    """heads.erf with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return erf(np.asarray(x, dtype=np.float64))
+
+
+class TestErf:
+    """scipy.special.erf (Cephes' erf) is the oracle."""
+
+    def test_bit_equal_to_scipy_on_the_unit_interval(self):
+        x = np.concatenate(
+            [np.linspace(-1.0, 1.0, 1_000_001), np.nextafter([-1.0, 1.0], 0.0),
+             [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300]]
+        )
+        got, want = _quiet_erf(x), special.erf(x)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_bit_equal_to_scipy_where_numpy_exp_matches_libm(self):
+        # for 1 < |x| < 8 the two differ only through exp(-x^2)
+        t = np.concatenate([np.linspace(1.0, 8.0, 200_001), np.nextafter([1.0, 8.0], 4.0)])[1:]
+        t = np.concatenate([t[t < 8.0], -t[t < 8.0]])
+        same_exp = np.exp(-t * t) == np.array([math.exp(-v * v) for v in t])
+        assert same_exp.mean() > 0.9
+        np.testing.assert_array_equal(_quiet_erf(t[same_exp]), special.erf(t[same_exp]))
+
+    def test_within_two_ulp_of_scipy_everywhere(self):
+        edges = np.array([1.0, 8.0])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 9.0)])
+        x = np.concatenate(
+            [np.linspace(-10.0, 10.0, 2_000_001), edges, -edges, np.linspace(26.0, 28.0, 2001),
+             [1e300, -1e300, np.inf, -np.inf, np.nan, 0.0, -0.0]]
+        )
+        got, want = _quiet_erf(x), special.erf(x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        finite = ~np.isnan(want)
+        # same-signed doubles: the integer views count the ulps between them
+        ulps = np.abs(got[finite].view(np.int64) - want[finite].view(np.int64))
+        assert ulps.max() <= 2
+
+    def test_saturates_to_exactly_one_from_eight_on(self):
+        x = np.array([8.0, 26.5, 28.0, 1e40, 1e300, np.inf])
+        np.testing.assert_array_equal(_quiet_erf(x), np.ones(6))
+        np.testing.assert_array_equal(_quiet_erf(-x), -np.ones(6))
+
+
 class TestGelu:
     def test_exact_gaussian_cdf_form(self, rng):
         x = rng.normal(size=200) * 3
-        np.testing.assert_allclose(gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), atol=0)
+        expected = 0.5 * x * (1.0 + special.erf(x / np.sqrt(2.0)))
+        np.testing.assert_allclose(gelu(x), expected, atol=0)
+        # |x / sqrt(2)| <= 1 is where erf is bit-equal to scipy's
+        inner = np.abs(x) <= np.sqrt(2.0)
+        assert inner.sum() > 50
+        np.testing.assert_array_equal(gelu(x[inner]), expected[inner])
 
     def test_limits(self):
         assert gelu(np.array([0.0]))[0] == 0.0
