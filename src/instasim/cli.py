@@ -87,17 +87,15 @@ def _sinkhorn_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _sinkhorn_from(args) -> SinkhornConfig:
-    """The command's Sinkhorn flags, checked here because a run on CLS
-    vectors never solves, so no solve would check them."""
-    cfg = SinkhornConfig(
+    """The command's Sinkhorn flags; building the config checks them,
+    so a bad value fails even a run that never solves."""
+    return SinkhornConfig(
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         tol=args.tol,
         max_tokens=args.max_tokens,
         debiased=not args.no_debias,
     )
-    cfg.validate()
-    return cfg
 
 
 def _report_envelope(command: str, seed: int, params: dict) -> dict:

@@ -27,6 +27,7 @@ from .records import (
     ImageManifest,
     Triplet,
     VoteRecord,
+    _is_count,
     manifest_index,
     require_str,
 )
@@ -68,11 +69,6 @@ def load_inventory(path) -> dict:
         else:
             raise FormatError(f"{path}: bad inventory entry for {name!r}")
     return inv
-
-
-def _is_count(val, least: int) -> bool:
-    """A JSON integer (not a boolean) of at least ``least``."""
-    return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
 def inventory_counts(inv: dict) -> dict[str, int]:
@@ -307,7 +303,8 @@ def mine_hard_negatives(
     manifests: list[ImageManifest],
     k: int = 1,
 ) -> dict[str, list[str]]:
-    """Exact top-k cosine neighbors from a different instance.
+    """Exact top-k cosine neighbors from a different instance, over two
+    CLS bundles.
 
     Brute force over the full pool; ties broken by ascending image_id.
     Every query gets a list (length <= k); an empty eligible pool for
@@ -323,6 +320,10 @@ def mine_hard_negatives(
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
+    if query_bundle.token_kind != "CLS" or pool_bundle.token_kind != "CLS":
+        raise InvalidInput(
+            f"mining needs CLS bundles, got {query_bundle.token_kind} and {pool_bundle.token_kind}"
+        )
     if query_bundle.dim != pool_bundle.dim:
         raise InvalidInput(
             f"bundle dims differ: {query_bundle.dim} vs {pool_bundle.dim}"

@@ -34,7 +34,7 @@ OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     tau: float = 0.07
     lam: float = 1.0
@@ -42,7 +42,7 @@ class LossConfig:
     objective: str = "INFONCE"
     patch_metric: str = "SINKHORN"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise InvalidInput(f"tau must be positive and finite, got {self.tau}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -79,7 +79,6 @@ def infonce_loss(scores: BatchScores, cfg: LossConfig):
     with the max-shift log-sum-exp trick. Returns (loss, d_pos, d_neg);
     the gradient components sum to 0.
     """
-    cfg.validate()
     z = np.concatenate(([scores.s_pos - cfg.margin], scores.s_neg)) / cfg.tau
     m = z.max()
     log_denom = m + np.log(np.exp(z - m).sum())
@@ -95,7 +94,6 @@ def hinge_loss(scores: BatchScores, cfg: LossConfig):
 
     Returns (loss, d_pos, d_neg).
     """
-    cfg.validate()
     gaps = cfg.margin - (scores.s_pos - scores.s_neg)
     active = gaps > 0
     loss = float(gaps[active].sum())
@@ -109,7 +107,6 @@ def bce_loss(scores: BatchScores, cfg: LossConfig):
 
     Returns (loss, d_pos, d_neg).
     """
-    cfg.validate()
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
     loss = float(np.logaddexp(0.0, -scores.s_pos) + np.logaddexp(0.0, scores.s_neg).sum())
     d_pos = float(_sigmoid(scores.s_pos) - 1.0)
@@ -137,7 +134,6 @@ def cosine_losses(V: np.ndarray, rows, cfg: LossConfig):
 
     Returns (per-entry losses, dV) with dV shaped like V.
     """
-    cfg.validate()
     V = np.asarray(V, dtype=np.float64)
     norms = np.linalg.norm(V, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -160,7 +156,6 @@ def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfi
     Returns (loss, grad_anchor, grad_positive, grad_negatives) where
     grad_negatives is an (N, D) array aligned with the input list.
     """
-    cfg.validate()
     anchor = np.asarray(anchor, dtype=np.float64).ravel()
     positive = np.asarray(positive, dtype=np.float64).ravel()
     negatives = [np.asarray(n, dtype=np.float64).ravel() for n in negatives]
@@ -182,7 +177,7 @@ def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.
     return (G_hat - inner * M_hat) / norms
 
 
-def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig | None = None):
+def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = SinkhornConfig()):
     """``cosine_losses`` for token matrices: entries index into ``mats``.
 
     With COSINE_MEANPOOL the scores are cosines of mean-pooled raw rows,
@@ -196,8 +191,6 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig | None = 
 
     Returns (per-entry losses, [gradient for each matrix in mats]).
     """
-    cfg.validate()
-    sink_cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
     if cfg.patch_metric == "COSINE_MEANPOOL":
         losses, dV = cosine_losses(np.stack([M.mean(axis=0) for M in mats]), rows, cfg)
         return losses, [np.full(M.shape, g / len(M)) for g, M in zip(dV, mats)]
@@ -227,7 +220,7 @@ def patch_loss(
     pos_Z,
     neg_Zs,
     cfg: LossConfig,
-    sink_cfg: SinkhornConfig | None = None,
+    sink_cfg: SinkhornConfig = SinkhornConfig(),
 ):
     """Patch-level contrastive loss on projected token matrices: one
     entry of ``patch_losses``. With COSINE_MEANPOOL the result is
@@ -235,7 +228,6 @@ def patch_loss(
 
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
     """
-    cfg.validate()
     mats = [np.asarray(M, dtype=np.float64) for M in [anchor_Z, pos_Z, *neg_Zs]]
     if len(mats) < 3:
         raise InvalidInput("need at least one negative")
@@ -252,7 +244,6 @@ def patch_loss(
 
 def total_loss(cls_part: float, patch_part: float, cfg: LossConfig) -> float:
     """Joint objective: cls_part + lambda * patch_part."""
-    cfg.validate()
     if not np.isfinite(cls_part) or not np.isfinite(patch_part):
         raise InvalidInput("loss parts must be finite")
     return float(cls_part + cfg.lam * patch_part)

@@ -42,7 +42,7 @@ def similarity(
     x_id: str,
     y_id: str,
     bundle: EmbeddingBundle,
-    sink_cfg: SinkhornConfig | None = None,
+    sink_cfg: SinkhornConfig = SinkhornConfig(),
 ) -> SimilarityResult:
     """Pairwise similarity and distance D = 1 - similarity.
 
@@ -62,7 +62,7 @@ CLS_PAIR_BLOCK = 1024
 def score_pairs(
     bundle: EmbeddingBundle,
     pairs,
-    sink_cfg: SinkhornConfig | None = None,
+    sink_cfg: SinkhornConfig = SinkhornConfig(),
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
 
@@ -84,7 +84,6 @@ def score_pairs(
     """
     if bundle.token_kind == "CLS":
         return _score_cls_pairs(bundle, pairs)
-    cfg = sink_cfg if sink_cfg is not None else SinkhornConfig()
     items: dict[str, PatchSet] = {}
     memo: dict[tuple[str, str], float] = {}
     out = np.empty(len(pairs))
@@ -93,9 +92,9 @@ def score_pairs(
         if key not in memo:
             for item_id in key:
                 if item_id not in items:
-                    items[item_id] = patch_set(bundle.get(item_id), cfg)
+                    items[item_id] = patch_set(bundle.get(item_id), sink_cfg)
             a, b = items[x_id], items[y_id]
-            memo[key] = 0.0 - sinkhorn_divergence(a.unit, b.unit, cfg, a.self_ot, b.self_ot).value
+            memo[key] = 0.0 - sinkhorn_divergence(a.unit, b.unit, sink_cfg, a.self_ot, b.self_ot).value
         out[k] = memo[key]
     return out
 
@@ -122,16 +121,16 @@ def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# task containers
+# task containers: frozen, and checked when built
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalTask:
     queries: list[str]
     gallery: list[str]
     relevance: dict[str, set[str]]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.queries or not self.gallery:
             raise InvalidInput("retrieval task needs queries and a gallery")
         if len(set(self.queries)) != len(self.queries):
@@ -147,11 +146,11 @@ class RetrievalTask:
                 raise InvalidInput(f"query {q!r} lists relevant ids outside the gallery")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripletTask:
     triplets: list[tuple[str, str, str, str]] = field(default_factory=list)  # (a, p, n, mode)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.triplets:
             raise InvalidInput("triplet task is empty")
         for a, p, n, mode in self.triplets:
@@ -180,9 +179,7 @@ def load_retrieval_task(path) -> RetrievalTask:
             raise FormatError(f"{path}:{lineno}: expected a gallery or query record")
     if gallery is None:
         raise FormatError(f"{path}: missing gallery record")
-    task = RetrievalTask(queries=queries, gallery=gallery, relevance=relevance)
-    task.validate()
-    return task
+    return RetrievalTask(queries=queries, gallery=gallery, relevance=relevance)
 
 
 def load_triplet_task(path) -> TripletTask:
@@ -195,9 +192,7 @@ def load_triplet_task(path) -> TripletTask:
         if row[3] not in TRIPLET_MODES:
             raise FormatError(f"{path}:{lineno}: unknown mode {row[3]!r}")
         rows.append(row)
-    task = TripletTask(triplets=rows)
-    task.validate()
-    return task
+    return TripletTask(triplets=rows)
 
 
 def _str_list(val, path, lineno, name) -> list[str]:
@@ -211,7 +206,6 @@ def _str_list(val, path, lineno, name) -> list[str]:
 
 
 def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg) -> dict[str, dict]:
-    task.validate()
     queries = sorted(task.queries)
     gallery = sorted(task.gallery)
     tie_key = np.array(gallery)
@@ -231,9 +225,8 @@ def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg) -> dict[str, dic
     return out
 
 
-def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, float]:
-    """Accuracy per mode (strict ties-incorrect comparison)."""
-    task.validate()
+def _triplet_counts(task: TripletTask, bundle, sink_cfg) -> tuple[dict, dict]:
+    """Correct and total triplets per mode (strict ties-incorrect comparison)."""
     pairs = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
     sims = score_pairs(bundle, pairs, sink_cfg).reshape(-1, 2)
     correct: dict[str, int] = {}
@@ -241,6 +234,12 @@ def triplet_accuracy(task: TripletTask, bundle, sink_cfg=None) -> dict[str, floa
     for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
         totals[mode] = totals.get(mode, 0) + 1
         correct[mode] = correct.get(mode, 0) + (1 if triplet_correct(sim_p, sim_n) else 0)
+    return correct, totals
+
+
+def triplet_accuracy(task: TripletTask, bundle, sink_cfg=SinkhornConfig()) -> dict[str, float]:
+    """Accuracy per mode (strict ties-incorrect comparison)."""
+    correct, totals = _triplet_counts(task, bundle, sink_cfg)
     return {mode: correct[mode] / totals[mode] for mode in sorted(totals)}
 
 
@@ -261,7 +260,7 @@ def run_protocol(
     task: RetrievalTask | TripletTask | None = None,
     pairs: list[PairLabel] | None = None,
     seed: int = 0,
-    sink_cfg: SinkhornConfig | None = None,
+    sink_cfg: SinkhornConfig = SinkhornConfig(),
 ) -> dict:
     """Run one evaluation protocol and assemble the EvalReport dict.
 
@@ -309,17 +308,13 @@ def run_protocol(
     elif protocol == "TRIPLET":
         if not isinstance(task, TripletTask):
             raise InvalidInput("TRIPLET needs a TripletTask")
-        per_mode = triplet_accuracy(task, bundle, sink_cfg)
-        mode_counts: dict[str, int] = {}
-        for _, _, _, mode in task.triplets:
-            mode_counts[mode] = mode_counts.get(mode, 0) + 1
-        overall_correct = sum(per_mode[m] * mode_counts[m] for m in per_mode)
+        correct, totals = _triplet_counts(task, bundle, sink_cfg)
         metrics = {
-            "accuracy": {m: float(per_mode[m]) for m in per_mode},
-            "overall_accuracy": float(overall_correct / len(task.triplets)),
+            "accuracy": {m: correct[m] / totals[m] for m in sorted(totals)},
+            "overall_accuracy": sum(correct.values()) / len(task.triplets),
             "n_triplets": len(task.triplets),
         }
-        detail = {"per_mode_counts": mode_counts}
+        detail = {"per_mode_counts": totals}
     else:  # CORRELATION
         if pairs is None:
             raise InvalidInput("CORRELATION needs labeled pairs")
@@ -345,7 +340,7 @@ def run_protocol(
         "protocol": protocol,
         "seed": int(seed),
         "token_kind": bundle.token_kind,
-        "sinkhorn": asdict(sink_cfg if sink_cfg is not None else SinkhornConfig()),
+        "sinkhorn": asdict(sink_cfg),
     }
     return {
         **report_envelope(seed, params),

@@ -66,6 +66,11 @@ def _require(obj: dict, key: str, path, lineno: int) -> object:
     return obj[key]
 
 
+def _is_count(val, least: int) -> bool:
+    """An integer (not a boolean) of at least ``least``."""
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+
+
 def require_str(obj: dict, key: str, path, lineno: int) -> str:
     val = _require(obj, key, path, lineno)
     if not isinstance(val, str) or not val:

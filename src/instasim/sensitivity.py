@@ -41,25 +41,24 @@ class GridPoint:
     factor_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class EditGrid:
     anchor: str
     points: list[GridPoint]
 
-    @property
-    def factor_name(self) -> str:
+    def __post_init__(self):
+        if not self.points:
+            raise InvalidInput(f"grid {self.anchor!r} has no points")
         names = {p.factor_name for p in self.points}
         if len(names) != 1:
             raise InvalidInput(f"grid {self.anchor!r} mixes factors {sorted(names)}")
-        return next(iter(names))
-
-    def validate(self) -> None:
-        if not self.points:
-            raise InvalidInput(f"grid {self.anchor!r} has no points")
-        _ = self.factor_name
         for p in self.points:
             if not np.isfinite(p.identity_change) or not np.isfinite(p.factor_change):
                 raise InvalidInput(f"grid {self.anchor!r} has non-finite coordinates")
+
+    @property
+    def factor_name(self) -> str:
+        return self.points[0].factor_name
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,7 @@ def load_grids(path) -> list[EditGrid]:
             ]
         except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
-        grid = EditGrid(anchor=require_str(obj, "anchor", path, lineno), points=points)
-        grid.validate()
-        grids.append(grid)
+        grids.append(EditGrid(anchor=require_str(obj, "anchor", path, lineno), points=points))
     return grids
 
 
@@ -109,14 +106,12 @@ def _grid_number(point: dict, key: str, path, lineno) -> float:
 def grid_scores(
     grids: list[EditGrid],
     bundle: EmbeddingBundle,
-    sink_cfg: SinkhornConfig | None = None,
+    sink_cfg: SinkhornConfig = SinkhornConfig(),
 ) -> dict[tuple[str, str], float]:
     """Anchor similarity of every (anchor, image) pair the grids use, the
     anchor's pair with itself included. One engine pass scores them all,
     so fits and trends over the same grids share each pair and each
     item's self term."""
-    for grid in grids:
-        grid.validate()
     pairs = list(dict.fromkeys(
         (g.anchor, image_id) for g in grids for image_id in [g.anchor] + [p.image_id for p in g.points]
     ))
@@ -124,7 +119,6 @@ def grid_scores(
 
 
 def _design_and_targets(grid: EditGrid, scores: dict[tuple[str, str], float]):
-    grid.validate()
     rows = [(0.0, 0.0, scores[grid.anchor, grid.anchor])]
     for p in grid.points:
         rows.append((p.factor_change, p.identity_change, scores[grid.anchor, p.image_id]))
@@ -247,7 +241,6 @@ def similarity_trend(
         raise InvalidInput(f"no grids for factor {factor_name!r}")
     sims_by_level: dict[float, list[float]] = {}
     for grid in selected:
-        grid.validate()
         for p in grid.points:
             sims_by_level.setdefault(p.factor_change, []).append(scores[grid.anchor, p.image_id])
     return [

@@ -55,26 +55,29 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
+from .records import _is_count
 from .rng import derived_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class SinkhornConfig:
+    """Solver settings; checked when built, so an instance is valid."""
+
     epsilon: float = 0.05
     max_iters: int = 500
     tol: float = 1e-6
     max_tokens: int = 1024
     debiased: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidInput(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
+        if not _is_count(self.max_iters, 1):
+            raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvalidInput(f"tol must be positive and finite, got {self.tol}")
-        if self.max_tokens < 1:
-            raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not _is_count(self.max_tokens, 1):
+            raise InvalidInput(f"max_tokens must be >= 1, got {self.max_tokens!r}")
 
 
 @dataclass
@@ -158,7 +161,6 @@ def _check_set(name: str, M, cfg: SinkhornConfig) -> np.ndarray:
 
 
 def _check_pair(A, B, cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray]:
-    cfg.validate()
     A = _check_set("A", A, cfg)
     B = _check_set("B", B, cfg)
     if A.shape[1] != B.shape[1]:
@@ -176,10 +178,10 @@ def _lse(K: np.ndarray, h: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray
     """log sum exp(K + h) along ``axis``, max-shifted; ``h`` broadcasts
     against K and ``buf`` (K's shape) is the scratch space."""
     np.add(K, h, out=buf)
-    mx = buf.max(axis=axis)
-    np.subtract(buf, np.expand_dims(mx, axis), out=buf)
+    mx = buf.max(axis=axis, keepdims=True)
+    np.subtract(buf, mx, out=buf)
     np.exp(buf, out=buf)
-    return mx + np.log(buf.sum(axis=axis))
+    return mx.ravel() + np.log(buf.sum(axis=axis))
 
 
 def _ot_entropic(X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig, plan: bool = False):
@@ -247,7 +249,7 @@ def _ot_self(X: np.ndarray, cfg: SinkhornConfig, plan: bool = False):
     return SinkhornResult(value, err <= cfg.tol, iterations, err), T
 
 
-def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
+def self_term(X, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False):
     """The self term OT_eps(X, X) of the debiased divergence.
 
     It depends on X alone, so a caller that compares X with many sets
@@ -256,8 +258,6 @@ def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
     argument slots and halved: the amount the divergence's gradient
     with respect to X subtracts. It is None unless ``grad`` is set.
     """
-    cfg = cfg if cfg is not None else SinkhornConfig()
-    cfg.validate()
     X = _check_set("X", X, cfg)
     result, T = _ot_self(X, cfg, plan=grad)
     _tally(result)
@@ -268,10 +268,9 @@ def self_term(X, cfg: SinkhornConfig | None = None, grad: bool = False):
     return result, half_grad
 
 
-def cross_term(A, B, cfg: SinkhornConfig | None = None, grad: bool = False):
+def cross_term(A, B, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False):
     """The cross term OT_eps(A, B). Returns (result, dA, dB); the
     position gradients are None unless ``grad`` is set."""
-    cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     result, T = _ot_entropic(A, B, cfg, plan=grad)
     _tally(result)
@@ -293,7 +292,7 @@ def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> Sinkh
 
 
 def sinkhorn_divergence(
-    A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None
+    A, B, cfg: SinkhornConfig = SinkhornConfig(), self_a=None, self_b=None
 ) -> SinkhornResult:
     """Debiased divergence S_eps(A, B); raw OT_eps(A, B) when debiased=False.
 
@@ -306,7 +305,6 @@ def sinkhorn_divergence(
     Non-convergence within max_iters is reported through the flag, not
     raised; the returned value uses the final iterate.
     """
-    cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     if np.array_equal(A, B):
         aa, _ = self_a if self_a is not None else self_term(A, cfg)
@@ -329,10 +327,9 @@ class PatchSet(NamedTuple):
     self_ot: tuple | None
 
 
-def patch_set(Z, cfg: SinkhornConfig | None = None, grad: bool = False) -> PatchSet:
+def patch_set(Z, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False) -> PatchSet:
     """Normalize Z's rows to unit length and, when debiased, solve its
     self term once. A row of zeros has no direction: InvalidInput."""
-    cfg = cfg if cfg is not None else SinkhornConfig()
     Z = np.asarray(Z, dtype=np.float64)
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -350,7 +347,7 @@ def _ot_position_grads(X, Y, T):
     return gX, gY
 
 
-def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b=None):
+def divergence_grad(A, B, cfg: SinkhornConfig = SinkhornConfig(), self_a=None, self_b=None):
     """Divergence value plus gradients with respect to A and B rows.
 
     Returns (value, dA, dB, converged). ``self_a`` and ``self_b`` are
@@ -361,7 +358,6 @@ def divergence_grad(A, B, cfg: SinkhornConfig | None = None, self_a=None, self_b
     the limit of a converged solve; finite-difference checks should
     therefore run the solver at a tight tol.
     """
-    cfg = cfg if cfg is not None else SinkhornConfig()
     A, B = _check_pair(A, B, cfg)
     ab, dA, dB = cross_term(A, B, cfg, grad=True)
     if not cfg.debiased:

@@ -21,13 +21,14 @@ per-epoch shuffle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import EmbeddingBundle
 from .errors import InvalidInput, MissingItem
 from .heads import (
+    ACTIVATIONS,
     AdamWState,
     DualHead,
     adamw_init,
@@ -42,7 +43,7 @@ from .heads import (
 from .losses import LossConfig, cosine_losses, patch_losses, total_loss
 from .metrics import triplet_correct
 from .protocols import score_pairs
-from .records import ImageManifest, Triplet, manifest_index
+from .records import ImageManifest, Triplet, _is_count, manifest_index
 from .rng import derived_rng
 from .sinkhorn import SinkhornConfig, subsample_tokens
 
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-4
     weight_decay: float = 0.0
@@ -66,20 +67,22 @@ class TrainConfig:
     hidden_dim: int = 512
     out_dim: int | None = None
     activation: str = "gelu"
-    loss: LossConfig = field(default_factory=LossConfig)
-    sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
+    loss: LossConfig = LossConfig()
+    sinkhorn: SinkhornConfig = SinkhornConfig()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0 for v in (self.lr, self.weight_decay)):
             raise InvalidInput("lr and weight_decay must be finite and non-negative")
-        if self.batch_size < 1 or self.grad_accum < 1:
+        if not (_is_count(self.batch_size, 1) and _is_count(self.grad_accum, 1)):
             raise InvalidInput("batch_size and grad_accum must be >= 1")
-        if self.epochs < 0:
+        if not _is_count(self.epochs, 0):
             raise InvalidInput("epochs must be >= 0")
-        if self.hidden_dim < 1:
+        if not _is_count(self.hidden_dim, 1):
             raise InvalidInput("hidden_dim must be >= 1")
-        self.loss.validate()
-        self.sinkhorn.validate()
+        if not (self.out_dim is None or _is_count(self.out_dim, 1)):
+            raise InvalidInput(f"out_dim must be None or >= 1, got {self.out_dim!r}")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidInput(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass
@@ -241,7 +244,6 @@ def train(
     training triplets; best checkpoint is the earliest epoch achieving
     the highest validation accuracy.
     """
-    cfg.validate()
     data = _TrainData(cls_bundle, patch_bundle, cfg)
     index = manifest_index(manifests)
     for t in triplets:

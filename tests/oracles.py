@@ -288,7 +288,6 @@ def cls_loss_per_negative(anchor: np.ndarray, positive: np.ndarray, negatives, c
     from instasim.errors import InvalidInput, ShapeError
     from instasim.losses import _OBJECTIVE, BatchScores
 
-    cfg.validate()
     anchor = np.asarray(anchor, dtype=np.float64).ravel()
     positive = np.asarray(positive, dtype=np.float64).ravel()
     negatives = [np.asarray(n, dtype=np.float64).ravel() for n in negatives]

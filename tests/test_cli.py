@@ -429,6 +429,28 @@ class TestMine:
         assert code == 1
         assert err.startswith("error: MissingItem:")
 
+    # a PATCH query set, a PATCH pool, two PATCH bundles with unequal row
+    # counts (world.patch_bundle) and two with equal ones (tokens)
+    @pytest.mark.parametrize(
+        "query, pool",
+        [("patch_bundle", "cls_bundle"), ("cls_bundle", "patch_bundle"),
+         ("patch_bundle", "patch_bundle"), ("tokens", "tokens")],
+    )
+    def test_patch_bundles_are_rejected(self, world, tokens, tmp_path, query, pool):
+        paths = {**vars(world), "tokens": tokens}
+        out_path = tmp_path / "mined.jsonl"
+        code, _, err = run_cli(
+            "mine",
+            "--query-bundle", paths[query],
+            "--pool-bundle", paths[pool],
+            "--manifests", world.manifests,
+            "--out", out_path,
+        )
+        assert code == 1
+        assert err.startswith("error: InvalidInput:")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
 
 class TestTriplets:
     def test_build_writes_triplets_and_report(self, world, tmp_path):

@@ -330,11 +330,11 @@ class TestTotalLoss:
 class TestLossConfig:
     def test_validation(self):
         with pytest.raises(InvalidInput):
-            LossConfig(tau=0.0).validate()
+            LossConfig(tau=0.0)
         with pytest.raises(InvalidInput):
-            LossConfig(objective="SOFTMAX").validate()
+            LossConfig(objective="SOFTMAX")
         with pytest.raises(InvalidInput):
-            LossConfig(patch_metric="CHAMFER").validate()
+            LossConfig(patch_metric="CHAMFER")
         with pytest.raises(InvalidInput):
-            LossConfig(lam=-0.5).validate()
-        LossConfig().validate()
+            LossConfig(lam=-0.5)
+        LossConfig()

@@ -269,17 +269,17 @@ class TestRetrieval:
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
-            RetrievalTask(queries=[], gallery=["a"], relevance={}).validate()
+            RetrievalTask(queries=[], gallery=["a"], relevance={})
         with pytest.raises(DuplicateId):
             RetrievalTask(
                 queries=["q", "q"], gallery=["a"], relevance={"q": {"a"}}
-            ).validate()
+            )
         with pytest.raises(InvalidInput):
-            RetrievalTask(queries=["q"], gallery=["a"], relevance={"q": set()}).validate()
+            RetrievalTask(queries=["q"], gallery=["a"], relevance={"q": set()})
         with pytest.raises(InvalidInput):
             RetrievalTask(
                 queries=["q"], gallery=["a"], relevance={"q": {"elsewhere"}}
-            ).validate()
+            )
 
 
 class TestTripletProtocol:
@@ -298,11 +298,23 @@ class TestTripletProtocol:
         task = TripletTask(triplets=[("query", "match_exact", "match_exact", "HARD")])
         assert triplet_accuracy(task, planted_bundle) == {"HARD": 0.0}
 
+    def test_overall_accuracy_is_the_exact_share_of_correct_triplets(self):
+        # 15 / 22 * 22 is not exactly 15, so a count rebuilt from the
+        # per-mode accuracy would report 0.6521739130434782
+        bundle = make_bundle("CLS", 2, {"q": [1.0, 0.0], "near": [1.0, 0.1], "far": [0.0, 1.0]})
+        right, wrong = ("q", "near", "far"), ("q", "far", "near")
+        task = TripletTask(
+            triplets=[(*wrong, "EASY")] + [(*right, "HARD")] * 15 + [(*wrong, "HARD")] * 7
+        )
+        metrics = run_protocol("TRIPLET", bundle, task=task)["metrics"]
+        assert metrics["accuracy"] == {"EASY": 0.0, "HARD": 15 / 22}
+        assert metrics["overall_accuracy"] == 15 / 23 == 0.6521739130434783
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
-            TripletTask(triplets=[]).validate()
+            TripletTask(triplets=[])
         with pytest.raises(InvalidInput):
-            TripletTask(triplets=[("a", "b", "c", "MEDIUM")]).validate()
+            TripletTask(triplets=[("a", "b", "c", "MEDIUM")])
 
 
 class TestRunProtocol:

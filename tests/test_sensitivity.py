@@ -148,16 +148,14 @@ class TestFitInstance:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
-            EditGrid(anchor="a", points=[]).validate()
-        mixed = EditGrid(
-            anchor="a",
-            points=[_point("x", 1.0, 0.0, name="f1"), _point("y", 1.0, 0.0, name="f2")],
-        )
+            EditGrid(anchor="a", points=[])
         with pytest.raises(InvalidInput):
-            mixed.validate()
-        bad = EditGrid(anchor="a", points=[_point("x", np.nan, 0.0)])
+            EditGrid(
+                anchor="a",
+                points=[_point("x", 1.0, 0.0, name="f1"), _point("y", 1.0, 0.0, name="f2")],
+            )
         with pytest.raises(InvalidInput):
-            bad.validate()
+            EditGrid(anchor="a", points=[_point("x", np.nan, 0.0)])
 
 
 class TestBootstrapAggregate:

@@ -325,6 +325,6 @@ class TestValidation:
 
     def test_bad_config(self):
         with pytest.raises(InvalidInput):
-            SinkhornConfig(epsilon=0.0).validate()
+            SinkhornConfig(epsilon=0.0)
         with pytest.raises(InvalidInput):
-            SinkhornConfig(max_iters=0).validate()
+            SinkhornConfig(max_iters=0)

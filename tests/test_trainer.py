@@ -1,4 +1,6 @@
 """End-to-end training loop behaviour and gradient assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -302,7 +304,7 @@ class TestMicroBatchPass:
                 return _fn(*args)
 
             monkeypatch.setattr(trainer, name, counted)
-        cfg.batch_size = 2
+        cfg = dataclasses.replace(cfg, batch_size=2)
         train_step(head, adamw_init(head), self.MICRO, data, inst_of, cfg)
         assert calls == {"cosine_losses": 2, "patch_losses": 2 if lam > 0 else 0}
 
