@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from ._version import __version__
 from .bundle import read_bundle, write_bundle
@@ -41,9 +41,10 @@ from .curation import (
     save_samples,
 )
 from .errors import Error, InvalidInput
-from .heads import load_head, save_head
-from .losses import LossConfig
+from .heads import ACTIVATIONS, apply_head, load_head, save_head
+from .losses import OBJECTIVES, PATCH_METRICS, LossConfig
 from .protocols import (
+    PROTOCOLS,
     load_retrieval_task,
     load_triplet_task,
     run_protocol,
@@ -65,7 +66,7 @@ from .sensitivity import (
     write_trend_csv,
 )
 from .sinkhorn import SinkhornConfig, solve_counts
-from .trainer import TrainConfig, apply_head, train
+from .trainer import TrainConfig, train
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -79,23 +80,21 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _sinkhorn_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--max-iters", type=int, default=500)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-tokens", type=int, default=1024)
-    parser.add_argument("--no-debias", action="store_true", help="use the raw entropic cost")
-
-
-def _sinkhorn_from(args) -> SinkhornConfig:
-    """The command's Sinkhorn flags; building the config checks them,
-    so a bad value fails even a run that never solves."""
-    return SinkhornConfig(
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        max_tokens=args.max_tokens,
-        debiased=not args.no_debias,
+    parser.add_argument("--epsilon", type=float, default=SinkhornConfig.epsilon)
+    parser.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters)
+    parser.add_argument("--tol", type=float, default=SinkhornConfig.tol)
+    parser.add_argument("--max-tokens", type=int, default=SinkhornConfig.max_tokens)
+    parser.add_argument(
+        "--no-debias", dest="debiased", action="store_false", help="use the raw entropic cost"
     )
+
+
+def _config(cls, args, **nested):
+    """A ``cls`` from the flags named after its fields, plus ``nested``;
+    building it checks the flags, so a bad value fails even a run that
+    never uses it."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**flags, **nested)
 
 
 def _report_envelope(command: str, seed: int, params: dict) -> dict:
@@ -180,39 +179,14 @@ def _cmd_train(args) -> int:
     cls_bundle = read_bundle(args.cls_bundle)
     patch_bundle = read_bundle(args.patch_bundle) if args.patch_bundle else None
     triplets = load_triplets(args.triplets)
-    cfg = TrainConfig(
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        grad_accum=args.grad_accum,
-        epochs=args.epochs,
-        seed=args.seed,
-        hidden_dim=args.hidden_dim,
-        activation=args.activation,
-        loss=LossConfig(
-            tau=args.tau,
-            lam=args.lam,
-            margin=args.margin,
-            objective=args.objective,
-            patch_metric=args.patch_metric,
-        ),
-        sinkhorn=_sinkhorn_from(args),
+    cfg = _config(
+        TrainConfig, args, loss=_config(LossConfig, args), sinkhorn=_config(SinkhornConfig, args)
     )
     result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle)
-    params = {
-        "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay,
-        "batch_size": cfg.batch_size,
-        "grad_accum": cfg.grad_accum,
-        "epochs": cfg.epochs,
-        "hidden_dim": cfg.hidden_dim,
-        "activation": cfg.activation,
-        "tau": cfg.loss.tau,
-        "lambda": cfg.loss.lam,
-        "margin": cfg.loss.margin,
-        "objective": cfg.loss.objective,
-        "patch_metric": cfg.loss.patch_metric,
-    }
+    # every field but the seed, which the envelope hashes on its own; the
+    # Sinkhorn fields join the hash with the next re-pin of the golden hashes
+    params = {k: v for k, v in asdict(cfg).items() if k not in ("seed", "loss", "sinkhorn")}
+    params.update({"lambda" if k == "lam" else k: v for k, v in asdict(cfg.loss).items()})
     report = _report_envelope("train", args.seed, params)
     save_head(args.out_head, result.best_head, seed=args.seed, config_hash=report["config_hash"])
     if args.out_history:
@@ -234,7 +208,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_score(args) -> int:
     bundle = read_bundle(args.bundle)
-    res = similarity(args.pair[0], args.pair[1], bundle, _sinkhorn_from(args))
+    res = similarity(args.pair[0], args.pair[1], bundle, _config(SinkhornConfig, args))
     print(f"similarity={res.similarity:.12g} distance={res.distance:.12g}")
     return 0
 
@@ -252,9 +226,8 @@ def _cmd_eval(args) -> int:
         if not args.pairs:
             raise InvalidInput(f"{args.protocol} needs --pairs")
         pairs = load_pair_labels(args.pairs)
-    report = run_protocol(
-        protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=_sinkhorn_from(args)
-    )
+    sink_cfg = _config(SinkhornConfig, args)
+    report = run_protocol(protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=sink_cfg)
     write_json_report(args.out, report)
     print(f"wrote {args.out}")
     return 0
@@ -263,7 +236,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sensitivity(args) -> int:
     grids = load_grids(args.grids)
     # one engine pass for the fits and the trend, which share their pairs
-    scores = grid_scores(grids, read_bundle(args.bundle), _sinkhorn_from(args))
+    scores = grid_scores(grids, read_bundle(args.bundle), _config(SinkhornConfig, args))
     report = analyze_grids(grids, scores, n_boot=args.n_boot, seed=args.seed)
     write_json_report(args.out, report)
     if args.out_trend:
@@ -356,20 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True)
     p.add_argument("--out-head", required=True)
     p.add_argument("--out-history")
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--grad-accum", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--hidden-dim", type=int, default=512)
-    p.add_argument("--activation", choices=("gelu", "identity"), default="gelu")
-    p.add_argument("--tau", type=float, default=0.07)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--objective", choices=("INFONCE", "HINGE", "BCE"), default="INFONCE")
-    p.add_argument(
-        "--patch-metric", choices=("SINKHORN", "COSINE_MEANPOOL"), default="SINKHORN"
-    )
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--grad-accum", type=int, default=TrainConfig.grad_accum)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=TrainConfig.activation)
+    p.add_argument("--tau", type=float, default=LossConfig.tau)
+    p.add_argument("--lambda", dest="lam", type=float, default=LossConfig.lam)
+    p.add_argument("--margin", type=float, default=LossConfig.margin)
+    p.add_argument("--objective", choices=OBJECTIVES, default=LossConfig.objective)
+    p.add_argument("--patch-metric", choices=PATCH_METRICS, default=LossConfig.patch_metric)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("apply", help="project a bundle through a trained head")
@@ -389,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run an evaluation protocol, write a JSON report")
     _common_flags(p)
     _sinkhorn_flags(p)
-    p.add_argument(
-        "protocol", choices=("retrieval", "verification", "triplet", "correlation")
-    )
+    p.add_argument("protocol", choices=[name.lower() for name in PROTOCOLS])
     p.add_argument("--bundle", required=True)
     p.add_argument("--task", help="task JSONL (retrieval, triplet)")
     p.add_argument("--pairs", help="labeled-pair JSONL (verification, correlation)")

@@ -226,17 +226,12 @@ def sample_instances(
     return samples, shortfall
 
 
-def assign_splits(
-    samples: list[InstanceSample], seed: int, ratio: tuple[int, int] = (10, 1)
-) -> dict[str, str]:
-    """Instance-level train/val assignment, proportional per dataset.
+def assign_splits(samples: list[InstanceSample], seed: int) -> dict[str, str]:
+    """Instance-level train/val assignment, 10 : 1 per dataset.
 
-    n_train = floor(n * ratio_train / (ratio_train + ratio_val)) per
-    dataset, on a seeded shuffle of its instance ids.
+    n_train = floor(10 * n / 11) per dataset, on a seeded shuffle of its
+    instance ids.
     """
-    train_part, val_part = ratio
-    if train_part < 1 or val_part < 0:
-        raise InvalidInput(f"bad split ratio {ratio}")
     by_dataset: dict[str, list[str]] = {}
     for s in samples:
         by_dataset.setdefault(s.dataset_id, []).append(s.instance_id)
@@ -245,7 +240,7 @@ def assign_splits(
         ids = sorted(set(by_dataset[dataset_id]))
         rng = derived_rng(seed, "split", dataset_id)
         perm = rng.permutation(len(ids))
-        n_train = len(ids) * train_part // (train_part + val_part)
+        n_train = len(ids) * 10 // 11
         for pos, idx in enumerate(perm):
             split[ids[idx]] = "train" if pos < n_train else "val"
     return split

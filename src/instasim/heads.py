@@ -28,6 +28,7 @@ import numpy as np
 
 from .bundle import EmbeddingBundle
 from .errors import FormatError, InvalidInput, IoError, ShapeError
+from .records import _is_count
 from .reporting import atomic_write, canonical_json
 from .rng import derived_rng
 
@@ -35,6 +36,8 @@ ACTIVATIONS = ("gelu", "identity")
 CHECKPOINT_VERSION = 1
 # rows per mlp_forward pass in apply_head; bounds its float64 temporaries
 APPLY_ROW_BLOCK = 256
+# AdamW's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -95,22 +98,24 @@ def erf(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF."""
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return x * _gaussian_cdf(x)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx GELU = Phi(x) + x * phi(x)."""
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return _gelu_grad(x, _gaussian_cdf(x))
 
 
-def _activation(name: str, x: np.ndarray) -> np.ndarray:
-    return gelu(x) if name == "gelu" else x
-
-
-def _activation_grad(name: str, x: np.ndarray) -> np.ndarray:
-    return gelu_grad(x) if name == "gelu" else np.ones_like(x)
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``gelu_grad(x)`` given cdf = Phi(x)."""
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 @dataclass
@@ -185,7 +190,8 @@ def identity_dual_head(dim: int) -> DualHead:
 
 
 def mlp_forward(mlp: TwoLayerMLP, X: np.ndarray, activation: str):
-    """Row-wise forward pass. Returns (Y, cache) with cache for backward."""
+    """Row-wise forward pass. Returns (Y, cache) with cache for backward,
+    which holds Phi(H) so that the backward pass need not recompute it."""
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
     if squeeze:
@@ -193,9 +199,10 @@ def mlp_forward(mlp: TwoLayerMLP, X: np.ndarray, activation: str):
     if X.ndim != 2 or X.shape[1] != mlp.W1.shape[0]:
         raise ShapeError(f"input dim {X.shape} does not match head input {mlp.W1.shape[0]}")
     H = X @ mlp.W1 + mlp.b1
-    A = _activation(activation, H)
+    cdf = _gaussian_cdf(H) if activation == "gelu" else None
+    A = H if cdf is None else H * cdf
     Y = A @ mlp.W2 + mlp.b2
-    cache = (X, H, A)
+    cache = (X, H, A, cdf)
     return (Y[0] if squeeze else Y), cache
 
 
@@ -205,14 +212,14 @@ def mlp_backward(mlp: TwoLayerMLP, cache, dY: np.ndarray, activation: str):
     Returns (dX, grads) where grads maps W1/b1/W2/b2 to arrays shaped
     like the parameters.
     """
-    X, H, A = cache
+    X, H, A, cdf = cache
     dY = np.asarray(dY, dtype=np.float64)
     if dY.ndim == 1:
         dY = dY.reshape(1, -1)
     dW2 = A.T @ dY
     db2 = dY.sum(axis=0)
     dA = dY @ mlp.W2.T
-    dH = dA * _activation_grad(activation, H)
+    dH = dA * _gelu_grad(H, cdf) if activation == "gelu" else dA
     dW1 = X.T @ dH
     db1 = dH.sum(axis=0)
     dX = dH @ mlp.W1.T
@@ -265,9 +272,6 @@ def adamw_step(
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place, of the
     parameters named in ``grads``; the others are left as they are.
@@ -281,20 +285,20 @@ def adamw_step(
     """
     state.step += 1
     t = state.step
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     params = head_params(head)
     for name, g in grads.items():
         p, m, v = params[name], state.m[name], state.v[name]
-        buf = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        buf = np.multiply(g, 1.0 - _BETA1)
+        m *= _BETA1
         m += buf
         np.multiply(g, g, out=buf)
-        buf *= 1.0 - beta2
-        v *= beta2
+        buf *= 1.0 - _BETA2
+        v *= _BETA2
         v += buf
         np.divide(v, c2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += eps
+        buf += _EPS
         upd = m / c1
         upd /= buf
         np.multiply(p, weight_decay, out=buf)
@@ -375,7 +379,7 @@ def load_head(path) -> tuple[DualHead, dict]:
     if header.get("activation") not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {header.get('activation')!r}")
     dims = [header.get(key) for key in ("in_dim", "hidden_dim", "out_dim")]
-    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
+    if not all(_is_count(d, 1) for d in dims):
         raise FormatError(f"{path}: in_dim, hidden_dim and out_dim must be positive integers")
     table = _param_table(*dims)
     if header.get("params") != table:

@@ -10,8 +10,9 @@ score a pair differently.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -121,16 +122,20 @@ def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# task containers: frozen, and checked when built
+# task containers: frozen, holding read-only copies, and checked when built
 
 
 @dataclass(frozen=True)
 class RetrievalTask:
-    queries: list[str]
-    gallery: list[str]
-    relevance: dict[str, set[str]]
+    queries: tuple[str, ...]
+    gallery: tuple[str, ...]
+    relevance: Mapping[str, frozenset[str]]
 
     def __post_init__(self):
+        object.__setattr__(self, "queries", tuple(self.queries))
+        object.__setattr__(self, "gallery", tuple(self.gallery))
+        relevance = {q: frozenset(rel) for q, rel in self.relevance.items()}
+        object.__setattr__(self, "relevance", MappingProxyType(relevance))
         if not self.queries or not self.gallery:
             raise InvalidInput("retrieval task needs queries and a gallery")
         if len(set(self.queries)) != len(self.queries):
@@ -139,7 +144,7 @@ class RetrievalTask:
             raise DuplicateId("duplicate gallery ids")
         gallery = set(self.gallery)
         for q in self.queries:
-            rel = self.relevance.get(q, set())
+            rel = self.relevance.get(q, frozenset())
             if not rel:
                 raise InvalidInput(f"query {q!r} has no relevant gallery items")
             if not rel <= gallery:
@@ -148,9 +153,10 @@ class RetrievalTask:
 
 @dataclass(frozen=True)
 class TripletTask:
-    triplets: list[tuple[str, str, str, str]] = field(default_factory=list)  # (a, p, n, mode)
+    triplets: tuple[tuple[str, str, str, str], ...] = ()  # (a, p, n, mode)
 
     def __post_init__(self):
+        object.__setattr__(self, "triplets", tuple(map(tuple, self.triplets)))
         if not self.triplets:
             raise InvalidInput("triplet task is empty")
         for a, p, n, mode in self.triplets:

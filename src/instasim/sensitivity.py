@@ -44,9 +44,10 @@ class GridPoint:
 @dataclass(frozen=True)
 class EditGrid:
     anchor: str
-    points: list[GridPoint]
+    points: tuple[GridPoint, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise InvalidInput(f"grid {self.anchor!r} has no points")
         names = {p.factor_name for p in self.points}

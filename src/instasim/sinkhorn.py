@@ -291,6 +291,30 @@ def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> Sinkh
     )
 
 
+def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, grad: bool):
+    """(result, dA, dB) for ``sinkhorn_divergence`` and ``divergence_grad``;
+    the gradients are None unless ``grad`` is set.
+
+    Two sets with equal values are solved once, as a self term (numpy's
+    symmetric X @ X.T differs in its last bits from X @ Y.T for a copy
+    Y of X): debiased, value and gradients are exactly 0; raw, they are
+    the self term's value and its half_grad."""
+    A, B = _check_pair(A, B, cfg)
+    if np.array_equal(A, B):
+        aa, half = self_a if self_a is not None else self_term(A, cfg, grad)
+        if cfg.debiased:
+            aa, half = _debias(aa, aa, aa), np.zeros_like(A)
+        return (aa, half.copy(), half.copy()) if grad else (aa, None, None)
+    ab, dA, dB = cross_term(A, B, cfg, grad)
+    if not cfg.debiased:
+        return ab, dA, dB
+    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad)
+    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad)
+    if grad:
+        dA, dB = dA - half_a, dB - half_b
+    return _debias(ab, aa, bb), dA, dB
+
+
 def sinkhorn_divergence(
     A, B, cfg: SinkhornConfig = SinkhornConfig(), self_a=None, self_b=None
 ) -> SinkhornResult:
@@ -298,23 +322,11 @@ def sinkhorn_divergence(
 
     ``self_a`` and ``self_b`` are what ``self_term(A, cfg)`` and
     ``self_term(B, cfg)`` returned, for a caller that compares A or B
-    with many sets; the ones not given are solved here. Two sets with
-    equal values are solved once, as a self term: numpy computes
-    X @ X.T with a symmetric product whose last bits differ from
-    X @ Y.T for a copy Y of X, which would leave S(X, X) a hair off 0.
-    Non-convergence within max_iters is reported through the flag, not
-    raised; the returned value uses the final iterate.
+    with many sets; the ones not given are solved here. Non-convergence
+    within max_iters is reported through the flag, not raised; the
+    returned value uses the final iterate.
     """
-    A, B = _check_pair(A, B, cfg)
-    if np.array_equal(A, B):
-        aa, _ = self_a if self_a is not None else self_term(A, cfg)
-        return _debias(aa, aa, aa) if cfg.debiased else aa
-    ab, _, _ = cross_term(A, B, cfg)
-    if not cfg.debiased:
-        return ab
-    aa, _ = self_a if self_a is not None else self_term(A, cfg)
-    bb, _ = self_b if self_b is not None else self_term(B, cfg)
-    return _debias(ab, aa, bb)
+    return _divergence(A, B, cfg, self_a, self_b, grad=False)[0]
 
 
 class PatchSet(NamedTuple):
@@ -358,11 +370,5 @@ def divergence_grad(A, B, cfg: SinkhornConfig = SinkhornConfig(), self_a=None, s
     the limit of a converged solve; finite-difference checks should
     therefore run the solver at a tight tol.
     """
-    A, B = _check_pair(A, B, cfg)
-    ab, dA, dB = cross_term(A, B, cfg, grad=True)
-    if not cfg.debiased:
-        return ab.value, dA, dB, ab.converged
-    aa, half_a = self_a if self_a is not None else self_term(A, cfg, grad=True)
-    bb, half_b = self_b if self_b is not None else self_term(B, cfg, grad=True)
-    res = _debias(ab, aa, bb)
-    return res.value, dA - half_a, dB - half_b, res.converged
+    res, dA, dB = _divergence(A, B, cfg, self_a, self_b, grad=True)
+    return res.value, dA, dB, res.converged

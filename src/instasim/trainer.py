@@ -33,7 +33,6 @@ from .heads import (
     DualHead,
     adamw_init,
     adamw_step,
-    apply_head,
     clone_head,
     init_dual_head,
     mlp_backward,
@@ -47,15 +46,6 @@ from .records import ImageManifest, Triplet, _is_count, manifest_index
 from .rng import derived_rng
 from .sinkhorn import SinkhornConfig, subsample_tokens
 
-__all__ = [
-    "TrainConfig",
-    "TrainResult",
-    "train",
-    "train_step",
-    "apply_head",
-]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-4
@@ -65,7 +55,6 @@ class TrainConfig:
     epochs: int = 3
     seed: int = 0
     hidden_dim: int = 512
-    out_dim: int | None = None
     activation: str = "gelu"
     loss: LossConfig = LossConfig()
     sinkhorn: SinkhornConfig = SinkhornConfig()
@@ -79,8 +68,6 @@ class TrainConfig:
             raise InvalidInput("epochs must be >= 0")
         if not _is_count(self.hidden_dim, 1):
             raise InvalidInput("hidden_dim must be >= 1")
-        if not (self.out_dim is None or _is_count(self.out_dim, 1)):
-            raise InvalidInput(f"out_dim must be None or >= 1, got {self.out_dim!r}")
         if self.activation not in ACTIVATIONS:
             raise InvalidInput(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -257,7 +244,6 @@ def train(
         head = init_dual_head(
             in_dim=cls_bundle.dim,
             hidden_dim=cfg.hidden_dim,
-            out_dim=cfg.out_dim,
             activation=cfg.activation,
             seed=cfg.seed,
         )

@@ -21,11 +21,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from instasim import cli
 from instasim._version import __version__
 from instasim.bundle import make_bundle, read_bundle, write_bundle
 from instasim.cli import main
 from instasim.curation import load_mined, load_samples, save_mined, save_samples, InstanceSample
+from instasim.errors import InvalidInput
 from instasim.heads import init_dual_head, load_head, save_head
+from instasim.losses import LossConfig
 from instasim.records import (
     Triplet,
     load_manifest,
@@ -34,7 +37,9 @@ from instasim.records import (
     save_triplets,
     validate_triplets,
 )
+from instasim.reporting import config_hash
 from instasim.sinkhorn import SinkhornConfig, sinkhorn_divergence
+from instasim.trainer import TrainConfig, TrainResult
 
 
 def run_cli(*argv):
@@ -960,6 +965,111 @@ class TestNonFiniteSettings:
         # the error names the setting, not a symptom such as an unserializable report
         assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", err), err
         assert list(out_dir.iterdir()) == []
+
+
+class TestFlagsBuildTheConfigs:
+    """Every command builds its configs from the flags named after their
+    fields, with the config types' own defaults."""
+
+    def _argv(self, command, world, out_dir):
+        if command == "train":
+            return [
+                "train",
+                "--manifests", world.manifests,
+                "--cls-bundle", world.cls_bundle,
+                "--triplets", world.train_triplets,
+                "--out-head", out_dir / "head.ckpt",
+            ]
+        if command == "score":
+            return ["score", "--bundle", world.cls_bundle, "--pair", "a1-0", "a1-1"]
+        if command == "eval":
+            return ["eval", "verification", "--bundle", world.cls_bundle,
+                    "--pairs", world.verif_pairs, "--out", out_dir / "r.json"]
+        return ["sensitivity", "--grids", world.grids, "--bundle", world.cls_bundle,
+                "--out", out_dir / "r.json"]
+
+    # the library function each command hands its config to
+    CALLEE = {"train": "train", "score": "similarity", "eval": "run_protocol",
+              "sensitivity": "grid_scores"}
+
+    def _built(self, monkeypatch, command, argv):
+        """The config the command passes on, caught before any work."""
+        seen = []
+
+        def catch(*args, **kwargs):
+            seen.extend(a for a in (*args, *kwargs.values())
+                        if isinstance(a, (TrainConfig, SinkhornConfig)))
+            raise InvalidInput("caught")
+
+        monkeypatch.setattr(cli, self.CALLEE[command], catch)
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (1, "error: InvalidInput: caught\n")
+        (cfg,) = seen
+        return cfg
+
+    @pytest.mark.parametrize("command", ["train", "score", "eval", "sensitivity"])
+    def test_required_flags_alone_give_the_default_config(
+        self, command, world, tmp_path, monkeypatch
+    ):
+        cfg = self._built(monkeypatch, command, self._argv(command, world, tmp_path))
+        assert cfg == (TrainConfig() if command == "train" else SinkhornConfig())
+
+    @pytest.mark.parametrize("command", ["train", "score", "eval", "sensitivity"])
+    def test_no_debias_clears_debiased(self, command, world, tmp_path, monkeypatch):
+        argv = self._argv(command, world, tmp_path) + ["--no-debias"]
+        cfg = self._built(monkeypatch, command, argv)
+        sink = cfg.sinkhorn if command == "train" else cfg
+        assert sink == SinkhornConfig(debiased=False)
+
+    def test_train_flags_set_every_field(self, world, tmp_path, monkeypatch):
+        argv = self._argv("train", world, tmp_path) + [
+            "--seed", 4, "--lr", 0.01, "--weight-decay", 0.1, "--batch-size", 2,
+            "--grad-accum", 3, "--epochs", 5, "--hidden-dim", 6, "--activation", "identity",
+            "--tau", 0.5, "--lambda", 0.25, "--margin", 0.2, "--objective", "HINGE",
+            "--patch-metric", "COSINE_MEANPOOL", "--epsilon", 0.1, "--max-iters", 7,
+            "--tol", 1e-4, "--max-tokens", 9, "--no-debias",
+        ]
+        assert self._built(monkeypatch, "train", argv) == TrainConfig(
+            lr=0.01, weight_decay=0.1, batch_size=2, grad_accum=3, epochs=5, seed=4,
+            hidden_dim=6, activation="identity",
+            loss=LossConfig(tau=0.5, lam=0.25, margin=0.2, objective="HINGE",
+                            patch_metric="COSINE_MEANPOOL"),
+            sinkhorn=SinkhornConfig(epsilon=0.1, max_iters=7, tol=1e-4, max_tokens=9,
+                                    debiased=False),
+        )
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--seed", 4, "--lr", 0.01, "--weight-decay", 0.1, "--batch-size", 2, "--grad-accum", 3,
+         "--epochs", 5, "--hidden-dim", 6, "--activation", "identity", "--tau", 0.5,
+         "--lambda", 0.25, "--margin", 0.2, "--objective", "HINGE",
+         "--patch-metric", "COSINE_MEANPOOL", "--epsilon", 0.1, "--no-debias"],
+    ], ids=["defaults", "non-defaults"])
+    def test_train_hash_is_that_of_the_hand_kept_parameters(
+        self, flags, world, tmp_path, monkeypatch
+    ):
+        head = init_dual_head(DIM, hidden_dim=2, seed=0)
+        monkeypatch.setattr(cli, "train", lambda *a, **k: TrainResult(head, head, 0, []))
+        code, _, err = run_cli(*self._argv("train", world, tmp_path), *flags)
+        assert code == 0, err
+        cfg = self._built(monkeypatch, "train", self._argv("train", world, tmp_path) + flags)
+        # the parameter list the train command kept by hand before it was derived from the fields
+        params = {
+            "lr": cfg.lr,
+            "weight_decay": cfg.weight_decay,
+            "batch_size": cfg.batch_size,
+            "grad_accum": cfg.grad_accum,
+            "epochs": cfg.epochs,
+            "hidden_dim": cfg.hidden_dim,
+            "activation": cfg.activation,
+            "tau": cfg.loss.tau,
+            "lambda": cfg.loss.lam,
+            "margin": cfg.loss.margin,
+            "objective": cfg.loss.objective,
+            "patch_metric": cfg.loss.patch_metric,
+        }
+        want = config_hash({"command": "train", "seed": cfg.seed, **params})
+        assert load_head(tmp_path / "head.ckpt")[1]["config_hash"] == want
 
 
 class TestVotesAndInspect:

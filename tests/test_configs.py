@@ -67,9 +67,6 @@ BAD = [
     (TrainConfig, "epochs", 1.5, InvalidInput, "epochs must be >= 0"),
     (TrainConfig, "hidden_dim", 0, InvalidInput, "hidden_dim must be >= 1"),
     (TrainConfig, "hidden_dim", False, InvalidInput, "hidden_dim must be >= 1"),
-    (TrainConfig, "out_dim", -1, InvalidInput, "out_dim must be None or >= 1, got -1"),
-    (TrainConfig, "out_dim", 0, InvalidInput, "out_dim must be None or >= 1, got 0"),
-    (TrainConfig, "out_dim", 4.0, InvalidInput, "out_dim must be None or >= 1, got 4.0"),
     (TrainConfig, "activation", "relu", InvalidInput,
      "activation must be one of ('gelu', 'identity'), got 'relu'"),
     (RetrievalTask, "queries", [], InvalidInput, NO_QUERIES),
@@ -120,3 +117,29 @@ def test_fields_are_frozen(cls):
 
 def test_edit_grid_factor_name_is_its_points_factor():
     assert EditGrid("a", [_pt("x", name="blur"), _pt("y", name="blur")]).factor_name == "blur"
+
+
+def test_containers_are_read_only():
+    t = TripletTask([("q", "n", "f", "EASY")])
+    with pytest.raises(AttributeError):
+        t.triplets.append(("q", "n", "f", "MEDIUM"))
+    r = RetrievalTask(**VALID[RetrievalTask])
+    with pytest.raises(AttributeError):
+        r.queries.append("x")
+    with pytest.raises(AttributeError):
+        r.gallery.append("x")
+    with pytest.raises(TypeError):
+        r.relevance["x"] = {"a"}
+    with pytest.raises(AttributeError):
+        r.relevance["q"].add("elsewhere")
+    g = EditGrid(**VALID[EditGrid])
+    with pytest.raises(AttributeError):
+        g.points.append(_pt(name="other"))
+
+
+def test_containers_are_copied_when_built():
+    queries, relevance = ["q"], {"q": {"a"}}
+    r = RetrievalTask(queries, ["a", "b"], relevance)
+    queries.append("q2")
+    relevance["q"].add("elsewhere")
+    assert r.queries == ("q",) and r.relevance == {"q": frozenset({"a"})}

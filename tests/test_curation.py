@@ -292,10 +292,6 @@ class TestAssignSplits:
         samples = [InstanceSample(f"i{k}", "DS", "x", "y") for k in range(30)]
         assert assign_splits(samples, seed=9) == assign_splits(samples, seed=9)
 
-    def test_bad_ratio(self):
-        with pytest.raises(InvalidInput):
-            assign_splits([], seed=0, ratio=(0, 1))
-
 
 class TestMining:
     def _bundles(self, rng, n_inst=4, per_inst=3, dim=8):

@@ -14,6 +14,7 @@ from instasim.errors import FormatError, InvalidInput, ShapeError
 from instasim.heads import (
     AdamWState,
     DualHead,
+    TwoLayerMLP,
     adamw_init,
     adamw_step,
     apply_head,
@@ -189,6 +190,24 @@ class TestMlpForwardBackward:
                 flat[k] = orig
                 fd[k] = (fp - fm) / (2 * h)
             np.testing.assert_allclose(grad.reshape(-1), fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 40.0])
+    def test_one_erf_pass_gives_the_bits_of_gelu_and_gelu_grad(self, rng, scale, monkeypatch):
+        W1, W2 = rng.normal(size=(6, 8)), rng.normal(size=(8, 5))
+        mlp = TwoLayerMLP(W1, np.zeros(8), W2, np.zeros(5))
+        X = rng.normal(size=(9, 6)) * scale
+        dY = rng.normal(size=(9, 5))
+        H = X @ mlp.W1 + mlp.b1
+        dH = (dY @ mlp.W2.T) * gelu_grad(H)
+        calls = []
+        monkeypatch.setattr(heads, "erf", lambda x: calls.append(x) or erf(x))
+        Y, cache = mlp_forward(mlp, X, "gelu")
+        dX, grads = mlp_backward(mlp, cache, dY, "gelu")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(Y, 0.5 * H * (1.0 + erf(H / np.sqrt(2.0))) @ mlp.W2 + mlp.b2)
+        np.testing.assert_array_equal(dX, dH @ mlp.W1.T)
+        np.testing.assert_array_equal(grads["W1"], X.T @ dH)
+        np.testing.assert_array_equal(grads["b1"], dH.sum(axis=0))
 
     def test_shape_mismatch_rejected(self, rng):
         head = init_dual_head(4, hidden_dim=3, seed=0)

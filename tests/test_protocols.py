@@ -415,8 +415,8 @@ class TestTaskLoaders:
             '{"query": "q2", "relevant": ["g2", "g3"]}\n'
         )
         task = load_retrieval_task(path)
-        assert task.gallery == ["g1", "g2", "g3"]
-        assert task.queries == ["q1", "q2"]
+        assert task.gallery == ("g1", "g2", "g3")
+        assert task.queries == ("q1", "q2")
         assert task.relevance["q2"] == {"g2", "g3"}
 
     def test_retrieval_loader_errors(self, tmp_path):
@@ -444,7 +444,7 @@ class TestTaskLoaders:
             '{"anchor": "a", "positive": "p", "negative": "m", "mode": "HARD"}\n'
         )
         task = load_triplet_task(path)
-        assert task.triplets == [("a", "p", "n", "EASY"), ("a", "p", "m", "HARD")]
+        assert task.triplets == (("a", "p", "n", "EASY"), ("a", "p", "m", "HARD"))
 
     def test_triplet_loader_errors(self, tmp_path):
         path = tmp_path / "trip.jsonl"

@@ -38,6 +38,21 @@ class TestDivergenceValues:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         assert sinkhorn_divergence(X, X.copy()).value == 0.0
 
+    def test_copy_through_divergence_grad_is_one_self_term(self, rng):
+        # debiased: exactly 0 with zero gradients; raw: the self term's
+        # value, and its half gradient for both sets
+        X = rng.normal(size=(32, 64))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        with solve_counts() as counts:
+            value, dA, dB, converged = divergence_grad(X, X.copy())
+        assert value == 0.0 and converged and counts.solves == 1
+        assert dA.shape == dB.shape == X.shape and not dA.any() and not dB.any()
+        raw = SinkhornConfig(debiased=False)
+        aa, half = self_term(X, raw, grad=True)
+        value, dA, dB, _ = divergence_grad(X, X.copy(), raw)
+        assert value == aa.value and np.array_equal(dA, half) and np.array_equal(dB, half)
+        assert sinkhorn_divergence(X, X.copy(), raw) == aa
+
     def test_given_self_terms_change_no_bit(self, rng):
         X = rng.normal(size=(5, 3))
         Y = rng.normal(size=(4, 3))
