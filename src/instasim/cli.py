@@ -83,7 +83,13 @@ def _sinkhorn_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=SinkhornConfig.epsilon)
     parser.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters)
     parser.add_argument("--tol", type=float, default=SinkhornConfig.tol)
-    parser.add_argument("--max-tokens", type=int, default=SinkhornConfig.max_tokens)
+    parser.add_argument(
+        "--max-tokens",
+        type=int,
+        default=SinkhornConfig.max_tokens,
+        help="token rows per PATCH item: train subsamples larger items (seeded); "
+        "score, eval and sensitivity reject them",
+    )
     parser.add_argument(
         "--no-debias", dest="debiased", action="store_false", help="use the raw entropic cost"
     )

@@ -1,8 +1,9 @@
 """Contrastive objectives over one positive and N negatives, with
 analytic gradients.
 
-Scores passed in BatchScores are raw similarities (cosine for the
-global head, negated transport divergence for the patch head). The
+An objective takes one score row s: the positive's score at index 0,
+then at least one negative's. Scores are raw similarities (cosine for
+the global head, negated transport divergence for the patch head). The
 InfoNCE objective converts them to logits by dividing by the
 temperature and subtracts margin/tau from the positive logit; the
 hinge and BCE variants consume the scores as given, so their margins
@@ -12,13 +13,13 @@ The trainer makes one loss call per head per micro-batch:
 ``cosine_losses`` scores every entry (an anchor with its positive and
 negatives, as row indices) from one normalized k x k score matrix over
 the micro-batch's k distinct images, and ``patch_losses`` does the same
-for token matrices. ``cls_loss`` and ``patch_loss`` are their one-entry
-forms.
+for token matrices. One triplet is a one-entry call.
 
-Gradient conventions: every objective returns (loss, d_pos, d_neg) and
-every loss returns its derivatives with respect to its actual inputs
-(raw scores or raw vectors/matrices), so central finite differences on
-the loss itself reproduce them.
+Gradient conventions: every objective returns (loss, d), where d is the
+derivative with respect to s and has its shape, and every loss returns
+its derivatives with respect to its actual inputs (raw scores or raw
+vectors/matrices), so central finite differences on the loss itself
+reproduce them.
 """
 from __future__ import annotations
 
@@ -57,68 +58,61 @@ class LossConfig:
             )
 
 
-@dataclass
-class BatchScores:
-    """One positive score and at least one negative score, all finite."""
-
-    s_pos: float
-    s_neg: np.ndarray
-
-    def __post_init__(self):
-        self.s_neg = np.asarray(self.s_neg, dtype=np.float64).ravel()
-        if self.s_neg.size < 1:
-            raise InvalidInput("need at least one negative score")
-        if not np.isfinite(self.s_pos) or not np.all(np.isfinite(self.s_neg)):
-            raise InvalidInput("scores must be finite")
-
-
-def infonce_loss(scores: BatchScores, cfg: LossConfig):
+def infonce_loss(s: np.ndarray, cfg: LossConfig):
     """L = -log( e^{s+ - m'} / (e^{s+ - m'} + sum_i e^{s_i-}) ) on logits s/tau.
 
     m' = margin/tau is subtracted from the positive logit only. Computed
-    with the max-shift log-sum-exp trick. Returns (loss, d_pos, d_neg);
-    the gradient components sum to 0.
+    with the max-shift log-sum-exp trick. Returns (loss, d); the
+    components of d sum to 0.
     """
-    z = np.concatenate(([scores.s_pos - cfg.margin], scores.s_neg)) / cfg.tau
+    z = s.copy()
+    z[0] -= cfg.margin
+    z /= cfg.tau
     m = z.max()
     log_denom = m + np.log(np.exp(z - m).sum())
     loss = float(log_denom - z[0])
-    p = np.exp(z - log_denom)
-    d_pos = (p[0] - 1.0) / cfg.tau
-    d_neg = p[1:] / cfg.tau
-    return loss, float(d_pos), d_neg
+    d = np.exp(z - log_denom)
+    d[0] -= 1.0
+    return loss, d / cfg.tau
 
 
-def hinge_loss(scores: BatchScores, cfg: LossConfig):
+def hinge_loss(s: np.ndarray, cfg: LossConfig):
     """sum_i max(0, margin - (s+ - s_i-)) with margin in raw score space.
 
-    Returns (loss, d_pos, d_neg).
+    Returns (loss, d).
     """
-    gaps = cfg.margin - (scores.s_pos - scores.s_neg)
+    gaps = cfg.margin - (s[0] - s[1:])
     active = gaps > 0
-    loss = float(gaps[active].sum())
-    d_pos = -float(active.sum())
-    d_neg = active.astype(np.float64)
-    return loss, d_pos, d_neg
+    d = np.concatenate(([-float(active.sum())], active.astype(np.float64)))
+    return float(gaps[active].sum()), d
 
 
-def bce_loss(scores: BatchScores, cfg: LossConfig):
+def bce_loss(s: np.ndarray, cfg: LossConfig):
     """-log sigmoid(s+) - sum_i log(1 - sigmoid(s_i-)), stable softplus form.
 
-    Returns (loss, d_pos, d_neg).
+    Returns (loss, d).
     """
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
-    loss = float(np.logaddexp(0.0, -scores.s_pos) + np.logaddexp(0.0, scores.s_neg).sum())
-    d_pos = float(_sigmoid(scores.s_pos) - 1.0)
-    d_neg = _sigmoid(scores.s_neg)
-    return loss, d_pos, d_neg
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+    loss = float(np.logaddexp(0.0, -s[0]) + np.logaddexp(0.0, s[1:]).sum())
+    d = 0.5 * (1.0 + np.tanh(0.5 * s))  # sigmoid(s)
+    d[0] -= 1.0
+    return loss, d
 
 
 _OBJECTIVE = {"INFONCE": infonce_loss, "HINGE": hinge_loss, "BCE": bce_loss}
+
+
+def _check_inputs(mats, rows) -> None:
+    """Non-empty finite 2-D inputs of one width; a negative in every entry."""
+    for M in mats:
+        if M.ndim != 2 or M.shape[0] < 1:
+            raise InvalidInput(f"loss inputs must be non-empty 2-D, got shape {M.shape}")
+        if M.shape[1] != mats[0].shape[1]:
+            raise ShapeError("loss inputs must share one embedding dim")
+        if not np.all(np.isfinite(M)):
+            raise InvalidInput("non-finite loss input")
+    if any(len(others) < 2 for _, others in rows):
+        raise InvalidInput("every entry needs a positive and at least one negative")
 
 
 def cosine_losses(V: np.ndarray, rows, cfg: LossConfig):
@@ -135,6 +129,7 @@ def cosine_losses(V: np.ndarray, rows, cfg: LossConfig):
     Returns (per-entry losses, dV) with dV shaped like V.
     """
     V = np.asarray(V, dtype=np.float64)
+    _check_inputs([V], rows)
     norms = np.linalg.norm(V, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in cosine similarity")
@@ -143,32 +138,9 @@ def cosine_losses(V: np.ndarray, rows, cfg: LossConfig):
     G = np.zeros_like(S)
     losses = np.zeros(len(rows))
     for e, (a, others) in enumerate(rows):
-        s = S[a, others]
-        losses[e], d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s[0], s[1:]), cfg)
-        np.add.at(G, (a, others), np.concatenate(([d_pos], d_neg)))
+        losses[e], d = _OBJECTIVE[cfg.objective](S[a, others], cfg)
+        np.add.at(G, (a, others), d)
     return losses, _backprop_row_normalization((G + G.T) @ U, U, norms)
-
-
-def cls_loss(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfig):
-    """Global contrastive loss on projected CLS vectors: one entry of
-    ``cosine_losses``.
-
-    Returns (loss, grad_anchor, grad_positive, grad_negatives) where
-    grad_negatives is an (N, D) array aligned with the input list.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64).ravel()
-    positive = np.asarray(positive, dtype=np.float64).ravel()
-    negatives = [np.asarray(n, dtype=np.float64).ravel() for n in negatives]
-    if not negatives:
-        raise InvalidInput("need at least one negative")
-    for v in [anchor, positive, *negatives]:
-        if v.shape != anchor.shape:
-            raise ShapeError("all vectors must share one dimension")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput("non-finite vector")
-    V = np.stack([anchor, positive, *negatives])
-    losses, dV = cosine_losses(V, [(0, list(range(1, len(V))))], cfg)
-    return float(losses[0]), dV[0], dV[1], dV[2:]
 
 
 def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.ndarray):
@@ -178,7 +150,8 @@ def _backprop_row_normalization(G_hat: np.ndarray, M_hat: np.ndarray, norms: np.
 
 
 def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = SinkhornConfig()):
-    """``cosine_losses`` for token matrices: entries index into ``mats``.
+    """``cosine_losses`` for token matrices: entries index into ``mats``,
+    which must be non-empty, finite and of one width.
 
     With COSINE_MEANPOOL the scores are cosines of mean-pooled raw rows,
     and each pooled gradient g is spread as g / n over its matrix's n
@@ -191,6 +164,8 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = Sinkhor
 
     Returns (per-entry losses, [gradient for each matrix in mats]).
     """
+    mats = [np.asarray(M, dtype=np.float64) for M in mats]
+    _check_inputs(mats, rows)
     if cfg.patch_metric == "COSINE_MEANPOOL":
         losses, dV = cosine_losses(np.stack([M.mean(axis=0) for M in mats]), rows, cfg)
         return losses, [np.full(M.shape, g / len(M)) for g, M in zip(dV, mats)]
@@ -205,41 +180,12 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = Sinkhor
             divergence_grad(A.unit, sets[j].unit, sink_cfg, A.self_ot, sets[j].self_ot)
             for j in others
         ]
-        scores = BatchScores(-comps[0][0], -np.array([c[0] for c in comps[1:]]))
-        losses[e], d_pos, d_neg = _OBJECTIVE[cfg.objective](scores, cfg)
-        weights = np.concatenate(([d_pos], d_neg))
+        losses[e], weights = _OBJECTIVE[cfg.objective](-np.array([c[0] for c in comps]), cfg)
         G_anchor_hat = sum(w * -c[1] for w, c in zip(weights, comps))
         grads[a] += _backprop_row_normalization(G_anchor_hat, A.unit, A.norms)
         for w, j, c in zip(weights, others, comps):
             grads[j] += _backprop_row_normalization(w * -c[2], sets[j].unit, sets[j].norms)
     return losses, grads
-
-
-def patch_loss(
-    anchor_Z,
-    pos_Z,
-    neg_Zs,
-    cfg: LossConfig,
-    sink_cfg: SinkhornConfig = SinkhornConfig(),
-):
-    """Patch-level contrastive loss on projected token matrices: one
-    entry of ``patch_losses``. With COSINE_MEANPOOL the result is
-    cls_loss on the pooled vectors.
-
-    Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...]).
-    """
-    mats = [np.asarray(M, dtype=np.float64) for M in [anchor_Z, pos_Z, *neg_Zs]]
-    if len(mats) < 3:
-        raise InvalidInput("need at least one negative")
-    for M in mats:
-        if M.ndim != 2 or M.shape[0] < 1:
-            raise InvalidInput(f"patch matrices must be non-empty 2-D, got shape {M.shape}")
-        if M.shape[1] != mats[0].shape[1]:
-            raise ShapeError("patch matrices must share one embedding dim")
-        if not np.all(np.isfinite(M)):
-            raise InvalidInput("non-finite patch matrix")
-    losses, grads = patch_losses(mats, [(0, list(range(1, len(mats))))], cfg, sink_cfg)
-    return float(losses[0]), grads[0], grads[1], grads[2:]
 
 
 def total_loss(cls_part: float, patch_part: float, cfg: LossConfig) -> float:

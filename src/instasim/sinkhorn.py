@@ -154,8 +154,8 @@ def _check_set(name: str, M, cfg: SinkhornConfig) -> np.ndarray:
         raise InvalidInput(f"{name} contains non-finite values")
     if M.shape[0] > cfg.max_tokens:
         raise InvalidInput(
-            f"{name} has {M.shape[0]} rows, over the {cfg.max_tokens} cap; "
-            "subsample_tokens first"
+            f"a token set has {M.shape[0]} rows, over the {cfg.max_tokens} cap "
+            "that --max-tokens sets"
         )
     return M
 

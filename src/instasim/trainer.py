@@ -42,7 +42,7 @@ from .heads import (
 from .losses import LossConfig, cosine_losses, patch_losses, total_loss
 from .metrics import triplet_correct
 from .protocols import score_pairs
-from .records import ImageManifest, Triplet, _is_count, manifest_index
+from .records import ImageManifest, Triplet, _is_count, manifest_index, validate_triplets
 from .rng import derived_rng
 from .sinkhorn import SinkhornConfig, subsample_tokens
 
@@ -95,7 +95,7 @@ class _TrainData:
         self.cls_bundle = cls_bundle
         self.patch_bundle = patch_bundle
         self.cfg = cfg
-        self.use_patch = cfg.loss.lam > 0 and patch_bundle is not None
+        self.use_patch = cfg.loss.lam > 0
         self._patch_cache: dict[str, np.ndarray] = {}
 
     def require(self, image_id: str) -> None:
@@ -174,14 +174,13 @@ def train_step(
     chunk: list[Triplet],
     data: _TrainData,
     inst_of: dict[str, str],
-    cfg: TrainConfig,
 ) -> float:
     """One optimizer step over up to batch_size * grad_accum triplets.
 
     Gradients are accumulated across micro-batches, averaged per
     triplet, then applied with AdamW. At lambda = 0 the unused patch
-    head gets no gradient and is not stepped. Returns the mean triplet
-    loss.
+    head gets no gradient and is not stepped. Every setting comes from
+    ``data.cfg``. Returns the mean triplet loss.
     """
     if not chunk:
         raise InvalidInput("empty triplet chunk")
@@ -189,13 +188,13 @@ def train_step(
         name: g for name, g in zero_grads(head).items() if data.use_patch or name.startswith("cls.")
     }
     loss_sum = 0.0
-    for start in range(0, len(chunk), cfg.batch_size):
-        micro = chunk[start : start + cfg.batch_size]
+    for start in range(0, len(chunk), data.cfg.batch_size):
+        micro = chunk[start : start + data.cfg.batch_size]
         loss_sum += _micro_batch_pass(head, micro, data, inst_of, param_grads)
     n = len(chunk)
     for name in param_grads:
         param_grads[name] /= n
-    adamw_step(head, param_grads, opt_state, cfg.lr, cfg.weight_decay)
+    adamw_step(head, param_grads, opt_state, data.cfg.lr, data.cfg.weight_decay)
     return loss_sum / n
 
 
@@ -238,6 +237,7 @@ def train(
             if image_id not in index:
                 raise MissingItem(f"triplet references image {image_id!r} not in manifests")
             data.require(image_id)
+    validate_triplets(triplets, index)
     inst_of = {image_id: rec.instance_id for image_id, rec in index.items()}
 
     if initial_head is None:
@@ -279,7 +279,7 @@ def train(
         loss_total = 0.0
         for start in range(0, len(shuffled), chunk_len):
             chunk = shuffled[start : start + chunk_len]
-            loss_total += train_step(head, opt_state, chunk, data, inst_of, cfg) * len(chunk)
+            loss_total += train_step(head, opt_state, chunk, data, inst_of) * len(chunk)
         train_loss = loss_total / len(shuffled)
         val_acc = _validation_accuracy(head, val_set, data)
         history.append({"epoch": epoch, "train_loss": train_loss, "val_accuracy": val_acc})

@@ -110,6 +110,14 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def one_entry(batched, mats, *args):
+    """One anchor-first entry through a batched loss (``cosine_losses``
+    with stacked vectors, ``patch_losses`` with a list of matrices).
+    Returns (loss, grad_anchor, grad_positive, grad_negatives)."""
+    losses, grads = batched(mats, [(0, list(range(1, len(mats))))], *args)
+    return float(losses[0]), grads[0], grads[1], grads[2:]
+
+
 def rel_err(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> float:
     """Max relative error with an absolute floor so zeros do not blow up."""
     approx = np.asarray(approx, dtype=np.float64)
@@ -262,6 +270,46 @@ def adamw_step_allocating(
             raise InvalidInput(f"parameter {name} became non-finite after step {t}")
 
 
+def infonce_loss_split(s_pos, s_neg, cfg):
+    """InfoNCE on a positive score and an array of negative scores,
+    returning (loss, d_pos, d_neg): the form ``losses.infonce_loss`` had
+    before it took one score row. The row form must match its bits."""
+    z = np.concatenate(([s_pos - cfg.margin], s_neg)) / cfg.tau
+    m = z.max()
+    log_denom = m + np.log(np.exp(z - m).sum())
+    loss = float(log_denom - z[0])
+    p = np.exp(z - log_denom)
+    d_pos = (p[0] - 1.0) / cfg.tau
+    d_neg = p[1:] / cfg.tau
+    return loss, float(d_pos), d_neg
+
+
+def hinge_loss_split(s_pos, s_neg, cfg):
+    """``losses.hinge_loss`` in the same (s_pos, s_neg) form."""
+    gaps = cfg.margin - (s_pos - s_neg)
+    active = gaps > 0
+    loss = float(gaps[active].sum())
+    d_pos = -float(active.sum())
+    d_neg = active.astype(np.float64)
+    return loss, d_pos, d_neg
+
+
+def bce_loss_split(s_pos, s_neg, cfg):
+    """``losses.bce_loss`` in the same (s_pos, s_neg) form, with the
+    positive's sigmoid taken on a scalar."""
+
+    def sigmoid(x):
+        return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+
+    loss = float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum())
+    d_pos = float(sigmoid(s_pos) - 1.0)
+    d_neg = sigmoid(s_neg)
+    return loss, d_pos, d_neg
+
+
+OBJECTIVE_SPLIT = {"INFONCE": infonce_loss_split, "HINGE": hinge_loss_split, "BCE": bce_loss_split}
+
+
 def _cosine_and_jacobians(a: np.ndarray, b: np.ndarray):
     """cos(a, b) plus its gradients w.r.t. a and b."""
     from instasim.errors import InvalidInput
@@ -278,15 +326,13 @@ def _cosine_and_jacobians(a: np.ndarray, b: np.ndarray):
 
 def cls_loss_per_negative(anchor: np.ndarray, positive: np.ndarray, negatives, cfg: LossConfig):
     """The global contrastive loss with one cosine and one pair of
-    Jacobians per comparison (the earlier implementation of
-    ``losses.cls_loss``, before it became one entry of
-    ``losses.cosine_losses``).
+    Jacobians per comparison (the trainer's earlier per-triplet CLS
+    loss, before ``losses.cosine_losses`` scored a whole micro-batch).
 
     Returns (loss, grad_anchor, grad_positive, grad_negatives) where
     grad_negatives is an (N, D) array aligned with the input list.
     """
     from instasim.errors import InvalidInput, ShapeError
-    from instasim.losses import _OBJECTIVE, BatchScores
 
     anchor = np.asarray(anchor, dtype=np.float64).ravel()
     positive = np.asarray(positive, dtype=np.float64).ravel()
@@ -307,7 +353,7 @@ def cls_loss_per_negative(anchor: np.ndarray, positive: np.ndarray, negatives, c
         neg_sims.append(s)
         neg_jacs.append((ja, jn))
 
-    loss, d_pos, d_neg = _OBJECTIVE[cfg.objective](BatchScores(s_pos, np.array(neg_sims)), cfg)
+    loss, d_pos, d_neg = OBJECTIVE_SPLIT[cfg.objective](s_pos, np.array(neg_sims), cfg)
 
     grad_anchor = d_pos * ja_pos
     grad_positive = d_pos * jp
@@ -322,7 +368,6 @@ def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
     """The InfoNCE Sinkhorn patch loss with one ``divergence_grad`` call
     per comparison, so every comparison solves both self terms again.
     Returns (loss, grad_anchor_Z, grad_pos_Z, [grad_neg_Z ...])."""
-    from instasim.losses import BatchScores, infonce_loss
     from instasim.sinkhorn import divergence_grad
 
     def unit(M):
@@ -340,8 +385,7 @@ def patch_loss_per_comparison(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg):
         value, dA, dM, _ = divergence_grad(A_hat, M_hat, sink_cfg)
         sims.append(-value)
         grads.append((-dA, -dM, M_hat, m_norms))
-    scores = BatchScores(sims[0], np.array(sims[1:]))
-    loss, d_pos, d_neg = infonce_loss(scores, cfg)
+    loss, d_pos, d_neg = infonce_loss_split(sims[0], np.array(sims[1:]), cfg)
     G_anchor = np.zeros_like(A_hat)
     out = []
     for w, (dA, dM, M_hat, m_norms) in zip(np.concatenate(([d_pos], d_neg)), grads):
@@ -375,7 +419,7 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
     accumulates parameter gradients in place and returns the summed
     per-triplet loss."""
     from instasim.heads import mlp_backward, mlp_forward
-    from instasim.losses import patch_loss, total_loss
+    from instasim.losses import patch_losses, total_loss
     from instasim.trainer import _batch_negative_ids
 
     cfg = data.cfg
@@ -415,10 +459,9 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
 
         p_loss = 0.0
         if data.use_patch:
-            p_loss, gz_a, gz_p, gz_ns = patch_loss(
-                patch_out[t.anchor],
-                patch_out[t.positive],
-                [patch_out[n] for n in neg_ids],
+            p_loss, gz_a, gz_p, gz_ns = one_entry(
+                patch_losses,
+                [patch_out[t.anchor], patch_out[t.positive], *[patch_out[n] for n in neg_ids]],
                 cfg.loss,
                 cfg.sinkhorn,
             )

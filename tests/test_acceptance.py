@@ -19,6 +19,7 @@ from oracles import (
     fd_grad,
     kendall_oracle,
     ndcg_oracle,
+    one_entry,
     rel_err,
     spearman_oracle,
 )
@@ -35,13 +36,12 @@ from instasim.heads import (
     zero_grads,
 )
 from instasim.losses import (
-    BatchScores,
     LossConfig,
     bce_loss,
-    cls_loss,
+    cosine_losses,
     hinge_loss,
     infonce_loss,
-    patch_loss,
+    patch_losses,
     total_loss,
 )
 from instasim.metrics import (
@@ -87,9 +87,18 @@ def gate(name):
 # 1. analytic gradients vs central finite differences
 
 
-def _fd_scores(loss_fn, s_pos, s_neg, cfg):
-    v = np.concatenate(([s_pos], s_neg)).astype(np.float64)
-    return fd_grad(lambda w: loss_fn(BatchScores(float(w[0]), w[1:]), cfg), v)
+def _fd_scores(loss_fn, s, cfg):
+    return fd_grad(lambda w: loss_fn(w, cfg), s)
+
+
+def _cls(anchor, positive, negatives, cfg):
+    """One triplet through ``cosine_losses``."""
+    return one_entry(cosine_losses, np.stack([anchor, positive, *negatives]), cfg)
+
+
+def _patch(anchor_Z, pos_Z, neg_Zs, cfg, sink_cfg=SinkhornConfig()):
+    """One triplet through ``patch_losses``."""
+    return one_entry(patch_losses, [anchor_Z, pos_Z, *neg_Zs], cfg, sink_cfg)
 
 
 def test_gradient_suite():
@@ -110,9 +119,10 @@ def test_gradient_suite():
                 prob /= prob.sum()
                 if prob.min() >= 1e-4 and prob[0] <= 1.0 - 1e-4:
                     break
-            _, d_pos, d_neg = infonce_loss(BatchScores(s_pos, s_neg), cfg)
-            fd = _fd_scores(lambda s, c: infonce_loss(s, c)[0], s_pos, s_neg, cfg)
-            assert rel_err(np.concatenate(([d_pos], d_neg)), fd) <= 1e-5
+            s = np.concatenate(([s_pos], s_neg))
+            _, d = infonce_loss(s, cfg)
+            fd = _fd_scores(lambda w, c: infonce_loss(w, c)[0], s, cfg)
+            assert rel_err(d, fd) <= 1e-5
 
         for trial in range(100):
             n_neg = int(rng.integers(1, 9))
@@ -122,20 +132,23 @@ def test_gradient_suite():
                 s_neg = rng.normal(size=n_neg)
                 if np.all(np.abs(cfg.margin - (s_pos - s_neg)) > 1e-3):
                     break
-            _, d_pos, d_neg = hinge_loss(BatchScores(s_pos, s_neg), cfg)
-            fd = _fd_scores(lambda s, c: hinge_loss(s, c)[0], s_pos, s_neg, cfg)
-            assert rel_err(np.concatenate(([d_pos], d_neg)), fd) <= 1e-5
+            s = np.concatenate(([s_pos], s_neg))
+            _, d = hinge_loss(s, cfg)
+            fd = _fd_scores(lambda w, c: hinge_loss(w, c)[0], s, cfg)
+            assert rel_err(d, fd) <= 1e-5
 
         for trial in range(100):
             n_neg = int(rng.integers(1, 9))
             s_pos = float(rng.normal(scale=2.0))
             s_neg = rng.normal(scale=2.0, size=n_neg)
             cfg = LossConfig(objective="BCE")
-            _, d_pos, d_neg = bce_loss(BatchScores(s_pos, s_neg), cfg)
-            fd = _fd_scores(lambda s, c: bce_loss(s, c)[0], s_pos, s_neg, cfg)
-            assert rel_err(np.concatenate(([d_pos], d_neg)), fd) <= 1e-5
+            s = np.concatenate(([s_pos], s_neg))
+            _, d = bce_loss(s, cfg)
+            fd = _fd_scores(lambda w, c: bce_loss(w, c)[0], s, cfg)
+            assert rel_err(d, fd) <= 1e-5
 
-        # cls_loss through the cosine jacobians, all three objectives
+        # one-triplet cosine_losses through the cosine jacobians, all
+        # three objectives
         objectives = ("INFONCE", "HINGE", "BCE")
         for trial in range(100):
             dim = int(rng.integers(3, 7))
@@ -165,18 +178,18 @@ def test_gradient_suite():
                         break
                 else:
                     break
-            loss, ga, gp, gns = cls_loss(a, p, negs, cfg)
+            loss, ga, gp, gns = _cls(a, p, negs, cfg)
             h = 1e-5  # rounding error dominates truncation below this step
-            assert rel_err(ga, fd_grad(lambda x: cls_loss(x, p, negs, cfg)[0], a, h)) <= 1e-5
-            assert rel_err(gp, fd_grad(lambda x: cls_loss(a, x, negs, cfg)[0], p, h)) <= 1e-5
+            assert rel_err(ga, fd_grad(lambda x: _cls(x, p, negs, cfg)[0], a, h)) <= 1e-5
+            assert rel_err(gp, fd_grad(lambda x: _cls(a, x, negs, cfg)[0], p, h)) <= 1e-5
             fd_n = fd_grad(
-                lambda N: cls_loss(a, p, list(N), cfg)[0], np.stack(negs), h
+                lambda N: _cls(a, p, list(N), cfg)[0], np.stack(negs), h
             )
             assert rel_err(np.stack(gns), fd_n) <= 1e-5
 
-        # patch_loss through the transport divergence (coarser tolerance:
-        # the divergence itself is iterative; tol is tight because the
-        # envelope gradient inherits the solver residual)
+        # one-triplet patch_losses through the transport divergence
+        # (coarser tolerance: the divergence itself is iterative; tol is
+        # tight because the envelope gradient inherits the solver residual)
         sink = SinkhornConfig(epsilon=0.3, max_iters=20000, tol=1e-11)
         cfg = LossConfig(tau=0.2, margin=0.05, patch_metric="SINKHORN")
         for trial in range(100):
@@ -188,11 +201,11 @@ def test_gradient_suite():
                 rows = np.vstack([A, P] + Ns)
                 if np.linalg.norm(rows, axis=1).min() > 1e-2:
                     break
-            loss, gA, gP, gNs = patch_loss(A, P, Ns, cfg, sink)
+            loss, gA, gP, gNs = _patch(A, P, Ns, cfg, sink)
             h = 1e-5
-            assert rel_err(gA, fd_grad(lambda X: patch_loss(X, P, Ns, cfg, sink)[0], A, h)) <= 1e-3
-            assert rel_err(gP, fd_grad(lambda X: patch_loss(A, X, Ns, cfg, sink)[0], P, h)) <= 1e-3
-            fd_n = fd_grad(lambda N: patch_loss(A, P, list(N), cfg, sink)[0], np.stack(Ns), h)
+            assert rel_err(gA, fd_grad(lambda X: _patch(X, P, Ns, cfg, sink)[0], A, h)) <= 1e-3
+            assert rel_err(gP, fd_grad(lambda X: _patch(A, X, Ns, cfg, sink)[0], P, h)) <= 1e-3
+            fd_n = fd_grad(lambda N: _patch(A, P, list(N), cfg, sink)[0], np.stack(Ns), h)
             assert rel_err(np.stack(gNs), fd_n) <= 1e-3
 
         # every projection-head parameter, assembled the way the trainer
@@ -221,15 +234,15 @@ def test_gradient_suite():
                 ZA, _ = mlp_forward(head.patch_head, A, act)
                 ZP, _ = mlp_forward(head.patch_head, P, act)
                 ZNs = [mlp_forward(head.patch_head, N, act)[0] for N in Ns]
-                lc = cls_loss(za, zp, zns, cfg)[0]
-                lp = patch_loss(ZA, ZP, ZNs, cfg)[0]
+                lc = _cls(za, zp, zns, cfg)[0]
+                lp = _patch(ZA, ZP, ZNs, cfg)[0]
                 return total_loss(lc, lp, cfg)
 
             grads = zero_grads(head)
             za, ca = mlp_forward(head.cls_head, a, act)
             zp, cp = mlp_forward(head.cls_head, p, act)
             zns, cns = zip(*(mlp_forward(head.cls_head, n, act) for n in negs))
-            _, ga, gp, gns = cls_loss(za, zp, list(zns), cfg)
+            _, ga, gp, gns = _cls(za, zp, list(zns), cfg)
             for cache, up in [(ca, ga), (cp, gp), *zip(cns, gns)]:
                 _, g = mlp_backward(head.cls_head, cache, up, act)
                 for k, v in g.items():
@@ -237,7 +250,7 @@ def test_gradient_suite():
             ZA, cA = mlp_forward(head.patch_head, A, act)
             ZP, cP = mlp_forward(head.patch_head, P, act)
             ZNs, cNs = zip(*(mlp_forward(head.patch_head, N, act) for N in Ns))
-            _, gA, gP, gNs = patch_loss(ZA, ZP, list(ZNs), cfg)
+            _, gA, gP, gNs = _patch(ZA, ZP, list(ZNs), cfg)
             for cache, up in [(cA, gA), (cP, gP), *zip(cNs, gNs)]:
                 _, g = mlp_backward(head.patch_head, cache, cfg.lam * up, act)
                 for k, v in g.items():

@@ -595,6 +595,29 @@ class TestTrainApplyScore:
         assert code == 1
         assert err.startswith("error: MissingItem:")
 
+    def test_train_rejects_a_negative_from_the_anchor_instance(self, world, tmp_path):
+        triplets = tmp_path / "bad-triplets.jsonl"
+        save_triplets(
+            triplets,
+            [
+                Triplet("a1-0", "a1-1", "a1-e0", "MINED_REAL"),
+                Triplet("a3-0", "a3-1", "b2-0", "MINED_REAL"),
+            ],
+        )
+        head_path = tmp_path / "h.ckpt"
+        code, out, err = run_cli(
+            "train",
+            "--manifests", world.manifests,
+            "--cls-bundle", world.cls_bundle,
+            "--triplets", triplets,
+            "--out-head", head_path,
+            "--lambda", 0,
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: InvalidInput: [^\n]*shares the anchor's instance[^\n]*\n", err)
+        assert not head_path.exists()
+
     def test_apply_projects_every_item(self, world, tmp_path):
         out_path = tmp_path / "projected.idse"
         code, _, err = run_cli(
@@ -644,6 +667,25 @@ class TestTrainApplyScore:
         )
         assert code == 0, err
         assert out == "similarity=0 distance=1\n"
+
+    def test_score_over_max_tokens_names_the_flag(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "big.idse"
+        items = {"x": rng.normal(size=(10, 8)), "y": rng.normal(size=(3, 8))}
+        write_bundle(path, make_bundle("PATCH", 8, items))
+        code, out, err = run_cli("score", "--bundle", path, "--pair", "x", "y", "--max-tokens", 4)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: InvalidInput: a token set has 10 rows, over the 4 cap that --max-tokens sets\n"
+        )
+
+    @pytest.mark.parametrize("command", ["train", "score", "eval triplet", "sensitivity"])
+    def test_max_tokens_help_gives_both_meanings(self, command):
+        code, out, _ = run_cli(*command.split(), "--help")
+        assert code == 0
+        assert "train subsamples larger items (seeded); score, eval and sensitivity reject them" in (
+            " ".join(out.split())
+        )
 
     def test_score_unknown_image_is_a_data_error(self, world):
         code, _, err = run_cli("score", "--bundle", world.cls_bundle, "--pair", "a1-0", "nope")

@@ -287,7 +287,7 @@ class TestMicroBatchPass:
 
             monkeypatch.setattr(trainer, name, counted)
         assert len(self.MICRO) <= cfg.batch_size
-        train_step(head, adamw_init(head), self.MICRO, data, inst_of, cfg)
+        train_step(head, adamw_init(head), self.MICRO, data, inst_of)
         heads_used = 2 if lam > 0 else 1
         assert calls == {"mlp_forward": heads_used, "mlp_backward": heads_used}
         calls.update(mlp_forward=0, mlp_backward=0)
@@ -304,8 +304,8 @@ class TestMicroBatchPass:
                 return _fn(*args)
 
             monkeypatch.setattr(trainer, name, counted)
-        cfg = dataclasses.replace(cfg, batch_size=2)
-        train_step(head, adamw_init(head), self.MICRO, data, inst_of, cfg)
+        data = _TrainData(data.cls_bundle, data.patch_bundle, dataclasses.replace(cfg, batch_size=2))
+        train_step(head, adamw_init(head), self.MICRO, data, inst_of)
         assert calls == {"cosine_losses": 2, "patch_losses": 2 if lam > 0 else 0}
 
 
