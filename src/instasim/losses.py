@@ -29,10 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .sinkhorn import SinkhornConfig, divergence_grad, patch_set
+from .sinkhorn import SinkhornConfig, _divergences, patch_sets
 
 OBJECTIVES = ("INFONCE", "HINGE", "BCE")
 PATCH_METRICS = ("SINKHORN", "COSINE_MEANPOOL")
+# position-gradient floats that one batched SINKHORN solve in
+# ``patch_losses`` may hold (8 MiB). Every comparison's gradients stay
+# alive until its entry is scored: at --max-tokens 1024 with 768-dim
+# tokens one comparison holds 1.6M floats (12 MiB), and an 8-triplet
+# micro-batch (72 comparisons) would hold 0.9 GB at once. So a larger
+# micro-batch is solved a run of entries at a time, and an entry that
+# large is a run of its own.
+GRAD_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -155,12 +163,16 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = Sinkhor
 
     With COSINE_MEANPOOL the scores are cosines of mean-pooled raw rows,
     and each pooled gradient g is spread as g / n over its matrix's n
-    rows. With SINKHORN each matrix is prepared once by ``patch_set``
-    (unit rows and self term); a score is the negated debiased
-    divergence, and gradients flow through the converged transport plans
-    (envelope theorem) and the row-normalization Jacobian. For each
-    entry, the anchor's gradient is added first, then each other
-    matrix's in order.
+    rows. With SINKHORN the matrices are prepared by ``patch_sets``,
+    whose one ``self_terms`` call solves every self term with its
+    gradient, and every distinct (anchor, other) comparison is solved
+    once, in one ``cross_terms`` call with plans while their gradients
+    fit in GRAD_ELEMENTS floats (else one call per run of entries that
+    fits), then debiased by ``divergence_grad``. A score is the negated
+    debiased divergence, and gradients
+    flow through the converged transport plans (envelope theorem) and
+    the row-normalization Jacobian. For each entry, the anchor's
+    gradient is added first, then each other matrix's in order.
 
     Returns (per-entry losses, [gradient for each matrix in mats]).
     """
@@ -170,22 +182,44 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = Sinkhor
         losses, dV = cosine_losses(np.stack([M.mean(axis=0) for M in mats]), rows, cfg)
         return losses, [np.full(M.shape, g / len(M)) for g, M in zip(dV, mats)]
 
-    sets = [patch_set(M, sink_cfg, True) for M in mats]
+    sets = patch_sets(mats, sink_cfg, grad=True)
     grads = [np.zeros_like(p.unit) for p in sets]
     losses = np.zeros(len(rows))
-    for e, (a, others) in enumerate(rows):
-        A = sets[a]
+    for run in _entry_runs(rows, sets):
+        keys = list(dict.fromkeys((rows[e][0], j) for e in run for j in rows[e][1]))
+        solved = _divergences(
+            [(sets[a].unit, sets[j].unit, sets[a].self_ot, sets[j].self_ot) for a, j in keys],
+            sink_cfg,
+            grad=True,
+        )
         # (value, dA, dB, converged) of each comparison; a score is -value
-        comps = [
-            divergence_grad(A.unit, sets[j].unit, sink_cfg, A.self_ot, sets[j].self_ot)
-            for j in others
-        ]
-        losses[e], weights = _OBJECTIVE[cfg.objective](-np.array([c[0] for c in comps]), cfg)
-        G_anchor_hat = sum(w * -c[1] for w, c in zip(weights, comps))
-        grads[a] += _backprop_row_normalization(G_anchor_hat, A.unit, A.norms)
-        for w, j, c in zip(weights, others, comps):
-            grads[j] += _backprop_row_normalization(w * -c[2], sets[j].unit, sets[j].norms)
+        comparison = dict(zip(keys, solved))
+        for e in run:
+            a, others = rows[e]
+            A = sets[a]
+            comps = [comparison[a, j] for j in others]
+            losses[e], weights = _OBJECTIVE[cfg.objective](-np.array([c[0] for c in comps]), cfg)
+            G_anchor_hat = sum(w * -c[1] for w, c in zip(weights, comps))
+            grads[a] += _backprop_row_normalization(G_anchor_hat, A.unit, A.norms)
+            for w, j, c in zip(weights, others, comps):
+                grads[j] += _backprop_row_normalization(w * -c[2], sets[j].unit, sets[j].norms)
     return losses, grads
+
+
+def _entry_runs(rows, sets):
+    """Consecutive runs of entry indices whose comparisons' position
+    gradients hold at most GRAD_ELEMENTS floats; an entry over that
+    bound is a run of its own."""
+    run, size = [], 0
+    for e, (a, others) in enumerate(rows):
+        n = sum(sets[a].unit.size + sets[j].unit.size for j in others)
+        if run and size + n > GRAD_ELEMENTS:
+            yield run
+            run, size = [], 0
+        run.append(e)
+        size += n
+    if run:
+        yield run
 
 
 def total_loss(cls_part: float, patch_part: float, cfg: LossConfig) -> float:

@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .records import PairLabel, require_str
 from .reporting import iter_jsonl, report_envelope
-from .sinkhorn import PatchSet, SinkhornConfig, patch_set, sinkhorn_divergence
+from .sinkhorn import SinkhornConfig, _divergences, patch_sets
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
@@ -75,29 +75,37 @@ def score_pairs(
     and of ``np.linalg.norm(u)``, so every score equals
     ``metrics.cosine_similarity`` and equal embeddings under two ids
     stay an exact tie; ``np.linalg.norm(U, axis=1)`` sums in another
-    order and would move last bits. PATCH: each item is prepared once
-    by ``patch_set`` (unit rows and, when debiased, its self term
-    OT(X, X)) and each distinct ordered pair is compared once, as
-    0.0 - ``sinkhorn_divergence`` on the unit rows, so that identical
-    sets score +0.0, not -0.0; OT(A, B) and OT(B, A) differ in the last
-    bits, so (x, y) and (y, x) are not merged. The caches live for this
-    call only.
+    order and would move last bits. PATCH plans first: every distinct
+    item is checked against ``max_tokens`` (the error names its id) and
+    prepared once by ``patch_sets``, which, when debiased, solves all
+    their self terms OT(X, X) in one batched call. Then every distinct
+    ordered pair's cross term is solved in one ``cross_terms`` call; a
+    pair of equal sets is solved as one self term instead, the only
+    self term a raw (not debiased) divergence solves. Each pair is then
+    debiased by ``sinkhorn_divergence`` from its solved terms and scores
+    0.0 - that value, so that identical sets score +0.0, not -0.0. OT(A, B)
+    and OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
+    merged. The plan lives for this call only.
     """
     if bundle.token_kind == "CLS":
         return _score_cls_pairs(bundle, pairs)
-    items: dict[str, PatchSet] = {}
-    memo: dict[tuple[str, str], float] = {}
-    out = np.empty(len(pairs))
-    for k, (x_id, y_id) in enumerate(pairs):
-        key = (x_id, y_id)
-        if key not in memo:
-            for item_id in key:
-                if item_id not in items:
-                    items[item_id] = patch_set(bundle.get(item_id), sink_cfg)
-            a, b = items[x_id], items[y_id]
-            memo[key] = 0.0 - sinkhorn_divergence(a.unit, b.unit, sink_cfg, a.self_ot, b.self_ot).value
-        out[k] = memo[key]
-    return out
+    keys = list(dict.fromkeys((x_id, y_id) for x_id, y_id in pairs))
+    ids = list(dict.fromkeys(item_id for key in keys for item_id in key))
+    mats = [bundle.get(item_id) for item_id in ids]
+    for item_id, Z in zip(ids, mats):
+        if len(Z) > sink_cfg.max_tokens:
+            raise InvalidInput(
+                f"item {item_id!r} has {len(Z)} token rows, over the "
+                f"{sink_cfg.max_tokens} cap that --max-tokens sets"
+            )
+    sets = dict(zip(ids, patch_sets(mats, sink_cfg)))
+    results = _divergences(
+        [(sets[x].unit, sets[y].unit, sets[x].self_ot, sets[y].self_ot) for x, y in keys],
+        sink_cfg,
+        grad=False,
+    )
+    score = {key: 0.0 - result.value for key, result in zip(keys, results)}
+    return np.array([score[x_id, y_id] for x_id, y_id in pairs], dtype=np.float64)
 
 
 def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:

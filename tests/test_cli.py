@@ -673,11 +673,14 @@ class TestTrainApplyScore:
         path = tmp_path / "big.idse"
         items = {"x": rng.normal(size=(10, 8)), "y": rng.normal(size=(3, 8))}
         write_bundle(path, make_bundle("PATCH", 8, items))
-        code, out, err = run_cli("score", "--bundle", path, "--pair", "x", "y", "--max-tokens", 4)
-        assert code == 1 and out == ""
-        assert err == (
-            "error: InvalidInput: a token set has 10 rows, over the 4 cap that --max-tokens sets\n"
-        )
+        for pair in (("x", "y"), ("y", "x")):
+            code, out, err = run_cli("score", "--bundle", path, "--pair", *pair, "--max-tokens", 4)
+            assert code == 1 and out == ""
+            # the error names the item, whichever side of the pair it is on
+            assert err == (
+                "error: InvalidInput: item 'x' has 10 token rows, over the 4 cap "
+                "that --max-tokens sets\n"
+            )
 
     @pytest.mark.parametrize("command", ["train", "score", "eval triplet", "sensitivity"])
     def test_max_tokens_help_gives_both_meanings(self, command):

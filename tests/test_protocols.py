@@ -88,18 +88,26 @@ def _unit_rows(M):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def _counting(monkeypatch, counts, *modules):
-    """Count the self- and cross-term solves made through ``modules``."""
-    for module in modules:
-        for name in ("self_term", "cross_term"):
-            if not hasattr(module, name):
-                continue
+def _counting(monkeypatch):
+    """Record how many sets or pairs each batched ``self_terms`` and
+    ``cross_terms`` call solves; returns {name: [batch sizes]}."""
+    counts = {"self_terms": [], "cross_terms": []}
+    for name, sizes in counts.items():
 
-            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
+        def counted(problems, *args, _fn=getattr(sinkhorn, name), _sizes=sizes, **kwargs):
+            problems = list(problems)
+            _sizes.append(len(problems))
+            return _fn(problems, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(sinkhorn, name, counted)
+    return counts
+
+
+def _per_comparison(comparisons, cfg, grad):
+    """``losses._divergences`` as one ``divergence_grad`` call per
+    comparison, which solves both self terms again and ignores the
+    ones given."""
+    return [sinkhorn.divergence_grad(A, B, cfg) for A, B, _, _ in comparisons]
 
 
 class TestScorePairs:
@@ -177,6 +185,24 @@ class TestScorePairs:
         ])
         assert score_pairs(bundle, pairs, raw).tobytes() == want.tobytes()
 
+    def test_raw_patch_solves_no_self_term_for_distinct_sets(self, rng, monkeypatch):
+        raw = SinkhornConfig(epsilon=0.1, max_iters=2000, debiased=False)
+        items = {f"p{k}": rng.normal(size=(int(rng.integers(2, 6)), 4)) for k in range(4)}
+        bundle = make_bundle("PATCH", 4, items)
+        pairs = [(x, y) for x in sorted(items) for y in sorted(items) if x != y]
+        counts = _counting(monkeypatch)
+        with solve_counts() as tally:
+            score_pairs(bundle, pairs + pairs[:3], raw)
+        assert counts == {"self_terms": [], "cross_terms": [12]}
+        assert tally.solves == 12
+        # an identical pair's raw score is its self term, solved once per set
+        items["twin"] = items["p0"].copy()
+        bundle = make_bundle("PATCH", 4, items)
+        with solve_counts() as tally:
+            score_pairs(bundle, pairs + [("p0", "twin"), ("p0", "p0"), ("p0", "twin")], raw)
+        assert counts == {"self_terms": [1], "cross_terms": [12, 12]}
+        assert tally.solves == 13
+
     def test_zero_norm_patch_row_is_rejected(self, rng):
         Z = rng.normal(size=(3, 4))
         Z[2] = 0.0
@@ -194,11 +220,12 @@ class TestScorePairs:
         task = RetrievalTask(
             queries=queries, gallery=gallery, relevance={q: {"g0"} for q in queries}
         )
-        counts = {"self_term": 0, "cross_term": 0}
-        _counting(monkeypatch, counts, protocols, sinkhorn)
+        counts = _counting(monkeypatch)
         with solve_counts() as tally:
             run_protocol("RETRIEVAL", bundle, task=task, sink_cfg=self.SINK)
-        assert counts == {"cross_term": 3 * 5, "self_term": 3 + 5}
+        # one batched call each: every self term once, every distinct
+        # ordered pair once
+        assert counts == {"self_terms": [3 + 5], "cross_terms": [3 * 5]}
         assert tally == SolveCounts(solves=3 * 5 + 3 + 5, unconverged=0)
 
     def test_micro_batch_matches_per_comparison_divergence_grad(self, rng, monkeypatch):
@@ -220,27 +247,40 @@ class TestScorePairs:
             loss = _micro_batch_pass(head, micro, _TrainData(cls, patch, cfg), inst_of, grads)
             return loss, grads
 
-        counts = {"self_term": 0, "cross_term": 0}
-        _counting(monkeypatch, counts, losses, sinkhorn)
+        counts = _counting(monkeypatch)
         with solve_counts() as tally:
             loss, grads = one_pass()
         # 9 images; 3 triplets of 1 positive, 1 hard and 2 in-batch negatives
-        assert counts == {"self_term": 9, "cross_term": 12}
+        assert counts == {"self_terms": [9], "cross_terms": [12]}
         assert tally == SolveCounts(solves=9 + 12, unconverged=0)
 
-        counts.update(self_term=0, cross_term=0)
-        monkeypatch.setattr(
-            losses,
-            "divergence_grad",
-            lambda A, B, cfg, self_a, self_b, _fn=losses.divergence_grad: _fn(A, B, cfg),
-        )
+        for sizes in counts.values():
+            sizes.clear()
+        monkeypatch.setattr(losses, "_divergences", _per_comparison)
         want_loss, want_grads = one_pass()
-        # the 9 self terms are still solved once each, then ignored
-        assert counts == {"self_term": 9 + 24, "cross_term": 12}
+        # the 9 self terms are still solved once, in one call, then ignored;
+        # each comparison then solves its cross term and two self terms
+        assert counts == {"self_terms": [9] + [2] * 12, "cross_terms": [1] * 12}
         assert loss == want_loss
         assert list(grads) == list(want_grads)
         for name in grads:
             assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_micro_batch_over_the_gradient_bound_is_split_with_the_same_bits(self, rng, monkeypatch):
+        # 7 triplets of 16 tokens x 768 dims, rows as the trainer builds
+        # them: each entry's 8 comparisons hold 196,608 gradient floats,
+        # so five entries fit in GRAD_ELEMENTS and the sixth starts a run
+        mats = [rng.normal(size=(16, 768)) for _ in range(21)]
+        rows = [(3 * t, [3 * t + 1, 3 * t + 2] + [3 * u + 1 for u in range(7) if u != t]) for t in range(7)]
+        assert 5 * 8 * 32 * 768 <= losses.GRAD_ELEMENTS < 6 * 8 * 32 * 768
+        cfg, sink = LossConfig(lam=0.5), SinkhornConfig(epsilon=0.1)
+        counts = _counting(monkeypatch)
+        got = losses.patch_losses(mats, rows, cfg, sink)
+        assert counts == {"self_terms": [21], "cross_terms": [5 * 8, 2 * 8]}
+        monkeypatch.setattr(losses, "_divergences", _per_comparison)
+        want = losses.patch_losses(mats, rows, cfg, sink)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [g.tobytes() for g in got[1]] == [w.tobytes() for w in want[1]]
 
 
 class TestRetrieval:

@@ -1,14 +1,20 @@
 """Entropic optimal transport: divergence values, gradients, invariants."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from instasim import sinkhorn
 from instasim.errors import InvalidInput, ShapeError
 from instasim.sinkhorn import (
+    STACK_ELEMENTS,
     SinkhornConfig,
     SolveCounts,
     cross_term,
+    cross_terms,
     divergence_grad,
     self_term,
+    self_terms,
     sinkhorn_divergence,
     solve_counts,
     subsample_tokens,
@@ -294,6 +300,128 @@ class TestSolveCounts:
         with solve_counts() as counts:
             divergence_grad(A, B, TIGHT, self_a, self_b)
         assert counts == SolveCounts(solves=1, unconverged=0)
+
+
+def _mixed_sets(rng, count):
+    """Unit-row sets of 1 to 40 rows in 6 dims, a few of them clustered,
+    which alternating updates solve slowly."""
+    sets = []
+    for k in range(count):
+        X = rng.normal(size=(int(rng.integers(1, 41)), 6))
+        if k % 5 == 0:
+            X = np.repeat(rng.normal(size=(2, 6)), (len(X) + 1) // 2, axis=0)[: len(X)]
+            X += 0.01 * rng.normal(size=X.shape)
+        sets.append(X / np.linalg.norm(X, axis=1, keepdims=True))
+    return sets
+
+
+class TestBatchedSolves:
+    """``cross_terms`` and ``self_terms`` against a loop of one-problem
+    calls: the same results and gradients, bit for bit."""
+
+    # 200 iterations: some solves converge at once, some leave their
+    # stack later than others and some stop at max_iters
+    CFG = SinkhornConfig(epsilon=0.02, max_iters=200, tol=1e-9)
+
+    def _big(self, rng):
+        # one set pair over the stack bound: solved alone
+        A = rng.normal(size=(130, 6))
+        B = rng.normal(size=(140, 6))
+        assert 130 * 140 > STACK_ELEMENTS
+        return A / np.linalg.norm(A, axis=1, keepdims=True), B / np.linalg.norm(B, axis=1, keepdims=True)
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            for ga, wa in zip(g[1:], w[1:]):
+                assert (ga is None and wa is None) or ga.tobytes() == wa.tobytes()
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_cross_terms_equal_one_pair_calls(self, rng, grad):
+        sets = _mixed_sets(rng, 80)
+        pairs = [(sets[k], sets[(7 * k + 3) % len(sets)]) for k in range(len(sets))]
+        # one-row sets against long ones: a stack one column wide would be
+        # summed pairwise, not row by row
+        one = [X for X in sets if len(X) == 1] + [X[:1] for X in sets[:4]]
+        pairs += [(X, Y) for Y in one for X in sets[4:9]] + [(Y, X) for Y in one for X in sets[9:14]]
+        pairs.insert(17, self._big(rng))
+        with solve_counts() as batched:
+            got = cross_terms(pairs, self.CFG, grad)
+        with solve_counts() as looped:
+            want = [cross_term(A, B, self.CFG, grad) for A, B in pairs]
+        self._same(got, want)
+        assert batched == looped and batched.solves == len(pairs)
+        iterations = {r.iterations for r, _, _ in got}
+        assert 1 in iterations and self.CFG.max_iters in iterations
+        assert any(1 < i < self.CFG.max_iters for i in iterations)
+        assert 0 < batched.unconverged < len(pairs)
+        for r, _, _ in got:
+            assert r.converged == (r.marginal_err <= self.CFG.tol)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_self_terms_equal_one_set_calls(self, rng, grad):
+        sets = _mixed_sets(rng, 60)
+        sets.insert(5, self._big(rng)[0])
+        starved = SinkhornConfig(epsilon=0.02, max_iters=3, tol=1e-12)
+        # only exact solves (one-row sets) meet this tol: the rest run on
+        stalled = SinkhornConfig(epsilon=0.02, max_iters=73, tol=1e-300)
+        iterations = []
+        for cfg in (self.CFG, starved, stalled):
+            with solve_counts() as batched:
+                got = self_terms(sets, cfg, grad)
+            with solve_counts() as looped:
+                want = [self_term(X, cfg, grad) for X in sets]
+            self._same(got, want)
+            assert batched == looped and batched.solves == len(sets)
+            iterations.append({r.iterations for r, _ in got})
+        assert iterations[1] == {1, 2, 3} and 73 in iterations[2]
+
+    def test_empty_calls_solve_nothing(self):
+        with solve_counts() as counts:
+            assert cross_terms([]) == [] and self_terms([]) == []
+        assert counts.solves == 0
+
+    def test_stacks_stay_within_the_element_bound(self, rng, monkeypatch):
+        built = []
+
+        class Recording(sinkhorn._Stack):
+            def __init__(self, ks, problems, cfg, cross):
+                super().__init__(ks, problems, cfg, cross)
+                built.append((len(ks), self.buf.size, set(self.shapes)))
+
+        monkeypatch.setattr(sinkhorn, "_Stack", Recording)
+        sets = _mixed_sets(rng, 80)
+        A, B = self._big(rng)
+        pairs = [(sets[k], sets[-k - 1]) for k in range(len(sets))] + [(A, B)]
+        cross_terms(pairs, self.CFG)
+        self_terms(sets + [A], self.CFG)
+        assert len(built) > 4
+        for count, elements, shapes in built:
+            if shapes & {(130, 140), (130, 130)}:
+                assert count == 1  # an over-bound problem runs alone
+            else:
+                assert elements <= STACK_ELEMENTS
+
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_an_over_bound_problem_holds_no_copy_of_its_kernel(self, rng, cross, grad):
+        # 1024 x 1024, the default max_tokens. A cross term holds K, K^T
+        # and the scratch space, a self term K^T and the scratch space;
+        # the plan is built in the scratch space, so gradients add none
+        A, B = rng.normal(size=(1024, 8)), rng.normal(size=(1024, 8))
+        cfg = SinkhornConfig(max_iters=2)
+        solve = (lambda: cross_term(A, B, cfg, grad)) if cross else (lambda: self_term(A, cfg, grad))
+        solve()
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (3 if cross else 2) + 0.1
+        assert peak <= arrays * 1024 * 1024 * 8
 
 
 class TestSubsampling:
