@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-bundle", required=True)
     p.add_argument("--pool-bundle", required=True)
     p.add_argument("--manifests", required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=1, help="negatives per query, at least 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bundle import EmbeddingBundle
 from .errors import (
+    DuplicateId,
     FormatError,
     InsufficientInventory,
     InvalidInput,
@@ -261,6 +262,7 @@ def load_samples(path) -> tuple[list[InstanceSample], dict[str, str]]:
     """Read a selected-instance file back; returns (samples, split map)."""
     samples: list[InstanceSample] = []
     split: dict[str, str] = {}
+    seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
         sample = InstanceSample(
             instance_id=require_str(obj, "instance_id", path, lineno),
@@ -268,6 +270,9 @@ def load_samples(path) -> tuple[list[InstanceSample], dict[str, str]]:
             anchor=require_str(obj, "anchor", path, lineno),
             positive=require_str(obj, "positive", path, lineno),
         )
+        if sample.instance_id in seen:
+            raise DuplicateId(f"{path}:{lineno}: duplicate instance_id {sample.instance_id!r}")
+        seen.add(sample.instance_id)
         samples.append(sample)
         if "split" in obj:
             split[sample.instance_id] = require_str(obj, "split", path, lineno)
@@ -284,12 +289,23 @@ def load_mined(path) -> dict[str, list[str]]:
         negatives = obj.get("negatives")
         if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
             raise FormatError(f"{path}:{lineno}: negatives must be an array of strings")
-        mined[require_str(obj, "anchor", path, lineno)] = negatives
+        anchor = require_str(obj, "anchor", path, lineno)
+        if anchor in mined:
+            raise DuplicateId(f"{path}:{lineno}: duplicate anchor {anchor!r}")
+        mined[anchor] = negatives
     return mined
 
 
 # ---------------------------------------------------------------------------
 # hard-negative mining
+
+# floats that one mining step may hold (512 KiB): a block of query rows,
+# its scores against the whole pool, and the pool rows of one matrix
+# product each stay within it. So memory does not grow with the query
+# count, and OpenBLAS packs at most this many pool floats per product.
+# On the bench's 960 queries and 1,696 x 256 pool, 2^14 mined 10-30%
+# slower, and 2^18 was faster but its traced peak was 1.5 MiB higher.
+MINE_ELEMENTS = 1 << 16
 
 
 def mine_hard_negatives(
@@ -303,15 +319,26 @@ def mine_hard_negatives(
 
     Brute force over the full pool; ties broken by ascending image_id.
     Every query gets a list (length <= k); an empty eligible pool for
-    any query raises NoCandidates.
+    any query raises NoCandidates. Queries are checked in sorted order,
+    so the first bad query in that order raises.
 
-    Each query is scored by its own matrix-vector product with the unit
-    pool rows: a matrix product over all queries would move the last
-    bits of the scores, and with them the order of near ties. When the
-    eligible pool holds more than k items, ``np.partition`` finds the
-    k-th best score and the stable sort runs over the items at or above
-    it only, which gives the list a full stable sort gives, ties
-    included.
+    ``_ranked`` defines a query's list: one matrix-vector product of its
+    unit row with the unit pool rows, ranked by (-score, image_id).
+    Queries are screened in blocks, by one matrix product per block of
+    queries and run of pool rows, and a product may sum in another order
+    and move the last bits of a score. Whatever the order, a computed
+    dot product x.y in d dims lies within gamma_d * sum_i |x_i y_i| of
+    the exact one, with gamma_d = d*u / (1 - d*u) and u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, §3.1). For unit rows the sum is at most about 1, so the
+    screen's and ``_ranked``'s scores differ by at most 2 * gamma_d. A
+    query keeps the screen's list only when its top k+1 scores are
+    finite and each lies more than delta = 8 * d * eps (4x the
+    4 * gamma_d needed) above the next: then ``_ranked`` gives the same
+    k items in the same order. Any other query (exact or near ties, or
+    no more than k eligible items) is ranked by ``_ranked`` itself. So
+    the lists do not depend on the BLAS kernel, its tiling or its
+    thread count.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -331,36 +358,90 @@ def mine_hard_negatives(
         return index[image_id].instance_id
 
     pool_ids = sorted(pool_bundle.items)
-    pool_mat = np.stack([pool_bundle.items[i].ravel() for i in pool_ids]).astype(np.float64)
-    norms = np.linalg.norm(pool_mat, axis=1)
+    pool_unit = np.stack([pool_bundle.items[i].ravel() for i in pool_ids]).astype(np.float64)
+    norms = np.linalg.norm(pool_unit, axis=1)
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in pool bundle")
-    pool_unit = pool_mat / norms[:, None]
+    pool_unit /= norms[:, None]
     # instances as integer codes; a pool item with the query's own id
     # has the query's instance, so one code comparison excludes it too
     inst_code: dict[str, int] = {}
     pool_code = np.array([inst_code.setdefault(instance_of(i), len(inst_code)) for i in pool_ids])
+    n_same = np.bincount(pool_code)
+    n_pool, dim = pool_unit.shape
 
+    query_ids = sorted(query_bundle.items)
+    rows = max(1, MINE_ELEMENTS // max(n_pool, dim))
     out: dict[str, list[str]] = {}
-    for query_id in sorted(query_bundle.items):
-        q = query_bundle.items[query_id].astype(np.float64).ravel()
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
-            raise InvalidInput(f"zero-norm query vector {query_id!r}")
-        sims = pool_unit @ (q / qn)
-        eligible = pool_code != inst_code.get(instance_of(query_id), -1)
-        if not eligible.any():
-            raise NoCandidates(f"no different-instance pool items for {query_id!r}")
-        idx = np.flatnonzero(eligible)
-        neg = -sims[idx]
-        if k < idx.size:
-            # only items at or above the k-th best score can make the list
-            keep = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-            idx, neg = idx[keep], neg[keep]
-        # pool_ids is sorted, so a stable sort on -sims keeps id order on ties
-        order = idx[np.argsort(neg, kind="stable")]
-        out[query_id] = [pool_ids[i] for i in order[:k]]
+    for start in range(0, len(query_ids), rows):
+        block = query_ids[start : start + rows]
+        vecs, qns, codes = [], [], []
+        for query_id in block:
+            q = query_bundle.items[query_id].astype(np.float64).ravel()
+            qn = np.linalg.norm(q)
+            if qn == 0.0:
+                raise InvalidInput(f"zero-norm query vector {query_id!r}")
+            code = inst_code.get(instance_of(query_id), -1)
+            if code >= 0 and n_same[code] == n_pool:
+                raise NoCandidates(f"no different-instance pool items for {query_id!r}")
+            vecs.append(q)
+            qns.append(qn)
+            codes.append(code)
+        certified = np.zeros(len(block), dtype=bool)
+        if k < n_pool:
+            unit = np.stack(vecs) / np.array(qns)[:, None]
+            top, certified = _screen(unit, np.array(codes), pool_unit, pool_code, k)
+        for r, query_id in enumerate(block):
+            if certified[r]:
+                order = top[r]
+            else:
+                order = _ranked(pool_unit, pool_code, codes[r], vecs[r] / qns[r], k)
+            out[query_id] = [pool_ids[i] for i in order]
     return out
+
+
+def _screen(
+    unit: np.ndarray, codes: np.ndarray, pool_unit: np.ndarray, pool_code: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top k pool indices of each unit query row (k < pool size), by
+    matrix products, and whether ``_ranked`` must give that list."""
+    n_pool, dim = pool_unit.shape
+    neg = np.empty((len(unit), n_pool))
+    step = max(1, MINE_ELEMENTS // dim)
+    for c in range(0, n_pool, step):
+        np.matmul(unit, pool_unit[c : c + step].T, out=neg[:, c : c + step])
+    np.negative(neg, out=neg)
+    neg[codes[:, None] == pool_code] = np.inf
+    top = np.argpartition(neg, k, axis=1)[:, : k + 1]
+    top_neg = np.take_along_axis(neg, top, axis=1)
+    # a row whose list is kept has no equal scores, so this sorts it by
+    # (-score, index)
+    order = np.argsort(top_neg, axis=1)
+    top = np.take_along_axis(top, order, axis=1)
+    top_neg = np.take_along_axis(top_neg, order, axis=1)
+    # gaps only where all k+1 are finite: inf - inf would warn
+    finite = top_neg[:, -1] < np.inf
+    gaps = np.diff(np.where(finite[:, None], top_neg, 0.0), axis=1)
+    return top[:, :k], finite & np.all(gaps > 8 * dim * np.finfo(np.float64).eps, axis=1)
+
+
+def _ranked(
+    pool_unit: np.ndarray, pool_code: np.ndarray, code: int, u: np.ndarray, k: int
+) -> np.ndarray:
+    """The top k pool indices from an instance other than ``code`` for
+    the unit query ``u``, by one matrix-vector product and a sort on
+    (-score, index). When more than k items are eligible,
+    ``np.partition`` finds the k-th best score and the stable sort runs
+    over the items at or above it only, which gives the list a full
+    stable sort gives, ties included."""
+    sims = pool_unit @ u
+    idx = np.flatnonzero(pool_code != code)
+    neg = -sims[idx]
+    if k < idx.size:
+        keep = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        idx, neg = idx[keep], neg[keep]
+    # pool_ids is sorted, so a stable sort on -sims keeps id order on ties
+    return idx[np.argsort(neg, kind="stable")[:k]]
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,28 @@ class TestTriplets:
         assert err.startswith("error: MissingItem:")
         assert "ghost" in err
 
+    @pytest.mark.parametrize("which", ["mined", "instances"])
+    def test_repeated_record_is_a_duplicate_id(self, world, tmp_path, which):
+        # a repeated mined anchor or sampled instance fails; before, the
+        # last line won
+        paths = {"mined": world.mined, "instances": world.samples}
+        first = paths[which].read_text().splitlines()[0]
+        dup = tmp_path / f"{which}.jsonl"
+        dup.write_text(paths[which].read_text() + first + "\n")
+        n_lines = len(dup.read_text().splitlines())
+        paths[which] = dup
+        code, _, err = run_cli(
+            "triplets",
+            "--instances", paths["instances"],
+            "--mined", paths["mined"],
+            "--manifests", world.manifests,
+            "--out", tmp_path / "t.jsonl",
+        )
+        assert code == 1
+        assert err.startswith(f"error: DuplicateId: {dup}:{n_lines}: duplicate ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_non_object_sample_line_is_a_format_error(self, world, tmp_path):
         samples = tmp_path / "samples.jsonl"
         samples.write_text(world.samples.read_text() + '["A9", "alpha", "a9-0", "a9-1"]\n')

@@ -1,9 +1,12 @@
 """Curation pipeline: allocation, sampling, mining, triplets, votes."""
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from instasim import curation
 from instasim.bundle import make_bundle
 from instasim.curation import (
     InstanceSample,
@@ -23,6 +26,7 @@ from instasim.curation import (
     save_samples,
 )
 from instasim.errors import (
+    Error,
     FormatError,
     InsufficientInventory,
     InvalidInput,
@@ -364,6 +368,161 @@ class TestMining:
                     if k < len(ranked) and np.array_equal(vecs[ranked[k - 1]], vecs[ranked[k]])
                 )
         assert boundary_ties > 100
+
+    @staticmethod
+    def _fallbacks(monkeypatch, query_bundle):
+        """Record the ids of the queries that ``_ranked`` ranks itself."""
+        by_unit = {}
+        for query_id, arr in query_bundle.items.items():
+            q = arr.astype(np.float64).ravel()
+            by_unit[(q / np.linalg.norm(q)).tobytes()] = query_id
+        ranked, seen = curation._ranked, []
+
+        def recording(pool_unit, pool_code, code, u, k):
+            seen.append(by_unit[u.tobytes()])
+            return ranked(pool_unit, pool_code, code, u, k)
+
+        monkeypatch.setattr(curation, "_ranked", recording)
+        return seen
+
+    def test_blocks_and_products_match_the_oracle(self, monkeypatch, rng):
+        # 2 query rows per block and 8 pool rows per product: 16 query
+        # blocks, each scored by 4 products
+        monkeypatch.setattr(curation, "MINE_ELEMENTS", 64)
+        n, dim = 30, 8
+        vecs = {f"img{j:02d}": rng.normal(size=(1, dim)).astype(np.float32) for j in range(n)}
+        # duplicate rows on both sides of the first two product boundaries
+        # (sorted pool positions 7 | 8 and 15 | 16), and a query near each
+        vecs["img08"] = vecs["img07"].copy()
+        vecs["img16"] = vecs["img15"].copy()
+        queries = dict(vecs)
+        queries["q07"] = vecs["img07"] + np.float32(0.01)
+        queries["q15"] = vecs["img15"] - np.float32(0.01)
+        manifests = [_manifest(i, f"inst{j % 6}") for j, i in enumerate(vecs)]
+        manifests += [_manifest("q07", "qa"), _manifest("q15", "qb")]
+        pool = make_bundle("CLS", dim, vecs)
+        query = make_bundle("CLS", dim, queries)
+        fallbacks = self._fallbacks(monkeypatch, query)
+        for k in (1, 2, 3, n - 1, n, n + 3):
+            fallbacks.clear()
+            want = mine_hard_negatives_full_sort(query, pool, manifests, k=k)
+            assert mine_hard_negatives(query, pool, manifests, k=k) == want, k
+            if k <= 3:
+                # the exact ties fall back, every other query keeps the screen's list
+                assert {"q07", "q15"} <= set(fallbacks) and len(fallbacks) < len(queries) // 2, k
+            else:
+                # at least k of 30 pool items are needed past the k-th place
+                assert len(fallbacks) == len(queries), k
+        assert want["q07"][:2] == ["img07", "img08"]
+
+    def test_near_ties_fall_back(self, monkeypatch, rng):
+        dim = 3
+        a = np.array([1.0, 1.0, 0.0], dtype=np.float32)
+        b = a.copy()
+        b[1] = np.nextafter(b[1], np.float32(2.0))
+        pool = {f"p{j:02d}": rng.normal(size=(1, dim)) for j in range(20)}
+        pool.update(near_a=a, near_b=b)
+        queries = {f"q{j:02d}": rng.normal(size=(1, dim)) for j in range(20)}
+        queries.update(qa=2 * a, qb=2 * b)
+        manifests = [_manifest(i, f"inst-{i}") for i in list(pool) + list(queries)]
+        pool, queries = make_bundle("CLS", dim, pool), make_bundle("CLS", dim, queries)
+        # qa and qb score near_a and near_b apart by less than
+        # delta = 8 * dim * eps, but not equal
+        unit = np.stack([a, b]).astype(np.float64)
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        for q in (a, b):
+            q = q.astype(np.float64)
+            s_a, s_b = unit @ (q / np.linalg.norm(q))
+            assert 0.0 < abs(s_a - s_b) < 8 * dim * np.finfo(np.float64).eps
+        fallbacks = self._fallbacks(monkeypatch, queries)
+        for k in (1, 2, 3):
+            fallbacks.clear()
+            want = mine_hard_negatives_full_sort(queries, pool, manifests, k=k)
+            assert mine_hard_negatives(queries, pool, manifests, k=k) == want, k
+            assert sorted(fallbacks) == ["qa", "qb"], k
+        assert set(want["qa"][:2]) == set(want["qb"][:2]) == {"near_a", "near_b"}
+
+    def test_screen_noise_within_the_bound_changes_no_list(self, monkeypatch, rng):
+        # each screen score moved by up to delta / 4, more than the 2 gamma_d
+        # by which two summation orders can differ; the duplicated rows'
+        # exact ties are split at random, and must still fall back
+        monkeypatch.setattr(curation, "MINE_ELEMENTS", 48)
+        matmul = np.matmul
+
+        def noisy(a, b, out):
+            matmul(a, b, out=out)
+            delta = 8 * a.shape[1] * np.finfo(np.float64).eps
+            out += rng.uniform(-delta / 4, delta / 4, size=out.shape)
+            return out
+
+        monkeypatch.setattr(np, "matmul", noisy)
+        for trial in range(20):
+            dim = int(rng.integers(2, 6))
+            base = rng.integers(-2, 3, size=(6, dim)).astype(np.float32)
+            base[~base.any(axis=1)] = 1.0
+            n = int(rng.integers(8, 30))
+            vecs = {
+                f"img{j:02d}": (
+                    base[rng.integers(0, 6)] if j % 2 else rng.normal(size=dim)
+                ).reshape(1, -1)
+                for j in range(n)
+            }
+            manifests = [_manifest(i, f"inst{int(rng.integers(0, 5))}") for i in vecs]
+            bundle = make_bundle("CLS", dim, vecs)
+            for k in (1, 2, 3, n - 1):
+                want = mine_hard_negatives_full_sort(bundle, bundle, manifests, k=k)
+                assert mine_hard_negatives(bundle, bundle, manifests, k=k) == want, (trial, k)
+
+    @pytest.mark.parametrize("elements", [curation.MINE_ELEMENTS, 8])
+    @pytest.mark.parametrize("kinds", list(itertools.permutations(["zero", "missing", "alone"])))
+    def test_first_bad_query_raises_the_oracles_error(self, monkeypatch, rng, kinds, elements):
+        # 2 query rows per block when elements is 8
+        monkeypatch.setattr(curation, "MINE_ELEMENTS", elements)
+        pool = {f"p{j}": rng.normal(size=(1, 4)) for j in range(3)}
+        manifests = [_manifest(i, "P") for i in pool]
+        queries = {}
+        for pos, kind in enumerate(kinds):
+            queries[f"q{pos}a"] = rng.normal(size=(1, 4))
+            manifests.append(_manifest(f"q{pos}a", f"Q{pos}"))
+            bad = f"q{pos}b"
+            queries[bad] = np.zeros((1, 4)) if kind == "zero" else rng.normal(size=(1, 4))
+            if kind != "missing":
+                # "alone" shares the whole pool's instance
+                manifests.append(_manifest(bad, "P" if kind == "alone" else f"Q{pos}"))
+        pool, queries = make_bundle("CLS", 4, pool), make_bundle("CLS", 4, queries)
+        for lead in range(3):
+            with pytest.raises(Error) as want:
+                mine_hard_negatives_full_sort(queries, pool, manifests, k=1)
+            with pytest.raises(Error) as got:
+                mine_hard_negatives(queries, pool, manifests, k=1)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            assert f"q{lead}b" in str(want.value)
+            # so that the next bad query leads
+            del queries.items[f"q{lead}b"]
+
+    def test_peak_memory_does_not_grow_with_the_query_count(self, rng):
+        dim, n_pool = 64, 900
+        pool = {f"p{j:03d}": rng.normal(size=(1, dim)) for j in range(n_pool)}
+        queries = {f"q{j:04d}": rng.normal(size=(1, dim)) for j in range(1600)}
+        manifests = [_manifest(i, f"P{j // 3}") for j, i in enumerate(pool)]
+        manifests += [_manifest(i, f"Q{j}") for j, i in enumerate(queries)]
+        pool = make_bundle("CLS", dim, pool)
+
+        def transient(n_queries):
+            """Peak traced bytes of one call, over what its result keeps."""
+            subset = make_bundle("CLS", dim, dict(list(queries.items())[:n_queries]))
+            tracemalloc.start()
+            try:
+                out = mine_hard_negatives(subset, pool, manifests, k=3)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(out) == n_queries
+            return peak - kept
+
+        # a queries x pool temporary would add 8 * 1400 * 900 bytes (9.6 MiB),
+        # and an all-queries matrix 8 * 1400 * 64 bytes (700 KiB)
+        assert transient(1600) - transient(200) < 64 * 1024
 
     def test_same_instance_and_self_excluded(self, rng):
         manifests, bundle = self._bundles(rng, n_inst=2, per_inst=2)

@@ -192,6 +192,21 @@ class TestManifestRecords:
             load_manifest(path)
 
 
+class TestCurationRecords:
+    def test_duplicate_mined_anchor_rejected(self, tmp_path):
+        path = tmp_path / "mined.jsonl"
+        write_jsonl(path, [{"anchor": "a", "negatives": ["b"]}, {"anchor": "a", "negatives": ["c"]}])
+        with pytest.raises(DuplicateId, match=r"mined\.jsonl:2: duplicate anchor 'a'"):
+            load_mined(path)
+
+    def test_duplicate_sample_instance_rejected(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        row = {"instance_id": "i1", "dataset_id": "D", "anchor": "a", "positive": "p"}
+        write_jsonl(path, [{**row, "split": "train"}, {**row, "anchor": "b", "split": "val"}])
+        with pytest.raises(DuplicateId, match=r"samples\.jsonl:2: duplicate instance_id 'i1'"):
+            load_samples(path)
+
+
 class TestTripletRecords:
     def test_roundtrip(self, tmp_path):
         trips = [Triplet("a", "b", "c", "MINED_REAL"), Triplet("d", "e", "f", "IDENTITY_EDIT")]
