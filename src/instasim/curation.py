@@ -358,8 +358,14 @@ def mine_hard_negatives(
         return index[image_id].instance_id
 
     pool_ids = sorted(pool_bundle.items)
-    pool_unit = np.stack([pool_bundle.items[i].ravel() for i in pool_ids]).astype(np.float64)
-    norms = np.linalg.norm(pool_unit, axis=1)
+    pool_unit = np.stack([pool_bundle.items[i].ravel() for i in pool_ids], dtype=np.float64)
+    n_pool, dim = pool_unit.shape
+    # row norms a block of rows at a time: each row sums as in one call
+    # over the whole pool, without a pool-sized squares temporary
+    step = max(1, MINE_ELEMENTS // dim)
+    norms = np.concatenate(
+        [np.linalg.norm(pool_unit[lo : lo + step], axis=1) for lo in range(0, n_pool, step)]
+    )
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in pool bundle")
     pool_unit /= norms[:, None]
@@ -368,7 +374,6 @@ def mine_hard_negatives(
     inst_code: dict[str, int] = {}
     pool_code = np.array([inst_code.setdefault(instance_of(i), len(inst_code)) for i in pool_ids])
     n_same = np.bincount(pool_code)
-    n_pool, dim = pool_unit.shape
 
     query_ids = sorted(query_bundle.items)
     rows = max(1, MINE_ELEMENTS // max(n_pool, dim))

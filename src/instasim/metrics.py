@@ -61,8 +61,11 @@ def average_precision(scores, labels, tie_key=None) -> float:
     scores, labels = _check_scores_labels(scores, labels)
     if labels.sum() == 0:
         raise UndefinedMetric("average precision needs at least one positive")
-    order = _ranked_order(scores, tie_key)
-    ranked = labels[order]
+    return _average_precision(labels[_ranked_order(scores, tie_key)])
+
+
+def _average_precision(ranked: np.ndarray) -> float:
+    """AP of int64 0/1 labels in rank order, at least one of them 1."""
     hits = np.cumsum(ranked)
     ranks = np.arange(1, ranked.size + 1)
     precisions = hits[ranked == 1] / ranks[ranked == 1]
@@ -73,10 +76,16 @@ def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score+ > score-) + 0.5 P(equal)."""
     scores, labels = _check_scores_labels(scores, labels)
     n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_pos == labels.size:
         raise UndefinedMetric("ROC-AUC needs both classes")
-    ranks = rank_average(scores)
+    return _roc_auc(scores, labels, n_pos, np.argsort(scores, kind="stable"))
+
+
+def _roc_auc(scores: np.ndarray, labels: np.ndarray, n_pos: int, ascending: np.ndarray) -> float:
+    """AUC of finite scores and int64 0/1 labels with both classes;
+    ``n_pos`` counts the 1s and ``ascending`` sorts the scores."""
+    n_neg = labels.size - n_pos
+    ranks = _mid_ranks(scores, ascending)
     rank_sum_pos = ranks[labels == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -91,6 +100,11 @@ def ndcg_from_ranking(labels_in_rank_order) -> float:
     n_pos = int(ranked.sum())
     if n_pos == 0:
         raise UndefinedMetric("nDCG needs at least one relevant item")
+    return _ndcg(ranked, n_pos)
+
+
+def _ndcg(ranked: np.ndarray, n_pos: int) -> float:
+    """nDCG of 0/1 labels in rank order; ``n_pos`` (>= 1) counts the 1s."""
     discounts = 1.0 / np.log2(np.arange(2, ranked.size + 2))
     dcg = float((ranked * discounts).sum())
     idcg = float(discounts[:n_pos].sum())
@@ -105,7 +119,13 @@ def ndcg_score(scores, labels, tie_key=None) -> float:
 def rank_average(x) -> np.ndarray:
     """1-based average (mid) ranks, ties sharing their mean rank."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    order = np.argsort(x, kind="stable")
+    return _mid_ranks(x, np.argsort(x, kind="stable"))
+
+
+def _mid_ranks(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``rank_average`` of ``x`` from any order that sorts it ascending:
+    every run of equal values gets one rank, however the run is
+    ordered."""
     xs = x[order]
     # sorted positions start..end (0-based, inclusive) hold one run of equal values
     start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))

@@ -5,8 +5,12 @@ One engine, ``score_pairs``, scores bundle item pairs: CLS bundles use
 cosine, PATCH bundles the negated transport divergence on
 L2-normalized rows. Distance is 1 - similarity either way. Every
 protocol, the sensitivity analysis, the trainer's validation accuracy
-and the one-pair ``similarity`` go through it, so no two reports can
-score a pair differently.
+and the one-pair ``similarity`` go through it, except CLS retrieval.
+That scores blocks of query rows against the whole gallery by the same
+per-pair ``ddot``, with no pair list, and holds one block of scores
+beside the stacked rows: ``CLS_PAIR_BLOCK`` scores, or one gallery row
+when that is longer. Every score still equals the one-pair path bit for
+bit, so no two reports can score a pair differently.
 """
 from __future__ import annotations
 
@@ -17,11 +21,14 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .bundle import EmbeddingBundle
-from .errors import DuplicateId, FormatError, InvalidInput, UndefinedMetric
+from .errors import DuplicateId, FormatError, InvalidInput
 from .metrics import (
+    _average_precision,
+    _ndcg,
+    _ranked_order,
+    _roc_auc,
     average_precision,
     kendall_tau_b,
-    ndcg_score,
     roc_auc,
     spearman_rho,
     triplet_correct,
@@ -56,7 +63,8 @@ def similarity(
 
 
 # pairs per vectorized block in the CLS branch of ``score_pairs``; bounds
-# its two gathered (block, dim) float64 temporaries
+# its two gathered (block, dim) float64 temporaries, and the scores of
+# one block of CLS retrieval
 CLS_PAIR_BLOCK = 1024
 
 
@@ -66,6 +74,10 @@ def score_pairs(
     sink_cfg: SinkhornConfig = SinkhornConfig(),
 ) -> np.ndarray:
     """Similarity of every (x_id, y_id) pair, in input order.
+
+    Every protocol but CLS retrieval scores through here; that one runs
+    the same per-pair ``ddot`` on blocks of query rows against the
+    gallery (``_retrieval_scores``), with the same bits.
 
     Scores equal a one-pair computation bit for bit. CLS: each distinct
     item is stacked once as a float64 row of ``U`` with norm
@@ -116,17 +128,24 @@ def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:
     out = np.empty(len(xy))
     if not row:
         return out
-    rows = [np.asarray(bundle.get(item_id), dtype=np.float64).ravel() for item_id in row]
-    if len({u.shape for u in rows}) > 1:
-        raise InvalidInput("vector shapes differ within the bundle")
-    U = np.stack(rows)
-    norms = np.sqrt(np.vecdot(U, U))
-    if np.any(norms == 0.0):
-        raise InvalidInput("zero-norm vector in cosine similarity")
+    U, norms = _cls_rows(bundle, row)
     for lo in range(0, len(xy), CLS_PAIR_BLOCK):
         x, y = xy[lo : lo + CLS_PAIR_BLOCK].T
         out[lo : lo + CLS_PAIR_BLOCK] = np.vecdot(U[x], U[y]) / (norms[x] * norms[y])
     return out
+
+
+def _cls_rows(bundle: EmbeddingBundle, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The CLS items ``ids``, in order, as the float64 rows of ``U``, and
+    their norms ``sqrt(vecdot(U, U))``."""
+    rows = [np.ravel(bundle.get(item_id)) for item_id in ids]
+    if len({u.shape for u in rows}) > 1:
+        raise InvalidInput("vector shapes differ within the bundle")
+    U = np.stack(rows, dtype=np.float64)
+    norms = np.sqrt(np.vecdot(U, U))
+    if np.any(norms == 0.0):
+        raise InvalidInput("zero-norm vector in cosine similarity")
+    return U, norms
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +239,60 @@ def _str_list(val, path, lineno, name) -> list[str]:
 
 
 def _retrieval_per_query(task: RetrievalTask, bundle, sink_cfg) -> dict[str, dict]:
+    """AP, nDCG and AUC of each query's scores over the gallery. Ranking
+    ties go to the lower gallery index, which is the lower id since the
+    gallery is sorted and unique. AUC is None when the whole gallery is
+    relevant."""
     queries = sorted(task.queries)
     gallery = sorted(task.gallery)
-    tie_key = np.array(gallery)
-    scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg)
+    column = {g: j for j, g in enumerate(gallery)}
     out: dict[str, dict] = {}
-    for query, row in zip(queries, scores.reshape(len(queries), len(gallery))):
-        labels = np.array([1 if g in task.relevance[query] else 0 for g in gallery])
-        try:
-            auc = roc_auc(row, labels)
-        except UndefinedMetric:
-            auc = None
-        out[query] = {
-            "ap": average_precision(row, labels, tie_key=tie_key),
-            "ndcg": ndcg_score(row, labels, tie_key=tie_key),
-            "auc": auc,
-        }
+    for block, scores in _retrieval_scores(queries, gallery, bundle, sink_cfg):
+        if not np.all(np.isfinite(scores)):
+            raise InvalidInput("scores must be finite")
+        for query, row in zip(block, scores):
+            relevant = task.relevance[query]
+            labels = np.zeros(len(gallery), dtype=np.int64)
+            labels[[column[g] for g in relevant]] = 1
+            order = _ranked_order(row, None)
+            ranked = labels[order]
+            n_pos = len(relevant)
+            # the descending order reversed sorts the row ascending
+            auc = _roc_auc(row, labels, n_pos, order[::-1]) if n_pos < len(gallery) else None
+            out[query] = {
+                "ap": _average_precision(ranked),
+                "ndcg": _ndcg(ranked, n_pos),
+                "auc": auc,
+            }
     return out
+
+
+def _retrieval_scores(queries: list[str], gallery: list[str], bundle, sink_cfg):
+    """Yield (queries, scores) per block of queries, in order: the
+    block's rows scored against the whole gallery.
+
+    CLS: the rows are stacked once by ``_cls_rows``, in the order the
+    (query, gallery) pairs first name them, so a missing item is
+    reported as ``score_pairs`` reports it. A block is the most query
+    rows whose scores fit in ``CLS_PAIR_BLOCK``, and at least one, scored
+    as ``vecdot(Q[:, None], G) / (nq[:, None] * ng)``. The broadcast
+    runs the same ``ddot`` per pair as ``score_pairs``, so every score
+    keeps its bits, and no pair list is built. PATCH: one block, from
+    ``score_pairs``."""
+    if bundle.token_kind != "CLS":
+        scores = score_pairs(bundle, [(q, g) for q in queries for g in gallery], sink_cfg)
+        yield queries, scores.reshape(len(queries), len(gallery))
+        return
+    ids = list(dict.fromkeys([queries[0], *gallery, *queries]))
+    U, norms = _cls_rows(bundle, ids)
+    at = {item_id: r for r, item_id in enumerate(ids)}
+    g = [at[item_id] for item_id in gallery]
+    q = np.array([at[item_id] for item_id in queries])
+    G, ng = U[g], norms[g]
+    step = max(1, CLS_PAIR_BLOCK // len(gallery))
+    for lo in range(0, len(queries), step):
+        r = q[lo : lo + step]
+        yield queries[lo : lo + step], np.vecdot(U[r, None], G) / (norms[r, None] * ng)
 
 
 def _triplet_counts(task: TripletTask, bundle, sink_cfg) -> tuple[dict, dict]:

@@ -524,6 +524,27 @@ class TestMining:
         # and an all-queries matrix 8 * 1400 * 64 bytes (700 KiB)
         assert transient(1600) - transient(200) < 64 * 1024
 
+    def test_peak_memory_holds_one_float64_pool(self, rng):
+        # the bench's pool shape
+        dim, n_pool = 256, 1696
+        pool = {f"p{j:04d}": rng.normal(size=(1, dim)) for j in range(n_pool)}
+        queries = {f"q{j:02d}": rng.normal(size=(1, dim)) for j in range(40)}
+        manifests = [_manifest(i, f"P{j // 2}") for j, i in enumerate(pool)]
+        manifests += [_manifest(i, f"Q{j}") for j, i in enumerate(queries)]
+        pool, queries = make_bundle("CLS", dim, pool), make_bundle("CLS", dim, queries)
+        tracemalloc.start()
+        try:
+            out = mine_hard_negatives(queries, pool, manifests, k=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 40
+        # the unit pool, plus a few MINE_ELEMENTS-float buffers of one block
+        # (scores, their partition indices, squares for the row norms); a
+        # pool-sized temporary beside the pool would add 3.3 MiB more
+        pool_bytes = 8 * n_pool * dim
+        assert peak - kept < pool_bytes + 4 * 8 * curation.MINE_ELEMENTS
+
     def test_same_instance_and_self_excluded(self, rng):
         manifests, bundle = self._bundles(rng, n_inst=2, per_inst=2)
         index = {m.image_id: m.instance_id for m in manifests}

@@ -1,4 +1,6 @@
 """Evaluation protocols end to end on small constructed bundles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from instasim.errors import (
 )
 from instasim.heads import init_dual_head, zero_grads
 from instasim.losses import LossConfig
-from instasim.metrics import average_precision, cosine_similarity, roc_auc
+from instasim.metrics import average_precision, cosine_similarity, ndcg_score, roc_auc
 from instasim.records import PairLabel, Triplet
 from instasim.protocols import (
     RetrievalTask,
@@ -28,6 +30,8 @@ from instasim.protocols import (
 from instasim.reporting import canonical_json
 from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence, solve_counts
 from instasim.trainer import TrainConfig, _micro_batch_pass, _TrainData
+
+from oracles import ap_oracle, auc_oracle, ndcg_oracle
 
 
 def _unit(v):
@@ -305,7 +309,115 @@ class TestRetrieval:
         labels = [1 if g in task.relevance["query"] else 0 for g in gallery]
         want = average_precision(scores, labels, tie_key=np.array(gallery))
         got = run_protocol("RETRIEVAL", planted_bundle, task=task)["metrics"]["map"]
-        assert abs(got - want) < 1e-15
+        assert got == want
+
+    @staticmethod
+    def _reference(task, score):
+        """Per-query metrics from the public functions over one ``score(q,
+        g)`` per pair, ties broken by gallery id, checked against the
+        brute-force oracles."""
+        gallery = sorted(task.gallery)
+        out = {}
+        for q in sorted(task.queries):
+            row = np.array([score(q, g) for g in gallery])
+            labels = np.array([1 if g in task.relevance[q] else 0 for g in gallery])
+            try:
+                auc = roc_auc(row, labels)
+            except UndefinedMetric:
+                auc = None
+            out[q] = {
+                "ap": average_precision(row, labels, tie_key=np.array(gallery)),
+                "ndcg": ndcg_score(row, labels, tie_key=np.array(gallery)),
+                "auc": auc,
+            }
+            assert out[q]["ap"] == pytest.approx(ap_oracle(row, labels, gallery), abs=1e-12)
+            assert out[q]["ndcg"] == pytest.approx(ndcg_oracle(row, labels, gallery), abs=1e-12)
+            if auc is not None:
+                assert auc == pytest.approx(auc_oracle(row, labels), abs=1e-12)
+        return out
+
+    @pytest.mark.parametrize("block", [1, 2 * 9 + 1, 1024])
+    def test_cls_blocks_equal_per_pair_metrics(self, rng, monkeypatch, block):
+        gallery = [f"g{k}" for k in range(9)]
+        queries = [f"q{k}" for k in range(5)]
+        items = {i: rng.normal(size=32) for i in gallery + queries}
+        # g1 and g4 tie exactly in every row; the twin queries q1 and q2
+        # fall in two blocks when a block holds two query rows
+        items["g4"] = items["g1"].copy()
+        items["q2"] = items["q1"].copy()
+        bundle = make_bundle("CLS", 32, items)
+        relevance = {q: {gallery[k], gallery[(3 * k + 2) % 9]} for k, q in enumerate(queries)}
+        relevance["q1"] = relevance["q2"] = {"g4", "g7"}  # the tie decides g4's rank
+        relevance["q3"] = set(gallery)  # AUC undefined
+        task = RetrievalTask(queries=queries, gallery=gallery, relevance=relevance)
+        monkeypatch.setattr(protocols, "CLS_PAIR_BLOCK", block)
+
+        blocks = protocols._retrieval_scores(queries, gallery, bundle, None)
+        rows = np.concatenate([scores for _, scores in blocks])
+        want = np.array(
+            [[cosine_similarity(bundle.get(q), bundle.get(g)) for g in gallery] for q in queries]
+        )
+        assert rows.tobytes() == want.tobytes()
+        assert np.all(rows[:, 1] == rows[:, 4])
+
+        report = run_protocol("RETRIEVAL", bundle, task=task)
+        per_query = report["detail"]["per_query"]
+        assert per_query == self._reference(
+            task, lambda q, g: cosine_similarity(bundle.get(q), bundle.get(g))
+        )
+        assert per_query["q1"] == per_query["q2"]
+        assert per_query["q3"]["auc"] is None and per_query["q3"]["ap"] == 1.0
+        assert report["metrics"]["n_auc_undefined"] == 1
+
+    def test_patch_retrieval_equals_the_score_pairs_route(self, rng):
+        sink = SinkhornConfig(epsilon=0.1, max_iters=2000)
+        gallery = [f"g{k}" for k in range(4)]
+        queries = [f"q{k}" for k in range(3)]
+        items = {i: rng.normal(size=(int(rng.integers(2, 5)), 4)) for i in gallery + queries}
+        items["g3"] = items["g0"].copy()
+        bundle = make_bundle("PATCH", 4, items)
+        relevance = {"q0": {"g3"}, "q1": {"g0", "g2"}, "q2": set(gallery)}
+        task = RetrievalTask(queries=queries, gallery=gallery, relevance=relevance)
+        pairs = [(q, g) for q in queries for g in gallery]
+        by_pair = dict(zip(pairs, score_pairs(bundle, pairs, sink)))
+        report = run_protocol("RETRIEVAL", bundle, task=task, sink_cfg=sink)
+        assert report["detail"]["per_query"] == self._reference(task, lambda q, g: by_pair[q, g])
+
+    def test_missing_item_is_named_as_score_pairs_names_it(self, rng):
+        bundle = make_bundle("CLS", 4, {i: rng.normal(size=4) for i in ("q0", "g0", "g2")})
+        task = RetrievalTask(
+            queries=["q0", "q1"],
+            gallery=["g0", "g1", "g2"],
+            relevance={"q0": {"g0"}, "q1": {"g2"}},
+        )
+        with pytest.raises(MissingItem, match="'g1'"):
+            run_protocol("RETRIEVAL", bundle, task=task)
+
+    def test_peak_memory_does_not_grow_with_the_query_count(self, rng):
+        dim, n_gallery = 4, 300
+        gallery = [f"g{j:03d}" for j in range(n_gallery)]
+        queries = [f"q{j:04d}" for j in range(1600)]
+        bundle = make_bundle("CLS", dim, {i: rng.normal(size=dim) for i in gallery + queries})
+
+        def transient(n_queries):
+            """Peak traced bytes of one run, over what its report keeps."""
+            task = RetrievalTask(
+                queries=queries[:n_queries],
+                gallery=gallery,
+                relevance={q: {gallery[k % n_gallery]} for k, q in enumerate(queries[:n_queries])},
+            )
+            tracemalloc.start()
+            try:
+                report = run_protocol("RETRIEVAL", bundle, task=task)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report["metrics"]["n_queries"] == n_queries
+            return peak - kept
+
+        # a query's stacked row and its index entries take about 120 bytes;
+        # its (query, gallery) pairs as tuples would take 300 * 64 bytes
+        assert transient(1600) - transient(200) < 1400 * 512
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
