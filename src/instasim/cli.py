@@ -266,10 +266,9 @@ def _cmd_inspect(args) -> int:
         raise InvalidInput("nothing to inspect; pass --bundle and/or --manifests")
     if args.bundle:
         bundle = read_bundle(args.bundle)
-        total_rows = sum(arr.shape[0] for arr in bundle.items.values())
         print(f"bundle {args.bundle}")
         print(f"  token_kind {bundle.token_kind}  dim {bundle.dim}")
-        print(f"  items {len(bundle)}  total rows {total_rows}")
+        print(f"  items {len(bundle)}  total rows {len(bundle.matrix)}")
     if args.manifests:
         manifests = load_manifest(args.manifests)
         print(f"manifests {args.manifests}: {len(manifests)} images")

@@ -358,7 +358,7 @@ def mine_hard_negatives(
         return index[image_id].instance_id
 
     pool_ids = sorted(pool_bundle.items)
-    pool_unit = np.stack([pool_bundle.items[i].ravel() for i in pool_ids], dtype=np.float64)
+    pool_unit = pool_bundle.rows(pool_ids)
     n_pool, dim = pool_unit.shape
     # row norms a block of rows at a time: each row sums as in one call
     # over the whole pool, without a pool-sized squares temporary
@@ -380,21 +380,19 @@ def mine_hard_negatives(
     out: dict[str, list[str]] = {}
     for start in range(0, len(query_ids), rows):
         block = query_ids[start : start + rows]
-        vecs, qns, codes = [], [], []
-        for query_id in block:
-            q = query_bundle.items[query_id].astype(np.float64).ravel()
-            qn = np.linalg.norm(q)
-            if qn == 0.0:
+        vecs = query_bundle.rows(block)
+        qns, codes = np.empty(len(block)), []
+        for r, query_id in enumerate(block):
+            qns[r] = np.linalg.norm(vecs[r])
+            if qns[r] == 0.0:
                 raise InvalidInput(f"zero-norm query vector {query_id!r}")
             code = inst_code.get(instance_of(query_id), -1)
             if code >= 0 and n_same[code] == n_pool:
                 raise NoCandidates(f"no different-instance pool items for {query_id!r}")
-            vecs.append(q)
-            qns.append(qn)
             codes.append(code)
         certified = np.zeros(len(block), dtype=bool)
         if k < n_pool:
-            unit = np.stack(vecs) / np.array(qns)[:, None]
+            unit = vecs / qns[:, None]
             top, certified = _screen(unit, np.array(codes), pool_unit, pool_code, k)
         for r, query_id in enumerate(block):
             if certified[r]:

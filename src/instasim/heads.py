@@ -412,36 +412,34 @@ def apply_head(head: DualHead, bundle: EmbeddingBundle) -> EmbeddingBundle:
     """Project every item of a bundle; CLS bundles use the CLS head,
     PATCH bundles the patch head. Output arrays are float32.
 
-    Whole items, in id order, are concatenated into blocks of at most
-    ``APPLY_ROW_BLOCK`` rows (an item with more rows is a block of its
-    own), and each block takes one ``mlp_forward`` pass, so the float64
-    temporaries stay bounded however large the bundle is. Each item's
-    output equals that of a one-item pass, byte for byte.
+    Whole items, in id order, are taken by row index into blocks of at
+    most ``APPLY_ROW_BLOCK`` rows (an item with more rows is a block of
+    its own), and each block takes one ``mlp_forward`` pass, so the
+    float64 temporaries stay bounded however large the bundle is. Each
+    item's output equals that of a one-item pass, byte for byte. The
+    output is one float32 matrix, in id order.
     """
     mlp = head.cls_head if bundle.token_kind == "CLS" else head.patch_head
     if bundle.dim != head.in_dim:
         raise ShapeError(f"bundle dim {bundle.dim} does not match head input {head.in_dim}")
-    mats = {i: np.atleast_2d(bundle.items[i]) for i in sorted(bundle.items)}
-    rows = {i: len(m) for i, m in mats.items()}
-    items: dict[str, np.ndarray] = {}
-    for block in _row_blocks(rows, APPLY_ROW_BLOCK):
-        X = np.concatenate([mats[i] for i in block], dtype=np.float64)
-        Y, _ = mlp_forward(mlp, X, head.activation)
-        ends = np.cumsum([rows[i] for i in block])[:-1]
-        items.update(zip(block, np.split(Y.astype(np.float32), ends)))
-    return EmbeddingBundle(token_kind=bundle.token_kind, dim=head.out_dim, items=items)
+    ids = sorted(bundle.items)
+    at, counts = bundle.row_index(ids)
+    out = np.empty((len(at), head.out_dim), dtype=np.float32)
+    for lo, hi in _row_blocks(counts.tolist(), APPLY_ROW_BLOCK):
+        out[lo:hi], _ = mlp_forward(mlp, bundle.matrix[at[lo:hi]].astype(np.float64), head.activation)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return EmbeddingBundle.from_matrix(bundle.token_kind, ids, out, offsets)
 
 
-def _row_blocks(rows: dict[str, int], bound: int):
-    """Consecutive runs of ids whose row counts sum to at most ``bound``;
-    an id with more rows than ``bound`` is a run of its own."""
-    block: list[str] = []
-    total = 0
-    for item_id, n in rows.items():
-        if block and total + n > bound:
-            yield block
-            block, total = [], 0
-        block.append(item_id)
-        total += n
-    if block:
-        yield block
+def _row_blocks(counts: list[int], bound: int):
+    """Row spans ``(lo, hi)`` of consecutive runs of items whose row
+    ``counts`` sum to at most ``bound``; an item with more rows than
+    ``bound`` is a run of its own."""
+    lo = hi = 0
+    for n in counts:
+        if hi > lo and hi - lo + n > bound:
+            yield lo, hi
+            lo = hi
+        hi += n
+    if hi > lo:
+        yield lo, hi

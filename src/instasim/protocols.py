@@ -138,10 +138,7 @@ def _score_cls_pairs(bundle: EmbeddingBundle, pairs) -> np.ndarray:
 def _cls_rows(bundle: EmbeddingBundle, ids) -> tuple[np.ndarray, np.ndarray]:
     """The CLS items ``ids``, in order, as the float64 rows of ``U``, and
     their norms ``sqrt(vecdot(U, U))``."""
-    rows = [np.ravel(bundle.get(item_id)) for item_id in ids]
-    if len({u.shape for u in rows}) > 1:
-        raise InvalidInput("vector shapes differ within the bundle")
-    U = np.stack(rows, dtype=np.float64)
+    U = bundle.rows(ids)
     norms = np.sqrt(np.vecdot(U, U))
     if np.any(norms == 0.0):
         raise InvalidInput("zero-norm vector in cosine similarity")

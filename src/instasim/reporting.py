@@ -8,7 +8,11 @@ Every loader and saver in the package reads and writes through the
 helpers here: ``iter_jsonl``/``read_json`` turn unreadable or malformed
 files into IoError/FormatError naming the path (and line), and every
 writer goes through ``atomic_write``, so an interrupted or failed write
-leaves the previous file untouched.
+leaves the previous file untouched. ``iter_jsonl`` decodes a file once
+and parses each line with the C JSON scanner; a line the scanner does
+not take as one whole object, and every line of a file that is not
+valid UTF-8, falls back to ``json.loads`` on that line alone, so every
+error keeps its ``path:lineno`` message.
 """
 from __future__ import annotations
 
@@ -16,11 +20,14 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
+from json.scanner import make_scanner
 
 from ._version import __version__
 from .errors import FormatError, InvalidInput, IoError
 
 FORMAT_VERSION = 1
+# the C scanner behind ``json.loads``: (text, index) -> (value, end)
+_scan_once = make_scanner(json.JSONDecoder())
 
 
 def canonical_json(obj) -> str:
@@ -86,22 +93,52 @@ def write_jsonl(path, rows) -> None:
 
 def iter_jsonl(path):
     """Yield ``(lineno, object)`` for every non-blank line of a UTF-8
-    JSONL file; a line that is not a JSON object is a FormatError."""
+    JSONL file; a line that is not a JSON object is a FormatError.
+
+    The file is read and decoded once, and split at line feeds only, as
+    a binary line reader splits it (``str.splitlines`` would also break
+    at U+0085 and U+2028, which JSON strings may hold). Each stripped,
+    non-blank line goes through the C scanner, and is kept when its value
+    is an object that ends at the line's end. Any other line, and every
+    line of a file that is not valid UTF-8, goes through ``_parse_line``:
+    ``json.loads`` on the line, whose error names ``path:lineno``."""
     try:
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{path}:{lineno}: expected a JSON object")
-                yield lineno, obj
+            blob = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        lines = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = blob.split(b"\n")
+    del blob
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):  # _parse_line raises it
+            end = -1
+        if end != len(line) or not isinstance(obj, dict):
+            obj = _parse_line(line, path, lineno)
+        yield lineno, obj
+
+
+def _parse_line(line: str, path, lineno: int) -> dict:
+    """One stripped JSONL line, by ``json.loads``."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}:{lineno}: expected a JSON object")
+    return obj
 
 
 def read_json(path):

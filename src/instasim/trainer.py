@@ -99,13 +99,13 @@ class _TrainData:
         self._patch_cache: dict[str, np.ndarray] = {}
 
     def require(self, image_id: str) -> None:
-        if image_id not in self.cls_bundle.items:
+        if image_id not in self.cls_bundle.index:
             raise MissingItem(f"image {image_id!r} missing from CLS bundle")
-        if self.use_patch and image_id not in self.patch_bundle.items:
+        if self.use_patch and image_id not in self.patch_bundle.index:
             raise MissingItem(f"image {image_id!r} missing from patch bundle")
 
     def cls_vec(self, image_id: str) -> np.ndarray:
-        return self.cls_bundle.get(image_id).astype(np.float64).ravel()
+        return self.cls_bundle.rows([image_id])[0]
 
     def patch_mat(self, image_id: str) -> np.ndarray:
         if image_id not in self._patch_cache:
@@ -148,7 +148,7 @@ def _micro_batch_pass(
     image_ids = sorted({i for t, n in zip(micro, negs) for i in (t.anchor, t.positive, *n)})
     row = {image_id: k for k, image_id in enumerate(image_ids)}
     rows = [(row[t.anchor], [row[i] for i in (t.positive, *n)]) for t, n in zip(micro, negs)]
-    X = np.stack([data.cls_vec(i) for i in image_ids])
+    X = data.cls_bundle.rows(image_ids)
     Y, cls_cache = mlp_forward(head.cls_head, X, head.activation)
     c_losses, dY = cosine_losses(Y, rows, cfg.loss)
     passes = [("cls", head.cls_head, cls_cache, dY)]
@@ -205,9 +205,8 @@ def _validation_accuracy(head: DualHead, val: list[Triplet], data: _TrainData) -
     ``score_pairs`` (not through ``make_bundle``, whose float32 cast
     would move the scores)."""
     image_ids = sorted({i for t in val for i in (t.anchor, t.positive, t.hard_negative)})
-    X = np.stack([data.cls_vec(i) for i in image_ids])
-    Y, _ = mlp_forward(head.cls_head, X, head.activation)
-    bundle = EmbeddingBundle("CLS", head.out_dim, dict(zip(image_ids, Y)))
+    Y, _ = mlp_forward(head.cls_head, data.cls_bundle.rows(image_ids), head.activation)
+    bundle = EmbeddingBundle.from_matrix("CLS", image_ids, Y)
     pairs = [pair for t in val for pair in ((t.anchor, t.positive), (t.anchor, t.hard_negative))]
     sims = score_pairs(bundle, pairs).reshape(-1, 2)
     correct = sum(1 for s_pos, s_neg in sims if triplet_correct(s_pos, s_neg))

@@ -549,3 +549,27 @@ def apply_head_per_item(head, bundle):
         Y, _ = mlp_forward(mlp, bundle.items[image_id].astype(np.float64), head.activation)
         items[image_id] = np.asarray(Y, dtype=np.float32).reshape(-1, head.out_dim)
     return EmbeddingBundle(token_kind=bundle.token_kind, dim=head.out_dim, items=items)
+
+
+def iter_jsonl_per_line(path):
+    """``reporting.iter_jsonl`` as a binary line reader with one
+    ``json.loads`` per line (the earlier implementation)."""
+    import json
+
+    from instasim.errors import FormatError, IoError
+
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise FormatError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, obj
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc

@@ -2,6 +2,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,17 @@ from instasim.records import (
 from instasim.curation import load_filter_rules, load_inventory, load_mined, load_samples
 from instasim.heads import init_dual_head, save_head
 from instasim.protocols import load_retrieval_task, load_triplet_task
-from instasim.reporting import canonical_json, config_hash, write_json_report, write_jsonl
+from instasim import reporting
+from instasim.reporting import (
+    canonical_json,
+    config_hash,
+    iter_jsonl,
+    write_json_report,
+    write_jsonl,
+)
 from instasim.sensitivity import load_grids
+
+from oracles import iter_jsonl_per_line
 
 JSONL_LOADERS = [
     load_manifest,
@@ -156,6 +166,157 @@ class TestBundleCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             read_bundle(tmp_path / "does_not_exist.idse")
+
+
+class TestBundleMatrix:
+    N, DIM = 1696, 256  # the bench's CLS bundle
+
+    def _cls_file(self, tmp_path, rng):
+        items = {f"img{j:05d}": rng.normal(size=(1, self.DIM)) for j in range(self.N)}
+        path = tmp_path / "big.idse"
+        write_bundle(path, make_bundle("CLS", self.DIM, items))
+        return path
+
+    def test_read_peaks_at_the_file_bytes(self, tmp_path, rng):
+        path = self._cls_file(tmp_path, rng)
+        payload = self.N * self.DIM * 4
+        tracemalloc.start()
+        try:
+            bundle = read_bundle(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the matrix is a view of the buffer the file was read into; ids,
+        # index and offsets take about 140 bytes an item at rest and 200 at
+        # peak, and a per-item array would add its own header on top
+        assert peak < os.path.getsize(path) + 256 * self.N
+        assert kept < payload + 160 * self.N
+        assert bundle.matrix.shape == (self.N, self.DIM)
+        assert all(np.may_share_memory(bundle.items[k], bundle.matrix) for k in bundle.items)
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_write_peaks_at_one_payload_over_the_bundle(self, tmp_path, rng, order):
+        bundle = read_bundle(self._cls_file(tmp_path, rng))
+        if order == "reversed":
+            # the raw constructor keeps the order, so the rows are gathered
+            bundle = EmbeddingBundle("CLS", self.DIM, dict(reversed(list(bundle.items.items()))))
+        tracemalloc.start()
+        try:
+            write_bundle(tmp_path / "out.idse", bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N * self.DIM * 4 + 256 * self.N
+        assert (tmp_path / "out.idse").read_bytes() == (tmp_path / "big.idse").read_bytes()
+
+    @pytest.mark.parametrize("id_len", [1, 2, 3, 4])
+    def test_payload_after_any_header_length_reads_aligned(self, tmp_path, rng, id_len):
+        items = {"x" * id_len: rng.normal(size=(3, 5)), "y": rng.normal(size=(2, 5))}
+        bundle = make_bundle("PATCH", 5, items)
+        write_bundle(tmp_path / "a.idse", bundle)
+        back = read_bundle(tmp_path / "a.idse")
+        assert back.matrix.flags.aligned and back.matrix.flags.writeable
+        assert back.matrix.tobytes() == bundle.matrix.tobytes()
+
+    def test_empty_id_on_read_is_corrupt(self, tmp_path):
+        path = tmp_path / "empty_id.idse"
+        header = MAGIC + struct.pack("<IBII", 1, 0, 2, 1) + struct.pack("<H", 0) + struct.pack("<I", 1)
+        path.write_bytes(header + struct.pack("<2f", 1.0, 2.0))
+        with pytest.raises(CorruptBundle, match="empty item id"):
+            read_bundle(path)
+
+    def test_rows_are_exact_float64_gathers(self, cls_bundle):
+        ids = sorted(cls_bundle.items)[::-1]
+        U = cls_bundle.rows(ids)
+        assert U.dtype == np.float64
+        for row, image_id in zip(U, ids):
+            assert (row == cls_bundle.get(image_id).astype(np.float64).ravel()).all()
+        with pytest.raises(MissingItem, match="'nope'"):
+            cls_bundle.rows([ids[0], "nope"])
+
+    def test_deleted_item_is_not_written(self, tmp_path, patch_bundle):
+        gone = sorted(patch_bundle.items)[1]
+        kept = {k: v for k, v in patch_bundle.items.items() if k != gone}
+        del patch_bundle.items[gone]
+        assert gone not in patch_bundle.items and len(patch_bundle) == len(kept)
+        write_bundle(tmp_path / "a.idse", patch_bundle)
+        write_bundle(tmp_path / "b.idse", make_bundle("PATCH", patch_bundle.dim, kept))
+        assert (tmp_path / "a.idse").read_bytes() == (tmp_path / "b.idse").read_bytes()
+
+    def test_constructor_keeps_float64_rows(self):
+        rows = {"b": np.array([0.1, 0.2]), "a": np.array([[0.3, 0.4]])}
+        bundle = EmbeddingBundle("CLS", 2, rows)
+        assert bundle.matrix.dtype == np.float64
+        assert list(bundle.items) == ["b", "a"]
+        assert bundle.rows(["a", "b"]).tolist() == [[0.3, 0.4], [0.1, 0.2]]
+
+
+def _jsonl_outcome(read, path):
+    try:
+        return "ok", repr(list(read(path)))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+class TestJsonlDecoding:
+    CASES = {
+        # each line is invalid on its own, though joined as one array
+        # they would parse as three objects
+        "joined_array": b'{"a":[1\n2]}\n{"c":1},{"d":2}\n',
+        "line_separators": '{"s": "a\u0085b\u2028c\u2029d"}\n{"t": 1}\n'.encode(),
+        "bom": b'\xef\xbb\xbf{"a": 1}\n',
+        "crlf": b'{"a": 1}\r\n{"b": 2}\r\n',
+        "whitespace_only": b'{"a": 1}\n  \t \n\x0c\n{"b": 2}\n   ',
+        "blank_then_bad": b'\n\n{"a": 1}\n\n[1]\n',
+        "blank_then_extra_data": b'\n{"a": 1} x\n',
+        "no_final_newline": b'{"a": 1}\n{"b": 2}',
+        "unicode_whitespace_around": ' \u2028{"a": 1}\u0085 \n'.encode(),
+        "scalar_line": b'{"a": 1}\n3\n',
+        "bad_utf8_late": b'{"a": 1}\n{"b": "caf\xe9"}\n',
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_objects_or_error_as_the_line_reader(self, tmp_path, case):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(self.CASES[case])
+        assert _jsonl_outcome(iter_jsonl, path) == _jsonl_outcome(iter_jsonl_per_line, path)
+
+    def test_joined_array_lines_fail_at_line_1(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(self.CASES["joined_array"])
+        with pytest.raises(FormatError, match=r"f\.jsonl:1: invalid JSON"):
+            list(iter_jsonl(path))
+
+    def test_line_separators_inside_strings_load(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = {"image_id": "a\u2028b", "instance_id": "i\u0085", "dataset_id": "D",
+               "subset": "S1", "split": "train", "edit_meta": {"note": "x\u2029y"}}
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        (rec,) = load_manifest(path)
+        assert (rec.image_id, rec.instance_id, rec.edit_meta) == ("a\u2028b", "i\u0085", {"note": "x\u2029y"})
+
+    def test_bom_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(self.CASES["bom"])
+        with pytest.raises(FormatError, match=r"f\.jsonl:1: invalid JSON: Unexpected UTF-8 BOM"):
+            list(iter_jsonl(path))
+        path.write_bytes(self.CASES["crlf"])
+        assert list(iter_jsonl(path)) == [(1, {"a": 1}), (2, {"b": 2})]
+        path.write_bytes(self.CASES["whitespace_only"])
+        assert list(iter_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
+        path.write_bytes(self.CASES["blank_then_bad"])
+        with pytest.raises(FormatError, match=r"f\.jsonl:5: expected a JSON object"):
+            list(iter_jsonl(path))
+
+    def test_valid_lines_skip_json_loads(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        save_manifest(path, [ImageManifest(f"i{j}", "a", "D", "S1", "train") for j in range(3)])
+
+        def fail(line, path, lineno):
+            raise AssertionError(f"line {lineno} left the scanner")
+
+        monkeypatch.setattr(reporting, "_parse_line", fail)
+        assert [r.image_id for r in load_manifest(path)] == ["i0", "i1", "i2"]
 
 
 class TestManifestRecords:

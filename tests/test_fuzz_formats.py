@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from instasim import reporting
 from instasim.bundle import make_bundle, read_bundle, write_bundle
 from instasim.curation import (
     InstanceSample,
@@ -38,7 +39,7 @@ from instasim.records import (
     save_pair_labels,
     save_triplets,
 )
-from instasim.reporting import write_json_report, write_jsonl
+from instasim.reporting import iter_jsonl, write_json_report, write_jsonl
 from instasim.sensitivity import load_grids
 
 SEED = 1729
@@ -218,3 +219,36 @@ def test_damaged_files_raise_only_tool_errors(tmp_path, name):
                     f"input: {damaged[:300]!r}"
                 )
 
+
+
+JSONL_NAMES = sorted(set(LOADERS) - JSON_DOCS - {"bundle", "checkpoint"})
+
+
+def _outcome(load, path):
+    try:
+        return "ok", repr(load(path))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _no_scan(line, idx):
+    raise StopIteration(idx)
+
+
+@pytest.mark.parametrize("name", JSONL_NAMES)
+def test_jsonl_fast_path_matches_json_loads(tmp_path, monkeypatch, name):
+    """Every damaged JSONL file of the fuzz above gives the same objects,
+    or the same error, with the scanner fast path on and forced off."""
+    path = tmp_path / f"{name}.jsonl"
+    _write_valid(name, path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng([SEED, sorted(LOADERS).index(name)])
+    readers = (lambda p: list(iter_jsonl(p)), LOADERS[name])
+    for kind in ("truncate", "flip", "delete", "swap"):
+        for round_no in range(ROUNDS):
+            path.write_bytes(_damage(name, blob, kind, rng))
+            fast = [_outcome(read, path) for read in readers]
+            with monkeypatch.context() as patched:
+                patched.setattr(reporting, "_scan_once", _no_scan)
+                slow = [_outcome(read, path) for read in readers]
+            assert fast == slow, f"{name}, {kind} round {round_no}"
