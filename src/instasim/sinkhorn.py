@@ -3,7 +3,8 @@
 The patch-level similarity of two images compares their token matrices
 A (P1 x D) and B (P2 x D) as uniform point clouds under the quadratic
 cost c(x, y) = 0.5 * ||x - y||^2. We solve the entropy-regularized
-problem in the log domain and report the debiased divergence
+problem by log-stabilized Sinkhorn scalings and report the debiased
+divergence
 
     S_eps(A, B) = OT_eps(A, B) - 0.5 * OT_eps(A, A) - 0.5 * OT_eps(B, B)
 
@@ -39,15 +40,26 @@ way; Feydy et al., AISTATS 2019). Problems are sorted by shape and
 stacked in chunks, zero-padded to (B, N, M) and bounded by
 STACK_ELEMENTS padded elements, not by a pair count, so its working
 memory stays small whatever the token count; a problem over the bound
-is solved alone. Both half-steps are log-sum-exps over a leading axis,
-which numpy sums one row at a time: padded rows, whose potentials are
--inf, add exactly 0.0, and a problem gives the same bits in any stack.
-A problem leaves its stack at the iteration it meets tol, so a stack
-runs on with only the problems still open.
+is solved alone. The loop runs Schmitzer's log-stabilized scaling
+algorithm ("Stabilized Sparse Scaling Algorithms for Entropy
+Regularized Transport Problems", SIAM J. Sci. Comput. 2019, section 3):
+each problem's kernel is kept as E = exp(-C / eps + f + g), built from
+absorbed log potentials f and g, and a half-step updates scalings on
+it in two passes over the stack, a product and a sum over a leading
+axis, then a division by the marginal. numpy sums that axis one row at
+a time: padded rows, whose scalings are 0, add exactly 0.0, and a
+problem gives the same bits in any stack. A problem whose update
+returns a scaling above e^TAU, the largest that keeps the kernel's
+underflowed mass below rounding, or whose sum underflowed to 0,
+absorbs alone: that update is redone as a log-sum-exp, its potentials
+become the new f and g, and its slice of E is rebuilt from -C / eps,
+recomputed from its points. A problem leaves its stack at the
+iteration it meets tol, so a stack runs on with only the problems
+still open.
 
 A note on tolerances: every solve stops when the worst row-marginal
 violation of its plan drops to tol, and the check reuses the next
-half-step's log-sum-exp, so it costs no pass of its own. The result
+half-step's scalings, so it costs no pass over the stack. The result
 carries that violation as ``marginal_err``. Cross terms use
 alternating updates. Where both sets hold clusters several times
 epsilon apart, these approach the fixed point along the potentials'
@@ -184,22 +196,56 @@ def _check_pair(A, B, cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _half_sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """C_ij = 0.5 * ||X_i - Y_j||^2, clipped at zero against rounding."""
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
-    return 0.5 * np.maximum(sq, 0.0)
+def _half_sqdist(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """C_ij = 0.5 * ||X_i - Y_j||^2, clipped at zero against rounding.
+    With ``out`` and ``tmp`` (both n x m) it is built in ``out``, with
+    ``tmp`` as scratch space, in the same bits. For Y is X, numpy forms
+    X @ X.T with a symmetric product, so C is exactly symmetric, and its
+    diagonal is set to exactly 0, which bounds a self term's stabilized
+    kernel by 1 (see TAU): rounding leaves up to about |X_i|^2 2^-52
+    there, enough to overflow it for clouds far from the origin."""
+    P = np.matmul(X, Y.T, out=out)
+    np.multiply(P, 2.0, out=P)
+    sq = np.add((X * X).sum(axis=1)[:, None], (Y * Y).sum(axis=1), out=tmp)
+    np.subtract(sq, P, out=P)
+    np.maximum(P, 0.0, out=P)
+    if Y is X:
+        np.fill_diagonal(P, 0.0)
+    return np.multiply(P, 0.5, out=P)
 
 
-# padded elements B x N x M of one solve stack, which holds K, K^T and a
+# padded elements B x N x M of one solve stack, which holds E, E^T and a
 # scratch array of that size (128 KiB of float64 each); a problem over
-# it is solved alone. 2^12 and 2^16 were both slower on the bench.
+# it is solved alone. With the scaling half-steps, three 15-second runs
+# each of the bench's patch workload gave wall_s medians of 0.256,
+# 0.223, 0.209, 0.209 and 0.221 s for 2^12 to 2^16: 2^15 ties with
+# twice the memory.
 STACK_ELEMENTS = 1 << 14
+
+# Every scaling a half-step returns is kept at most e^TAU; an entry with
+# one above it absorbs. E = exp(K + f + g) is built from the potentials
+# of a plan with an exact marginal, or for a self term from (u, u) with
+# u <= 0 (its first update, K_ii = 0) or the mean of such a plan's two
+# potentials, so E_ij <= 1, and an entry that exp flushed to zero or
+# left subnormal is off by less than 2^-1074. A half-step sums n products E_ij s_i with
+# every s_i <= e^TAU and keeps its result r_j = b_j / sum only when
+# r_j <= e^TAU, that is when the sum is at least e^-TAU / m. The
+# underflowed mass, at most n e^TAU 2^-1074, is then a share of the sum
+# of at most n m e^(2 TAU) 2^-1074: below rounding, 2^-53, when
+# e^(2 TAU) <= 2^(1021 - 40), for any kernel that fits in memory
+# (n m < 2^40 elements, 8 TiB per array). Nothing overflows: a sum is
+# at most n e^TAU < 2^40 e^340 and a plan entry at most e^(2 TAU), far
+# below 2^1024. Scalings need no lower bound: the share does not depend
+# on one, and with E_ij <= 1 each is at least e^-TAU / (n m) anyway.
+TAU = (1021 - 40) / 2 * math.log(2.0)
+_SCALE_MAX = math.exp(TAU)
 
 
 def _half_step(K: np.ndarray, h: np.ndarray, log_m: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """log_m[b, j] - log sum_i exp(K[b, i, j] + h[b, i]), the log-sum-exp
     over each stack entry's leading axis i, max-shifted; ``buf`` (K's
-    shape) is the scratch space.
+    shape) is the scratch space. The log-domain half-step: it starts
+    every solve and redoes the half-step of an absorbed entry.
 
     numpy sums a non-innermost axis one row at a time, so each entry's
     sum runs in the same order whatever the stack holds, and a padded
@@ -216,73 +262,142 @@ def _half_step(K: np.ndarray, h: np.ndarray, log_m: np.ndarray, buf: np.ndarray)
     return np.subtract(log_m, s, out=s)
 
 
+def _scale(E: np.ndarray, s: np.ndarray, m: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """m[b, j] / sum_i E[b, i, j] s[b, i], the scaling half-step: two
+    passes over the stack and a division. As in ``_half_step`` the sum
+    runs one row at a time, and a padded row, whose scaling is 0 and
+    whose kernel entries are 1, adds exactly 0.0. A sum that underflowed
+    to 0 gives an infinite scaling (numpy's divide warning is off)."""
+    np.multiply(E, s[..., None], out=buf)
+    t = np.add.reduce(buf, axis=-2)
+    return np.divide(m, t, out=t)
+
+
 class _Stack:
-    """A chunk of solves as zero-padded stacks: K (B, N, M) for the
-    column update (cross terms only) and K^T (B, M, N) for the row
-    update, so that both half-steps reduce over a leading axis; K is
-    -C / eps of the problems at indices ``ks``. The log marginals
-    ``loga``/``logb`` and so every potential are -inf at padded
-    positions; ``real`` marks the rows that are not padding (True when
-    none is). A stack of one entry drops the B axis: numpy runs 2-D
-    operations faster, with the same bits. When that entry needs no
-    padding either, the stack's K is the one computed, not a copy, so a
-    problem over STACK_ELEMENTS holds three arrays of its size (K, K^T
-    and the scratch space), a self term two."""
+    """A chunk of solves as zero-padded stacks of stabilized kernels
+    (Schmitzer, SIAM J. Sci. Comput. 2019, section 3): E (B, N, M) =
+    exp(K + f + g) for the column update and, for cross terms only, its
+    transpose E^T (B, M, N) for the row update, so that both half-steps
+    reduce over a leading axis; K is -C / eps of the problems at indices
+    ``ks``, and f and g are the absorbed log potentials. A self term's
+    K is symmetric and its f is its g (except in an entry absorbed at
+    the iteration it finishes), so its column update is its row update.
+    The potentials are u = f + log alpha and v = g + log beta for the
+    scalings the loop carries; padded rows and columns have scaling and
+    marginal 0 and kernel entries 1, and ``real`` marks the rows that
+    are not padding (True when none is). A stack of one entry drops the
+    B axis: numpy runs 2-D operations faster, with the same bits. When
+    that entry needs no padding either, its K is built in E's memory,
+    and an absorption recomputes it there from the points, so a problem
+    over STACK_ELEMENTS holds three arrays of its size (E, E^T and the
+    scratch space), a self term two."""
 
     def __init__(self, ks: list[int], problems, cfg: SinkhornConfig, cross: bool):
-        self.ks, self.cross = ks, cross
+        self.ks, self.problems, self.cross, self.eps = ks, problems, cross, cfg.epsilon
         self.shapes = [(len(problems[k][0]), len(problems[k][1])) for k in ks]
         B = len(ks)
         N = max(2, max(n for n, _ in self.shapes))
         M = max(2, max(m for _, m in self.shapes))
+        self.buf = np.empty(B * N * M)
         if self.shapes == [(N, M)]:
-            K = (_half_sqdist(*problems[ks[0]]) / -cfg.epsilon)[None]
-            Kt = np.ascontiguousarray(K.transpose(0, 2, 1))
-            K = K if cross else Kt
+            E = self._kernel(problems[ks[0]], np.empty((N, M)), self.buf.reshape(N, M))[None]
+            Et = np.ascontiguousarray(E.transpose(0, 2, 1)) if cross else E
         else:
-            Kt = np.zeros((B, M, N))
-            K = np.zeros((B, N, M)) if cross else Kt
+            E = np.zeros((B, N, M))
+            Et = np.zeros((B, M, N)) if cross else E
             for b, k in enumerate(ks):
-                Kb = _half_sqdist(*problems[k]) / -cfg.epsilon
+                Kb = self._kernel(problems[k])
                 n, m = Kb.shape
-                Kt[b, :m, :n] = Kb.T
+                E[b, :n, :m] = Kb
                 if cross:
-                    K[b, :n, :m] = Kb
+                    Et[b, :m, :n] = Kb.T
         loga = np.full((B, N), -np.inf)
         logb = np.full((B, M), -np.inf) if cross else loga
         for b, (n, m) in enumerate(self.shapes):
             loga[b, :n] = -np.log(n)
             logb[b, :m] = -np.log(m)
+        am = np.exp(loga)
+        bm = np.exp(logb) if cross else am
+        real = am > 0.0
+        u0 = _half_step(Et, logb, loga, self.buf.reshape(Et.shape))
+        f = np.where(real, u0, 0.0)
+        g = np.where(bm > 0.0, logb, 0.0) if cross else f.copy()
+        # E = exp(K + f + g) with padding 0 before the exp, so it is 1
+        np.add(E, f[..., None], out=E)
+        np.add(E, g[..., None, :], out=E)
+        for b, (n, m) in enumerate(self.shapes):
+            if (n, m) != (N, M):
+                E[b, n:], E[b, :, m:] = 0.0, 0.0
+        np.exp(E, out=E)
+        if cross:
+            np.copyto(Et, E.transpose(0, 2, 1))
         self.diff = np.zeros((B, N))
-        arrays = [K, Kt, loga, logb, self.diff]
+        arrays = [E, Et, am, bm, f, g, real.astype(float), real, self.diff]
         if B == 1:
             arrays = [a[0] for a in arrays]
-        self.K, self.Kt, self.loga, self.logb, self.d = arrays
-        self.real = True if all(n == N for n, _ in self.shapes) else self.loga > -np.inf
-        self.buf = np.empty(B * N * M)
+        self.E, self.Et, self.am, self.bm, self.f, self.g, self.alpha, real, self.d = arrays
+        self.real = True if all(n == N for n, _ in self.shapes) else real
         self._views()
-        self.u = _half_step(self.Kt, self.logb, self.loga, self.bufKt)
 
     def _views(self) -> None:
-        self.bufK = self.buf[: self.K.size].reshape(self.K.shape)
-        self.bufKt = self.buf[: self.Kt.size].reshape(self.Kt.shape)
+        self.bufE = self.buf[: self.E.size].reshape(self.E.shape)
+        self.bufEt = self.buf[: self.Et.size].reshape(self.Et.shape)
+
+    def _kernel(self, problem, out=None, tmp=None) -> np.ndarray:
+        """K = -C / eps of one (X, Y) problem, in ``out`` when given."""
+        K = _half_sqdist(*problem, out, tmp)
+        return np.divide(K, -self.eps, out=K)
 
     def rows(self, a: np.ndarray) -> np.ndarray:
         """``a`` with its B axis, when the stack dropped it."""
         return a.reshape(len(self.ks), -1)
 
-    def plan(self, b: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Entry b's plan exp(K_ij + u_i + v_j), built in the scratch
-        space: valid until the next half-step."""
-        n, m = len(u), len(v)
-        if self.cross:
-            Kb = self.K.reshape(-1, *self.K.shape[-2:])[b, :n, :m]
+    def over(self, s: np.ndarray) -> list[int]:
+        """The entries with a scaling in ``s`` above e^TAU."""
+        return np.flatnonzero(np.maximum.reduce(self.rows(s), axis=1) > _SCALE_MAX).tolist()
+
+    def redo(self, b: int, alpha: np.ndarray, beta: np.ndarray, row: bool):
+        """Entry b's column update from u = f + log alpha (``row`` False)
+        or, for cross terms, its row update from v = g + log beta, in the
+        log domain on K recomputed from its points. Returns (K, u, v),
+        the updated potential in place of the one it replaced; K is
+        entry b's own array, or E's memory in the one-entry stack that
+        built its K there."""
+        n, m = self.shapes[b]
+        problem = self.problems[self.ks[b]]
+        if self.E.shape == (n, m):
+            K, scratch = self._kernel(problem, self.E, self.buf.reshape(n, m)), self.buf
         else:
-            Kb = self.Kt.reshape(-1, *self.Kt.shape[-2:])[b, :m, :n].T
+            K, scratch = self._kernel(problem), np.empty(n * m)
+        if row:
+            v = self.rows(self.g)[b, :m] + np.log(self.rows(beta)[b, :m])
+            Kt = self.Et if K is self.E else np.empty((m, n))
+            np.copyto(Kt, K.T)
+            return K, _half_step(Kt, v, np.full(n, -np.log(n)), scratch.reshape(m, n)), v
+        u = self.rows(self.f)[b, :n] + np.log(self.rows(alpha)[b, :n])
+        return K, u, _half_step(K, u, np.full(m, -np.log(m)), scratch.reshape(n, m))
+
+    def absorb(self, b: int, K: np.ndarray, f: np.ndarray, g: np.ndarray, alpha, beta) -> None:
+        """Make f and g entry b's absorbed potentials: its slice of E (and
+        E^T) becomes exp(K + f + g), built in place of K when K is E's
+        memory, and its scalings 1."""
+        n, m = self.shapes[b]
+        Eb = K if K is self.E else self.E.reshape(-1, *self.E.shape[-2:])[b, :n, :m]
+        np.add(K, f[:, None], out=Eb)
+        np.add(Eb, g, out=Eb)
+        np.exp(Eb, out=Eb)
+        if self.cross:
+            np.copyto(self.Et.reshape(-1, *self.Et.shape[-2:])[b, :m, :n], Eb.T)
+        self.rows(self.f)[b, :n], self.rows(self.g)[b, :m] = f, g
+        self.rows(alpha)[b, :n], self.rows(beta)[b, :m] = 1.0, 1.0
+
+    def plan(self, b: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Entry b's plan E_ij alpha_i beta_j, built in the scratch
+        space: valid until the next half-step."""
+        n, m = len(alpha), len(beta)
         T = self.buf[: n * m].reshape(n, m)
-        np.add(Kb, u[:, None], out=T)
-        np.add(T, v, out=T)
-        return np.exp(T, out=T)
+        np.multiply(self.E.reshape(-1, *self.E.shape[-2:])[b, :n, :m], alpha[:, None], out=T)
+        return np.multiply(T, beta, out=T)
 
     def drop(self, done: list[int]) -> None:
         """Take the entries at the ``done`` indices, some but not all,
@@ -291,12 +406,13 @@ class _Stack:
         keep[done] = False
         self.ks = [k for k, kept in zip(self.ks, keep) if kept]
         self.shapes = [shape for shape, kept in zip(self.shapes, keep) if kept]
-        for name in ("Kt", "loga", "diff", "u", "real") + (("K", "logb") if self.cross else ()):
+        names = ("E", "am", "f", "g", "alpha", "alpha2", "diff", "real")
+        for name in names + (("Et", "bm", "beta") if self.cross else ()):
             val = getattr(self, name)
             if isinstance(val, np.ndarray):
                 setattr(self, name, val[keep])
         if not self.cross:
-            self.K, self.logb = self.Kt, self.loga
+            self.Et, self.bm, self.beta = self.E, self.am, self.alpha2
         self.d = self.diff
         self._views()
 
@@ -317,62 +433,94 @@ def _chunks(items: list, shape) -> Iterator[list]:
         yield chunk
 
 
+@np.errstate(divide="ignore", over="ignore")
 def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, out: list) -> None:
     """Iterate one stack of the problems at indices ``ks`` until each
     meets tol or reaches max_iters. A finished problem leaves the stack
     at once, with what ``_solve`` returns for it in ``out``.
 
-    One iteration starts from u. Cross terms alternate: v = log b -
-    lse_i(K_ij + u_i), then the next u is w = log a - lse_j(K_ij + v_j).
-    Self terms take the symmetric averaged update: v = w = T(u), the row
-    update, and the next u is (u + w) / 2. Either way the plan (u, v)
-    has exact column marginals and row marginal a * exp(u - w), which
-    gives the stopping test without a pass of its own.
+    One iteration starts from the row scalings alpha (u = f + log alpha).
+    Cross terms alternate: the column update beta = b / E^T alpha
+    (v = log b - lse_i(K_ij + u_i)), then the row update alpha' =
+    a / E beta, the next u. Self terms take the symmetric averaged
+    update: beta = alpha' = a / E^T alpha, the row update T(u), and the
+    next alpha is sqrt(alpha * alpha'), u <- (u + T(u)) / 2. Either way
+    the plan E_ij alpha_i beta_j has exact column marginals and row
+    marginal a * alpha / alpha', which gives the stopping test without a
+    pass of its own; alpha <= e^TAU keeps that test accurate whatever
+    alpha' is, so the row update's range is tested only when alpha'
+    becomes the next alpha.
+
+    An entry whose update returns a scaling above e^TAU, or whose sum
+    underflowed to 0, is absorbed alone: that update is redone in the
+    log domain by ``_half_step`` from its input potential, f and g
+    become the two potentials, and the entry's kernel is rebuilt. A self
+    term that absorbs takes its marginal error from the log-domain
+    update, and f = g = (u + T(u)) / 2, or, at the iteration it
+    finishes, f = u and g = T(u), the plan it reports.
     """
     st = _Stack(ks, problems, cfg, cross)
     it, tol, cap = 0, cfg.tol, cfg.max_iters
+    alpha = alpha2 = st.alpha
     while True:
-        K, Kt, bufK, bufKt, loga, logb = st.K, st.Kt, st.bufK, st.bufKt, st.loga, st.logb
-        d, diff, real, u = st.d, st.diff, st.real, st.u
+        E, Et, bufE, bufEt, am, bm = st.E, st.Et, st.bufE, st.bufEt, st.am, st.bm
+        d, diff, real = st.d, st.diff, st.real
         ns = [n for n, _ in st.shapes]
         # a stack without its B axis takes the cheaper error of one entry
         single = d.ndim == 1
         while True:
-            if cross:
-                v = _half_step(K, u, logb, bufK)
-                w = _half_step(Kt, v, loga, bufKt)
-            else:
-                v = w = _half_step(Kt, u, loga, bufKt)
-            np.subtract(u, w, out=d, where=real)
-            np.expm1(d, out=d)
+            if it and cross:
+                alpha = alpha2
+                if np.maximum.reduce(alpha, axis=None) > _SCALE_MAX:
+                    for b in st.over(alpha):
+                        K, w, v = st.redo(b, alpha, beta, row=True)
+                        st.absorb(b, K, w, v, alpha, beta)
+            elif it:
+                alpha = np.sqrt(np.multiply(alpha, alpha2, out=alpha), out=alpha)
+            beta = _scale(E, alpha, bm, bufE)
+            fixed = {}
+            if np.maximum.reduce(beta, axis=None) > _SCALE_MAX:
+                for b in st.over(beta):
+                    K, u, v = st.redo(b, alpha, beta, row=False)
+                    if not cross:
+                        fixed[b] = float(np.maximum.reduce(np.abs(np.expm1(u - v)))) / ns[b]
+                        if fixed[b] > tol and it + 1 < cap:
+                            u = v = 0.5 * (u + v)
+                    st.absorb(b, K, u, v, alpha, beta)
+            alpha2 = _scale(Et, beta, am, bufEt) if cross else beta
+            np.divide(alpha, alpha2, out=d, where=real)
+            np.subtract(d, 1.0, out=d, where=real)
             np.abs(d, out=d)
             if single:
                 errs = [float(np.maximum.reduce(d)) / ns[0]]
             else:
                 errs = list(map(truediv, np.maximum.reduce(diff, axis=1).tolist(), ns))
+            for b, e in fixed.items():
+                errs[b] = e
             it += 1
             if min(errs) <= tol or it >= cap:
                 break
-            u = w if cross else 0.5 * (u + w)
         if it >= cap:
             done = list(range(len(errs)))
         else:
             done = [b for b, e in enumerate(errs) if e <= tol]
-        us, vs = st.rows(u), st.rows(v)
+        alphas, betas, fs, gs = st.rows(alpha), st.rows(beta), st.rows(st.f), st.rows(st.g)
         for b in done:
             k, (n, m), e = st.ks[b], st.shapes[b], errs[b]
             log_a, log_b = -np.log(n), -np.log(m)
-            ub, vb = us[b, :n], vs[b, :m]
+            ab, bb = alphas[b, :n], betas[b, :m]
+            ub, vb = fs[b, :n] + np.log(ab), gs[b, :m] + np.log(bb)
             value = cfg.epsilon * float((ub.mean() - log_a) + (vb.mean() - log_b))
             grads = (None, None) if cross else (None,)
             if grad:
-                dX, dY = _ot_position_grads(*problems[k], st.plan(b, ub, vb))
+                dX, dY = _ot_position_grads(*problems[k], st.plan(b, ab, bb))
                 grads = (dX, dY) if cross else (0.5 * (dX + dY),)
             out[k] = (SinkhornResult(value, e <= tol, it, e), *grads)
         if len(done) == len(errs):
             return
-        st.u = w if cross else 0.5 * (u + w)
+        st.alpha, st.alpha2, st.beta = alpha, alpha2, beta
         st.drop(done)
+        alpha, alpha2, beta = st.alpha, st.alpha2, st.beta
 
 
 def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
@@ -385,11 +533,11 @@ def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
 
     Problems are sorted by shape and solved in chunks of at most
     STACK_ELEMENTS padded elements, one stack per chunk. An entry's
-    arithmetic does not depend on the stack it runs in, so every result
-    equals a one-problem solve bit for bit. The values are the dual
-    objective <a, f> + <b, g> of the tested plan, for uniform marginals
-    a and b, with potentials kept scaled as u = log a + f / eps and
-    v = log b + g / eps.
+    arithmetic, its absorptions included, does not depend on the stack
+    it runs in, so every result equals a one-problem solve bit for bit. The values are the dual
+    objective <a, F> + <b, G> of the tested plan, for uniform marginals
+    a and b and dual potentials F and G, from the loop's log potentials
+    u = log a + F / eps and v = log b + G / eps.
     """
     out: list = [None] * len(problems)
     shapes = [(len(X), len(Y)) for X, Y in problems]
@@ -438,7 +586,7 @@ def self_term(X, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False):
 
 
 def cross_term(A, B, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False):
-    """The cross term OT_eps(A, B) by log-domain Sinkhorn with
+    """The cross term OT_eps(A, B) by log-stabilized Sinkhorn with
     alternating updates. Returns (result, dA, dB); the position
     gradients are None unless ``grad`` is set."""
     return cross_terms([(A, B)], cfg, grad)[0]
@@ -455,41 +603,55 @@ def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> Sinkh
     )
 
 
-def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
-    """(result, dA, dB) of one comparison from its solved terms; the
-    terms given as None are solved here, and the gradients are None
-    unless ``grad`` is set. Two sets with equal values are compared as
-    one self term, and ``cross`` goes unused (numpy's symmetric X @ X.T
-    differs in its last bits from X @ Y.T for a copy Y of X): debiased,
-    value and gradients are exactly 0; raw, they are the self term's
-    value and its half_grad."""
-    A, B = _check_pair(A, B, cfg)
-    if np.array_equal(A, B):
-        aa, half = self_a if self_a is not None else self_term(A, cfg, grad)
+def _finish(A: np.ndarray, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
+    """(result, dA, dB) of one comparison from its solved terms: what
+    ``self_term`` returned for A and for B (None for a term the
+    comparison does not need) and what ``cross_term`` returned, or None
+    when the two sets are equal. Equal sets are compared as one self
+    term (numpy's symmetric X @ X.T differs in its last bits from
+    X @ Y.T for a copy Y of X): debiased, value and gradients are
+    exactly 0; raw, they are the self term's value and its half_grad.
+    The gradients are None unless ``grad`` is set."""
+    if cross is None:
+        aa, half = self_a
         if cfg.debiased:
             aa, half = _debias(aa, aa, aa), np.zeros_like(A)
         return (aa, half.copy(), half.copy()) if grad else (aa, None, None)
-    ab, dA, dB = cross if cross is not None else cross_term(A, B, cfg, grad)
+    ab, dA, dB = cross
     if not cfg.debiased:
         return ab, dA, dB
-    missing = [X for X, given in ((A, self_a), (B, self_b)) if given is None]
-    solved = iter(self_terms(missing, cfg, grad) if missing else ())
-    aa, half_a = self_a if self_a is not None else next(solved)
-    bb, half_b = self_b if self_b is not None else next(solved)
+    (aa, half_a), (bb, half_b) = self_a, self_b
     if grad:
         dA, dB = dA - half_a, dB - half_b
     return _debias(ab, aa, bb), dA, dB
 
 
+def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
+    """(result, dA, dB) of one comparison; the terms given as None are
+    solved here, the only self term of equal sets or of a raw divergence
+    too, as ``_finish`` says."""
+    A, B = _check_pair(A, B, cfg)
+    if np.array_equal(A, B):
+        self_a = self_a if self_a is not None else self_term(A, cfg, grad)
+        return _finish(A, cfg, self_a, None, None, grad)
+    cross = cross if cross is not None else cross_term(A, B, cfg, grad)
+    if cfg.debiased:
+        missing = [X for X, given in ((A, self_a), (B, self_b)) if given is None]
+        solved = iter(self_terms(missing, cfg, grad) if missing else ())
+        self_a = self_a if self_a is not None else next(solved)
+        self_b = self_b if self_b is not None else next(solved)
+    return _finish(A, cfg, self_a, self_b, cross, grad)
+
+
 def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
     """What ``divergence_grad`` (``grad`` set) or ``sinkhorn_divergence``
-    returns for each (A, B, self_a, self_b) comparison, in input order.
-    The self terms given as None are solved in one ``self_terms`` call,
-    each array once, and the cross terms in one ``cross_terms`` call;
-    then each comparison goes to the one-pair function with all its
-    terms, which solves nothing more. As there, a pair of equal sets is
-    solved as one self term, the only self term a raw (not debiased)
-    divergence solves."""
+    returns for each (A, B, self_a, self_b) comparison, in input order,
+    bit for bit. The self terms given as None are solved in one
+    ``self_terms`` call, each array once, and the cross terms in one
+    ``cross_terms`` call, which checks each pair; then ``_finish``
+    debiases each comparison. A pair of equal sets is solved as one
+    self term, the only self term a raw (not debiased) divergence
+    solves."""
     same = [np.array_equal(A, B) for A, B, _, _ in comparisons]
     missing: dict[int, np.ndarray] = {}
     for (A, B, sa, sb), s in zip(comparisons, same):
@@ -500,18 +662,13 @@ def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
     solved = dict(zip(missing, self_terms(list(missing.values()), cfg, grad))) if missing else {}
     unequal = [(A, B) for (A, B, _, _), s in zip(comparisons, same) if not s]
     crossed = iter(cross_terms(unequal, cfg, grad))
-    finish = divergence_grad if grad else sinkhorn_divergence
-    return [
-        finish(
-            A,
-            B,
-            cfg,
-            sa if sa is not None else solved.get(id(A)),
-            sb if sb is not None else solved.get(id(B)),
-            None if s else next(crossed),
-        )
-        for (A, B, sa, sb), s in zip(comparisons, same)
-    ]
+    out = []
+    for (A, B, sa, sb), s in zip(comparisons, same):
+        sa = sa if sa is not None else solved.get(id(A))
+        sb = sb if sb is not None else solved.get(id(B))
+        res, dA, dB = _finish(A, cfg, sa, sb, None if s else next(crossed), grad)
+        out.append((res.value, dA, dB, res.converged) if grad else res)
+    return out
 
 
 def sinkhorn_divergence(

@@ -162,6 +162,34 @@ class TestSolver:
                 flags.add(converged)
         assert flags == {True, False}
 
+    def test_underflowing_kernels_match_the_alternating_oracle(self, rng):
+        # eps = 1e-3 on clouds spread over [0, 2]^2: exp(-C / eps)
+        # underflows, in whole columns for some pairs, and the solver
+        # absorbs; values still match the log-domain oracle
+        cfg = SinkhornConfig(epsilon=1e-3, max_iters=1500, tol=1e-8)
+        flags, zero_columns = set(), 0
+        for _ in range(10):
+            n, m = rng.integers(2, 7, size=2)
+            X, Y = 2.0 * rng.random((int(n), 2)), 2.0 * rng.random((int(m), 2))
+            C = 0.5 * ((X[:, None] - Y[None]) ** 2).sum(axis=-1)
+            zero_columns += bool((np.exp(-C / cfg.epsilon) == 0.0).all(axis=0).any())
+            res, _, _ = cross_term(X, Y, cfg)
+            value, _, converged, iterations = ot_entropic_alternating(X, Y, cfg)
+            assert np.isfinite(res.value)
+            assert abs(res.value - value) <= 1e-9 * abs(value)
+            assert (res.iterations, res.converged) == (iterations, converged)
+            flags.add(converged)
+        assert zero_columns and flags == {True, False}
+
+    def test_self_terms_far_from_the_origin_stay_finite(self, rng):
+        # 1e8 from the origin, X @ X.T cancels to about 1 in C's diagonal,
+        # 4000 at this eps: left there, it overflowed the stabilized
+        # kernel (a RuntimeWarning, an error here)
+        cfg = SinkhornConfig(epsilon=1e-3, max_iters=300)
+        sets = [1e8 + rng.normal(size=(int(rng.integers(2, 9)), 2)) for _ in range(40)]
+        for res, half in self_terms(sets, cfg, grad=True):
+            assert np.isfinite(res.value) and np.isfinite(half).all()
+
     def test_self_terms_match_a_tight_oracle_solve(self, rng):
         # the oracle's own gauge stall leaves some of these sets short of
         # 1e-12 even after 20000 iterations, values off by up to ~1e-8;
@@ -315,6 +343,38 @@ def _mixed_sets(rng, count):
     return sets
 
 
+def _spread_sets(rng, count):
+    """Sets of 1 to 12 points spread over [0, 2]^2: at eps = 2e-3 their
+    kernels exp(-C / eps) underflow, some of them in whole columns."""
+    return [2.0 * rng.random((int(rng.integers(1, 13)), 2)) for _ in range(count)]
+
+
+def _absorptions(monkeypatch):
+    """Record each solve stack's problem indices and each absorption, as
+    (problem index, iteration) with the iteration counted from 0 in its
+    stack, through monkeypatched ``_Stack`` and ``_scale``."""
+    stacks, absorbed, steps = [], [], []
+
+    class Recording(sinkhorn._Stack):
+        def __init__(self, ks, problems, cfg, cross):
+            super().__init__(ks, problems, cfg, cross)
+            stacks.append(set(ks))
+            steps.append(0)
+
+        def redo(self, b, alpha, beta, row):
+            absorbed.append((self.ks[b], steps[-1] // (2 if self.cross else 1)))
+            return super().redo(b, alpha, beta, row)
+
+    def scale(*args):
+        steps[-1] += 1
+        return scale.original(*args)
+
+    scale.original = sinkhorn._scale
+    monkeypatch.setattr(sinkhorn, "_Stack", Recording)
+    monkeypatch.setattr(sinkhorn, "_scale", scale)
+    return stacks, absorbed
+
+
 class TestBatchedSolves:
     """``cross_terms`` and ``self_terms`` against a loop of one-problem
     calls: the same results and gradients, bit for bit."""
@@ -378,6 +438,57 @@ class TestBatchedSolves:
             iterations.append({r.iterations for r, _ in got})
         assert iterations[1] == {1, 2, 3} and 73 in iterations[2]
 
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_entries_absorb_alone_inside_a_stack(self, rng, monkeypatch, grad):
+        # at eps = 2e-3 some cross terms absorb at their first column
+        # update, some later and some never, in one stack; self terms
+        # stay far inside the bound, as the diagonal of K is 0
+        cfg = SinkhornConfig(epsilon=2e-3, max_iters=300, tol=1e-9)
+        sets = _spread_sets(rng, 40)
+        pairs = [(sets[k], sets[(5 * k + 1) % len(sets)]) for k in range(len(sets))]
+        kernels = [np.exp(-0.5 * ((A[:, None] - B[None]) ** 2).sum(axis=-1) / cfg.epsilon) for A, B in pairs]
+        assert any((K == 0.0).all(axis=0).any() for K in kernels)
+        want = [cross_term(A, B, cfg, grad) for A, B in pairs]
+        want_self = [self_term(X, cfg, grad) for X in sets]
+        stacks, absorbed = _absorptions(monkeypatch)
+        self._same(cross_terms(pairs, cfg, grad), want)
+        entries = {k for k, _ in absorbed}
+        assert 0 < len(entries) < len(pairs)
+        assert any(stack & entries and stack - entries for stack in stacks)
+        assert len({it for _, it in absorbed}) > 1
+        absorbed.clear()
+        self._same(self_terms(sets, cfg, grad), want_self)
+        assert not absorbed
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_a_bound_below_every_scaling_absorbs_each_update(self, rng, monkeypatch, cross):
+        # every update is then redone in the log domain, the absorbing
+        # path of every term; the results keep their bits in any stack
+        # and match the solves at the derived bound to rounding
+        sets = _mixed_sets(rng, 30)
+        pairs = [(sets[k], sets[(7 * k + 3) % len(sets)]) for k in range(len(sets))]
+
+        def solve(cfg, batched):
+            if cross:
+                return cross_terms(pairs, cfg, True) if batched else [cross_term(A, B, cfg, True) for A, B in pairs]
+            return self_terms(sets, cfg, True) if batched else [self_term(X, cfg, True) for X in sets]
+
+        for cfg in (self.CFG, SinkhornConfig(epsilon=0.02, max_iters=3, tol=1e-9)):
+            stable = solve(cfg, True)
+            with monkeypatch.context() as patch:
+                patch.setattr(sinkhorn, "_SCALE_MAX", 1e-3)
+                want = solve(cfg, False)
+                _, absorbed = _absorptions(patch)
+                got = solve(cfg, True)
+            self._same(got, want)
+            assert {k for k, _ in absorbed} == set(range(len(got)))
+            for g, w in zip(got, stable):
+                assert (g[0].iterations, g[0].converged) == (w[0].iterations, w[0].converged)
+                assert abs(g[0].value - w[0].value) <= 1e-12
+                assert g[0].marginal_err == pytest.approx(w[0].marginal_err, rel=1e-6, abs=1e-14)
+                for ga, wa in zip(g[1:], w[1:]):
+                    np.testing.assert_allclose(ga, wa, rtol=0, atol=1e-12)
+
     def test_empty_calls_solve_nothing(self):
         with solve_counts() as counts:
             assert cross_terms([]) == [] and self_terms([]) == []
@@ -422,6 +533,30 @@ class TestBatchedSolves:
             tracemalloc.stop()
         arrays = (3 if cross else 2) + 0.1
         assert peak <= arrays * 1024 * 1024 * 8
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_an_absorbing_over_bound_problem_holds_no_copy_of_its_kernel(
+        self, rng, monkeypatch, cross
+    ):
+        # an absorption recomputes K from the points in E's memory: at
+        # eps = 1e-3 the cross term absorbs at its first column update;
+        # a self term, which stays inside the derived bound, absorbs
+        # under one below every scaling
+        A, B = rng.normal(size=(1024, 8)), rng.normal(size=(1024, 8))
+        cfg = SinkhornConfig(epsilon=1e-3, max_iters=2)
+        if not cross:
+            monkeypatch.setattr(sinkhorn, "_SCALE_MAX", 1e-3)
+        solve = (lambda: cross_term(A, B, cfg, True)) if cross else (lambda: self_term(A, cfg, True))
+        solve()
+        _, absorbed = _absorptions(monkeypatch)
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert absorbed
+        assert peak <= ((3 if cross else 2) + 0.1) * 1024 * 1024 * 8
 
 
 class TestSubsampling:
