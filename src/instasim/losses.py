@@ -168,7 +168,7 @@ def patch_losses(mats, rows, cfg: LossConfig, sink_cfg: SinkhornConfig = Sinkhor
     gradient, and every distinct (anchor, other) comparison is solved
     once, in one ``cross_terms`` call with plans while their gradients
     fit in GRAD_ELEMENTS floats (else one call per run of entries that
-    fits), then debiased as ``divergence_grad`` would. A score is the negated
+    fits), then debiased by ``divergence_grad``. A score is the negated
     debiased divergence, and gradients
     flow through the converged transport plans (envelope theorem) and
     the row-normalization Jacobian. For each entry, the anchor's

@@ -94,8 +94,8 @@ def score_pairs(
     ordered pair's cross term is solved in one ``cross_terms`` call; a
     pair of equal sets is solved as one self term instead, the only
     self term a raw (not debiased) divergence solves. Each pair is then
-    debiased from its solved terms, as ``sinkhorn_divergence`` would, and
-    scores 0.0 - that value, so that identical sets score +0.0, not -0.0. OT(A, B)
+    debiased by ``sinkhorn_divergence`` from its solved terms and scores
+    0.0 - that value, so that identical sets score +0.0, not -0.0. OT(A, B)
     and OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
     merged. The plan lives for this call only.
     """

@@ -48,14 +48,14 @@ absorbed log potentials f and g, and a half-step updates scalings on
 it in two passes over the stack, a product and a sum over a leading
 axis, then a division by the marginal. numpy sums that axis one row at
 a time: padded rows, whose scalings are 0, add exactly 0.0, and a
-problem gives the same bits in any stack. A problem whose update
+problem gives the same bits in any stack. A cross term whose update
 returns a scaling above e^TAU, the largest that keeps the kernel's
 underflowed mass below rounding, or whose sum underflowed to 0,
-absorbs alone: that update is redone as a log-sum-exp, its potentials
-become the new f and g, and its slice of E is rebuilt from -C / eps,
-recomputed from its points. A problem leaves its stack at the
-iteration it meets tol, so a stack runs on with only the problems
-still open.
+absorbs alone (a self term's scalings stay far inside that bound):
+that update is redone as a log-sum-exp, its potentials become the new
+f and g, and its slice of E is rebuilt from -C / eps, recomputed from
+its points. A problem leaves its stack at the iteration it meets tol,
+so a stack runs on with only the problems still open.
 
 A note on tolerances: every solve stops when the worst row-marginal
 violation of its plan drops to tol, and the check reuses the next
@@ -225,18 +225,18 @@ STACK_ELEMENTS = 1 << 14
 # Every scaling a half-step returns is kept at most e^TAU; an entry with
 # one above it absorbs. E = exp(K + f + g) is built from the potentials
 # of a plan with an exact marginal, or for a self term from (u, u) with
-# u <= 0 (its first update, K_ii = 0) or the mean of such a plan's two
-# potentials, so E_ij <= 1, and an entry that exp flushed to zero or
-# left subnormal is off by less than 2^-1074. A half-step sums n products E_ij s_i with
-# every s_i <= e^TAU and keeps its result r_j = b_j / sum only when
-# r_j <= e^TAU, that is when the sum is at least e^-TAU / m. The
-# underflowed mass, at most n e^TAU 2^-1074, is then a share of the sum
-# of at most n m e^(2 TAU) 2^-1074: below rounding, 2^-53, when
-# e^(2 TAU) <= 2^(1021 - 40), for any kernel that fits in memory
-# (n m < 2^40 elements, 8 TiB per array). Nothing overflows: a sum is
-# at most n e^TAU < 2^40 e^340 and a plan entry at most e^(2 TAU), far
-# below 2^1024. Scalings need no lower bound: the share does not depend
-# on one, and with E_ij <= 1 each is at least e^-TAU / (n m) anyway.
+# u <= 0 (its first update, K_ii = 0), so E_ij <= 1, and an entry that
+# exp flushed to zero or left subnormal is off by less than 2^-1074. A
+# half-step sums n products E_ij s_i with every s_i <= e^TAU and keeps
+# its result r_j = b_j / sum only when r_j <= e^TAU, that is when the
+# sum is at least e^-TAU / m. The underflowed mass, at most n e^TAU
+# 2^-1074, is then a share of the sum of at most n m e^(2 TAU) 2^-1074:
+# below rounding, 2^-53, when e^(2 TAU) <= 2^(1021 - 40), for any kernel
+# that fits in memory (n m < 2^40 elements, 8 TiB per array). Nothing
+# overflows: a sum is at most n e^TAU < 2^40 e^340 and a plan entry at
+# most e^(2 TAU), far below 2^1024. Scalings need no lower bound: the
+# share does not depend on one, and with E_ij <= 1 each is at least
+# e^-TAU / (n m) anyway.
 TAU = (1021 - 40) / 2 * math.log(2.0)
 _SCALE_MAX = math.exp(TAU)
 
@@ -279,18 +279,17 @@ class _Stack:
     exp(K + f + g) for the column update and, for cross terms only, its
     transpose E^T (B, M, N) for the row update, so that both half-steps
     reduce over a leading axis; K is -C / eps of the problems at indices
-    ``ks``, and f and g are the absorbed log potentials. A self term's
-    K is symmetric and its f is its g (except in an entry absorbed at
-    the iteration it finishes), so its column update is its row update.
-    The potentials are u = f + log alpha and v = g + log beta for the
-    scalings the loop carries; padded rows and columns have scaling and
-    marginal 0 and kernel entries 1, and ``real`` marks the rows that
-    are not padding (True when none is). A stack of one entry drops the
-    B axis: numpy runs 2-D operations faster, with the same bits. When
-    that entry needs no padding either, its K is built in E's memory,
-    and an absorption recomputes it there from the points, so a problem
-    over STACK_ELEMENTS holds three arrays of its size (E, E^T and the
-    scratch space), a self term two."""
+    ``ks``, and f and g are the absorbed log potentials. A self term's K
+    is symmetric and its f is its g, so its column update is its row
+    update. The potentials are u = f + log alpha and v = g + log beta
+    for the scalings the loop carries; padded rows and columns have
+    scaling and marginal 0 and kernel entries 1, and ``real`` marks the
+    rows that are not padding (True when none is). A stack of one entry
+    drops the B axis: numpy runs 2-D operations faster, with the same
+    bits. When that entry needs no padding either, its K is built in E's
+    memory, and an absorption recomputes it there from the points, so a
+    problem over STACK_ELEMENTS holds three arrays of its size (E, E^T
+    and the scratch space), a self term two."""
 
     def __init__(self, ks: list[int], problems, cfg: SinkhornConfig, cross: bool):
         self.ks, self.problems, self.cross, self.eps = ks, problems, cross, cfg.epsilon
@@ -300,29 +299,36 @@ class _Stack:
         M = max(2, max(m for _, m in self.shapes))
         self.buf = np.empty(B * N * M)
         if self.shapes == [(N, M)]:
-            E = self._kernel(problems[ks[0]], np.empty((N, M)), self.buf.reshape(N, M))[None]
-            Et = np.ascontiguousarray(E.transpose(0, 2, 1)) if cross else E
+            E = self._kernel(problems[ks[0]], np.empty((N, M)), self.buf.reshape(N, M))
+            Et = np.ascontiguousarray(E.T) if cross else E
+            loga = np.full(N, -np.log(N))
+            logb = np.full(M, -np.log(M)) if cross else loga
+            rows = None
         else:
             E = np.zeros((B, N, M))
             Et = np.zeros((B, M, N)) if cross else E
+            loga = np.full((B, N), -np.inf)
+            logb = np.full((B, M), -np.inf) if cross else loga
             for b, k in enumerate(ks):
                 Kb = self._kernel(problems[k])
                 n, m = Kb.shape
                 E[b, :n, :m] = Kb
+                loga[b, :n] = -np.log(n)
+                logb[b, :m] = -np.log(m)
                 if cross:
                     Et[b, :m, :n] = Kb.T
-        loga = np.full((B, N), -np.inf)
-        logb = np.full((B, M), -np.inf) if cross else loga
-        for b, (n, m) in enumerate(self.shapes):
-            loga[b, :n] = -np.log(n)
-            logb[b, :m] = -np.log(m)
+            rows = loga > -np.inf
+        u0 = _half_step(Et, logb, loga, self.buf.reshape(Et.shape))
         am = np.exp(loga)
         bm = np.exp(logb) if cross else am
-        real = am > 0.0
-        u0 = _half_step(Et, logb, loga, self.buf.reshape(Et.shape))
-        f = np.where(real, u0, 0.0)
-        g = np.where(bm > 0.0, logb, 0.0) if cross else f.copy()
-        # E = exp(K + f + g) with padding 0 before the exp, so it is 1
+        # f = u0 and g = log b (u0 for a self term), 0 at padding, so
+        # that E = exp(K + f + g) is 1 there
+        if rows is None:
+            f, g, alpha = u0, logb.copy() if cross else u0.copy(), np.ones(N)
+        else:
+            f = np.where(rows, u0, 0.0)
+            g = np.where(bm > 0.0, logb, 0.0) if cross else f.copy()
+            alpha = rows.astype(float)
         np.add(E, f[..., None], out=E)
         np.add(E, g[..., None, :], out=E)
         for b, (n, m) in enumerate(self.shapes):
@@ -330,13 +336,13 @@ class _Stack:
                 E[b, n:], E[b, :, m:] = 0.0, 0.0
         np.exp(E, out=E)
         if cross:
-            np.copyto(Et, E.transpose(0, 2, 1))
-        self.diff = np.zeros((B, N))
-        arrays = [E, Et, am, bm, f, g, real.astype(float), real, self.diff]
-        if B == 1:
+            np.copyto(Et, E.swapaxes(-1, -2))
+        self.diff = np.zeros_like(alpha)
+        arrays = [E, Et, am, bm, f, g, alpha, self.diff, rows]
+        if rows is not None and B == 1:
             arrays = [a[0] for a in arrays]
-        self.E, self.Et, self.am, self.bm, self.f, self.g, self.alpha, real, self.d = arrays
-        self.real = True if all(n == N for n, _ in self.shapes) else real
+        self.E, self.Et, self.am, self.bm, self.f, self.g, self.alpha, self.d, rows = arrays
+        self.real = True if all(n == N for n, _ in self.shapes) else rows
         self._views()
 
     def _views(self) -> None:
@@ -451,13 +457,12 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
     alpha' is, so the row update's range is tested only when alpha'
     becomes the next alpha.
 
-    An entry whose update returns a scaling above e^TAU, or whose sum
-    underflowed to 0, is absorbed alone: that update is redone in the
-    log domain by ``_half_step`` from its input potential, f and g
+    A cross term whose update returns a scaling above e^TAU, or whose
+    sum underflowed to 0, is absorbed alone: that update is redone in
+    the log domain by ``_half_step`` from its input potential, f and g
     become the two potentials, and the entry's kernel is rebuilt. A self
-    term that absorbs takes its marginal error from the log-domain
-    update, and f = g = (u + T(u)) / 2, or, at the iteration it
-    finishes, f = u and g = T(u), the plan it reports.
+    term's scalings stay in [n^-2.5, n^3.5] (see the column update), so
+    it never absorbs.
     """
     st = _Stack(ks, problems, cfg, cross)
     it, tol, cap = 0, cfg.tol, cfg.max_iters
@@ -478,15 +483,18 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
             elif it:
                 alpha = np.sqrt(np.multiply(alpha, alpha2, out=alpha), out=alpha)
             beta = _scale(E, alpha, bm, bufE)
-            fixed = {}
-            if np.maximum.reduce(beta, axis=None) > _SCALE_MAX:
+            # only a cross term can absorb. A self term's K has an exact
+            # zero diagonal, so its start u0_j = -lse_i K_ij lies in
+            # [-log n, 0], and E = exp(K + u0 + u0) has E_ij <= 1 and
+            # E_jj >= n^-2. Then beta_j <= a_j / (E_jj alpha_j) <=
+            # n / alpha_j, so the next alpha_j = sqrt(alpha_j beta_j) is
+            # at most sqrt(n); with alpha <= sqrt(n), beta_j >=
+            # a_j / (n sqrt(n)) = n^-2.5, so alpha stays >= n^-2.5 too.
+            # Every scaling lies in [n^-2.5, n^3.5], far inside e^TAU,
+            # and no sum (at least E_jj alpha_j >= n^-4.5) underflows.
+            if cross and np.maximum.reduce(beta, axis=None) > _SCALE_MAX:
                 for b in st.over(beta):
-                    K, u, v = st.redo(b, alpha, beta, row=False)
-                    if not cross:
-                        fixed[b] = float(np.maximum.reduce(np.abs(np.expm1(u - v)))) / ns[b]
-                        if fixed[b] > tol and it + 1 < cap:
-                            u = v = 0.5 * (u + v)
-                    st.absorb(b, K, u, v, alpha, beta)
+                    st.absorb(b, *st.redo(b, alpha, beta, row=False), alpha, beta)
             alpha2 = _scale(Et, beta, am, bufEt) if cross else beta
             np.divide(alpha, alpha2, out=d, where=real)
             np.subtract(d, 1.0, out=d, where=real)
@@ -495,8 +503,6 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
                 errs = [float(np.maximum.reduce(d)) / ns[0]]
             else:
                 errs = list(map(truediv, np.maximum.reduce(diff, axis=1).tolist(), ns))
-            for b, e in fixed.items():
-                errs[b] = e
             it += 1
             if min(errs) <= tol or it >= cap:
                 break
@@ -534,10 +540,11 @@ def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
     Problems are sorted by shape and solved in chunks of at most
     STACK_ELEMENTS padded elements, one stack per chunk. An entry's
     arithmetic, its absorptions included, does not depend on the stack
-    it runs in, so every result equals a one-problem solve bit for bit. The values are the dual
-    objective <a, F> + <b, G> of the tested plan, for uniform marginals
-    a and b and dual potentials F and G, from the loop's log potentials
-    u = log a + F / eps and v = log b + G / eps.
+    it runs in, so every result equals a one-problem solve bit for bit.
+    The values are the dual objective <a, F> + <b, G> of the tested
+    plan, for uniform marginals a and b and dual potentials F and G,
+    from the loop's log potentials u = log a + F / eps and
+    v = log b + G / eps.
     """
     out: list = [None] * len(problems)
     shapes = [(len(X), len(Y)) for X, Y in problems]
@@ -603,55 +610,41 @@ def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> Sinkh
     )
 
 
-def _finish(A: np.ndarray, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
-    """(result, dA, dB) of one comparison from its solved terms: what
-    ``self_term`` returned for A and for B (None for a term the
-    comparison does not need) and what ``cross_term`` returned, or None
-    when the two sets are equal. Equal sets are compared as one self
-    term (numpy's symmetric X @ X.T differs in its last bits from
-    X @ Y.T for a copy Y of X): debiased, value and gradients are
-    exactly 0; raw, they are the self term's value and its half_grad.
-    The gradients are None unless ``grad`` is set."""
-    if cross is None:
-        aa, half = self_a
+def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
+    """(result, dA, dB) of one comparison from its solved terms; the
+    terms given as None are solved here, and the gradients are None
+    unless ``grad`` is set. Two sets with equal values are compared as
+    one self term, and ``cross`` goes unused (numpy's symmetric X @ X.T
+    differs in its last bits from X @ Y.T for a copy Y of X): debiased,
+    value and gradients are exactly 0; raw, they are the self term's
+    value and its half_grad."""
+    A, B = _check_pair(A, B, cfg)
+    if np.array_equal(A, B):
+        aa, half = self_a if self_a is not None else self_term(A, cfg, grad)
         if cfg.debiased:
             aa, half = _debias(aa, aa, aa), np.zeros_like(A)
         return (aa, half.copy(), half.copy()) if grad else (aa, None, None)
-    ab, dA, dB = cross
+    ab, dA, dB = cross if cross is not None else cross_term(A, B, cfg, grad)
     if not cfg.debiased:
         return ab, dA, dB
-    (aa, half_a), (bb, half_b) = self_a, self_b
+    missing = [X for X, given in ((A, self_a), (B, self_b)) if given is None]
+    solved = iter(self_terms(missing, cfg, grad) if missing else ())
+    aa, half_a = self_a if self_a is not None else next(solved)
+    bb, half_b = self_b if self_b is not None else next(solved)
     if grad:
         dA, dB = dA - half_a, dB - half_b
     return _debias(ab, aa, bb), dA, dB
 
 
-def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
-    """(result, dA, dB) of one comparison; the terms given as None are
-    solved here, the only self term of equal sets or of a raw divergence
-    too, as ``_finish`` says."""
-    A, B = _check_pair(A, B, cfg)
-    if np.array_equal(A, B):
-        self_a = self_a if self_a is not None else self_term(A, cfg, grad)
-        return _finish(A, cfg, self_a, None, None, grad)
-    cross = cross if cross is not None else cross_term(A, B, cfg, grad)
-    if cfg.debiased:
-        missing = [X for X, given in ((A, self_a), (B, self_b)) if given is None]
-        solved = iter(self_terms(missing, cfg, grad) if missing else ())
-        self_a = self_a if self_a is not None else next(solved)
-        self_b = self_b if self_b is not None else next(solved)
-    return _finish(A, cfg, self_a, self_b, cross, grad)
-
-
 def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
     """What ``divergence_grad`` (``grad`` set) or ``sinkhorn_divergence``
-    returns for each (A, B, self_a, self_b) comparison, in input order,
-    bit for bit. The self terms given as None are solved in one
-    ``self_terms`` call, each array once, and the cross terms in one
-    ``cross_terms`` call, which checks each pair; then ``_finish``
-    debiases each comparison. A pair of equal sets is solved as one
-    self term, the only self term a raw (not debiased) divergence
-    solves."""
+    returns for each (A, B, self_a, self_b) comparison, in input order.
+    The self terms given as None are solved in one ``self_terms`` call,
+    each array once, and the cross terms in one ``cross_terms`` call;
+    then each comparison goes to the one-pair function with all its
+    terms, which solves nothing more. As there, a pair of equal sets is
+    solved as one self term, the only self term a raw (not debiased)
+    divergence solves."""
     same = [np.array_equal(A, B) for A, B, _, _ in comparisons]
     missing: dict[int, np.ndarray] = {}
     for (A, B, sa, sb), s in zip(comparisons, same):
@@ -662,13 +655,18 @@ def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
     solved = dict(zip(missing, self_terms(list(missing.values()), cfg, grad))) if missing else {}
     unequal = [(A, B) for (A, B, _, _), s in zip(comparisons, same) if not s]
     crossed = iter(cross_terms(unequal, cfg, grad))
-    out = []
-    for (A, B, sa, sb), s in zip(comparisons, same):
-        sa = sa if sa is not None else solved.get(id(A))
-        sb = sb if sb is not None else solved.get(id(B))
-        res, dA, dB = _finish(A, cfg, sa, sb, None if s else next(crossed), grad)
-        out.append((res.value, dA, dB, res.converged) if grad else res)
-    return out
+    finish = divergence_grad if grad else sinkhorn_divergence
+    return [
+        finish(
+            A,
+            B,
+            cfg,
+            sa if sa is not None else solved.get(id(A)),
+            sb if sb is not None else solved.get(id(B)),
+            None if s else next(crossed),
+        )
+        for (A, B, sa, sb), s in zip(comparisons, same)
+    ]
 
 
 def sinkhorn_divergence(
