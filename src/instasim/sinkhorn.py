@@ -45,9 +45,9 @@ algorithm ("Stabilized Sparse Scaling Algorithms for Entropy
 Regularized Transport Problems", SIAM J. Sci. Comput. 2019, section 3):
 each problem's kernel is kept as E = exp(-C / eps + f + g), built from
 absorbed log potentials f and g, and a half-step updates scalings on
-it in two passes over the stack, a product and a sum over a leading
-axis, then a division by the marginal. numpy sums that axis one row at
-a time: padded rows, whose scalings are 0, add exactly 0.0, and a
+it in one einsum pass over the stack, a contraction over a leading
+axis, then a division by the marginal. einsum adds that axis one row
+at a time: padded rows, whose scalings are 0, add exactly 0.0, and a
 problem gives the same bits in any stack. A cross term whose update
 returns a scaling above e^TAU, the largest that keeps the kernel's
 underflowed mass below rounding, or whose sum underflowed to 0,
@@ -216,10 +216,10 @@ def _half_sqdist(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray
 
 # padded elements B x N x M of one solve stack, which holds E, E^T and a
 # scratch array of that size (128 KiB of float64 each); a problem over
-# it is solved alone. With the scaling half-steps, three 15-second runs
-# each of the bench's patch workload gave wall_s medians of 0.256,
-# 0.223, 0.209, 0.209 and 0.221 s for 2^12 to 2^16: 2^15 ties with
-# twice the memory.
+# it is solved alone. With one-pass half-steps, 15-second runs of the
+# bench's patch workload gave wall_s medians of 0.190, 0.181, 0.177 and
+# 0.184 s for 2^13 to 2^16 (eight runs for 2^14 and 2^15, else three):
+# 2^15 gains 2%, inside the runs' spread, for twice the memory.
 STACK_ELEMENTS = 1 << 14
 
 # Every scaling a half-step returns is kept at most e^TAU; an entry with
@@ -262,14 +262,15 @@ def _half_step(K: np.ndarray, h: np.ndarray, log_m: np.ndarray, buf: np.ndarray)
     return np.subtract(log_m, s, out=s)
 
 
-def _scale(E: np.ndarray, s: np.ndarray, m: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """m[b, j] / sum_i E[b, i, j] s[b, i], the scaling half-step: two
-    passes over the stack and a division. As in ``_half_step`` the sum
-    runs one row at a time, and a padded row, whose scaling is 0 and
-    whose kernel entries are 1, adds exactly 0.0. A sum that underflowed
-    to 0 gives an infinite scaling (numpy's divide warning is off)."""
-    np.multiply(E, s[..., None], out=buf)
-    t = np.add.reduce(buf, axis=-2)
+def _scale(E: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m[b, j] / sum_i E[b, i, j] s[b, i], the scaling half-step: one
+    einsum pass over the stack and a division. einsum (not optimized,
+    so never BLAS) runs E's contiguous axis j, at least 2 wide as in
+    ``_half_step``, innermost and adds one row of products at a time, as
+    ``np.add.reduce`` over i would, so a padded row, with scaling 0 and
+    kernel entries 1, adds exactly 0.0. A sum that underflowed to 0
+    gives an infinite scaling (numpy's divide warning is off)."""
+    t = np.einsum("...ij,...i->...j", E, s)
     return np.divide(m, t, out=t)
 
 
@@ -289,7 +290,8 @@ class _Stack:
     bits. When that entry needs no padding either, its K is built in E's
     memory, and an absorption recomputes it there from the points, so a
     problem over STACK_ELEMENTS holds three arrays of its size (E, E^T
-    and the scratch space), a self term two."""
+    and the scratch space of the log-domain steps and the plan), a self
+    term two."""
 
     def __init__(self, ks: list[int], problems, cfg: SinkhornConfig, cross: bool):
         self.ks, self.problems, self.cross, self.eps = ks, problems, cross, cfg.epsilon
@@ -343,11 +345,6 @@ class _Stack:
             arrays = [a[0] for a in arrays]
         self.E, self.Et, self.am, self.bm, self.f, self.g, self.alpha, self.d, rows = arrays
         self.real = True if all(n == N for n, _ in self.shapes) else rows
-        self._views()
-
-    def _views(self) -> None:
-        self.bufE = self.buf[: self.E.size].reshape(self.E.shape)
-        self.bufEt = self.buf[: self.Et.size].reshape(self.Et.shape)
 
     def _kernel(self, problem, out=None, tmp=None) -> np.ndarray:
         """K = -C / eps of one (X, Y) problem, in ``out`` when given."""
@@ -420,7 +417,6 @@ class _Stack:
         if not self.cross:
             self.Et, self.bm, self.beta = self.E, self.am, self.alpha2
         self.d = self.diff
-        self._views()
 
 
 def _chunks(items: list, shape) -> Iterator[list]:
@@ -468,7 +464,7 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
     it, tol, cap = 0, cfg.tol, cfg.max_iters
     alpha = alpha2 = st.alpha
     while True:
-        E, Et, bufE, bufEt, am, bm = st.E, st.Et, st.bufE, st.bufEt, st.am, st.bm
+        E, Et, am, bm = st.E, st.Et, st.am, st.bm
         d, diff, real = st.d, st.diff, st.real
         ns = [n for n, _ in st.shapes]
         # a stack without its B axis takes the cheaper error of one entry
@@ -482,7 +478,7 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
                         st.absorb(b, K, w, v, alpha, beta)
             elif it:
                 alpha = np.sqrt(np.multiply(alpha, alpha2, out=alpha), out=alpha)
-            beta = _scale(E, alpha, bm, bufE)
+            beta = _scale(E, alpha, bm)
             # only a cross term can absorb. A self term's K has an exact
             # zero diagonal, so its start u0_j = -lse_i K_ij lies in
             # [-log n, 0], and E = exp(K + u0 + u0) has E_ij <= 1 and
@@ -495,7 +491,7 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
             if cross and np.maximum.reduce(beta, axis=None) > _SCALE_MAX:
                 for b in st.over(beta):
                     st.absorb(b, *st.redo(b, alpha, beta, row=False), alpha, beta)
-            alpha2 = _scale(Et, beta, am, bufEt) if cross else beta
+            alpha2 = _scale(Et, beta, am) if cross else beta
             np.divide(alpha, alpha2, out=d, where=real)
             np.subtract(d, 1.0, out=d, where=real)
             np.abs(d, out=d)

@@ -34,10 +34,10 @@ from .heads import (
     adamw_init,
     adamw_step,
     clone_head,
+    head_params,
     init_dual_head,
     mlp_backward,
     mlp_forward,
-    zero_grads,
 )
 from .losses import LossConfig, cosine_losses, patch_losses, total_loss
 from .metrics import triplet_correct
@@ -185,7 +185,9 @@ def train_step(
     if not chunk:
         raise InvalidInput("empty triplet chunk")
     param_grads = {
-        name: g for name, g in zero_grads(head).items() if data.use_patch or name.startswith("cls.")
+        name: np.zeros_like(p)
+        for name, p in head_params(head).items()
+        if data.use_patch or name.startswith("cls.")
     }
     loss_sum = 0.0
     for start in range(0, len(chunk), data.cfg.batch_size):

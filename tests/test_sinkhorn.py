@@ -457,6 +457,33 @@ class TestBatchedSolves:
         assert len({it for _, it in absorbed}) > 1
         self._same(self_terms(sets, cfg, grad), want_self)
 
+    def test_scale_equals_the_product_then_sum_half_step(self, rng):
+        """``_scale`` against m / np.add.reduce(E * s[..., None], axis=-2),
+        bit for bit: on padded stacks whose padded rows have scaling 0 and
+        kernel entries 1, with scalings from e^-TAU up to e^TAU, and on
+        each entry alone in the 2-D form of a one-entry stack, which like
+        every stack is at least 2 x 2 (a width-1 axis would let einsum
+        sum over i in its own order). The
+        equality relies on numpy's baseline einsum kernel forming each
+        product and then adding it, with no fused multiply-add, as
+        ``np.multiply`` followed by ``np.add.reduce`` does."""
+        for _ in range(100):
+            B, N, M = (int(x) for x in rng.integers(2, 24, size=3))
+            E = np.exp(rng.uniform(-40.0, 0.0, (B, N, M)))
+            s = np.exp(rng.uniform(-sinkhorn.TAU, sinkhorn.TAU, (B, N)))
+            s[0, 0] = sinkhorn._SCALE_MAX
+            m = rng.random((B, M))
+            sizes = [(int(rng.integers(1, N + 1)), int(rng.integers(1, M + 1))) for _ in range(B)]
+            for b, (n, mb) in enumerate(sizes):
+                E[b, n:], E[b, :, mb:], s[b, n:], m[b, mb:] = 1.0, 1.0, 0.0, 0.0
+            want = m / np.add.reduce(E * s[..., None], axis=-2)
+            assert sinkhorn._scale(E, s, m).tobytes() == want.tobytes()
+            for b, (n, mb) in enumerate(sizes):
+                if min(n, mb) < 2:
+                    continue
+                alone = sinkhorn._scale(np.ascontiguousarray(E[b, :n, :mb]), s[b, :n], m[b, :mb])
+                assert alone.tobytes() == want[b, :mb].tobytes()
+
     def test_self_term_scalings_stay_inside_the_zero_diagonal_bound(self, rng, monkeypatch):
         # K's zero diagonal keeps every self-term scaling within
         # [n^-2.5, n^3.5] (see _run), so no self term needs to absorb,
@@ -464,8 +491,8 @@ class TestBatchedSolves:
         cfg = SinkhornConfig(epsilon=1e-4, max_iters=200, tol=1e-12)
         bounds = []
 
-        def scale(E, s, m, buf):
-            out = original(E, s, m, buf)
+        def scale(E, s, m):
+            out = original(E, s, m)
             N = E.shape[-1]
             bounds.append((N ** -2.5 <= out[out > 0].min(), out.max() <= N ** 3.5))
             return out
