@@ -29,8 +29,8 @@ from .records import (
     Triplet,
     VoteRecord,
     _is_count,
+    _require_str,
     manifest_index,
-    require_str,
 )
 from .reporting import iter_jsonl, read_json, write_jsonl
 from .rng import derived_rng
@@ -265,17 +265,17 @@ def load_samples(path) -> tuple[list[InstanceSample], dict[str, str]]:
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
         sample = InstanceSample(
-            instance_id=require_str(obj, "instance_id", path, lineno),
-            dataset_id=require_str(obj, "dataset_id", path, lineno),
-            anchor=require_str(obj, "anchor", path, lineno),
-            positive=require_str(obj, "positive", path, lineno),
+            instance_id=_require_str(obj, "instance_id", path, lineno),
+            dataset_id=_require_str(obj, "dataset_id", path, lineno),
+            anchor=_require_str(obj, "anchor", path, lineno),
+            positive=_require_str(obj, "positive", path, lineno),
         )
         if sample.instance_id in seen:
             raise DuplicateId(f"{path}:{lineno}: duplicate instance_id {sample.instance_id!r}")
         seen.add(sample.instance_id)
         samples.append(sample)
         if "split" in obj:
-            split[sample.instance_id] = require_str(obj, "split", path, lineno)
+            split[sample.instance_id] = _require_str(obj, "split", path, lineno)
     return samples, split
 
 
@@ -289,7 +289,7 @@ def load_mined(path) -> dict[str, list[str]]:
         negatives = obj.get("negatives")
         if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
             raise FormatError(f"{path}:{lineno}: negatives must be an array of strings")
-        anchor = require_str(obj, "anchor", path, lineno)
+        anchor = _require_str(obj, "anchor", path, lineno)
         if anchor in mined:
             raise DuplicateId(f"{path}:{lineno}: duplicate anchor {anchor!r}")
         mined[anchor] = negatives

@@ -235,10 +235,6 @@ def head_params(head: DualHead) -> dict[str, np.ndarray]:
     return out
 
 
-def zero_grads(head: DualHead) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in head_params(head).items()}
-
-
 def clone_head(head: DualHead) -> DualHead:
     def copy_mlp(m: TwoLayerMLP) -> TwoLayerMLP:
         return TwoLayerMLP(m.W1.copy(), m.b1.copy(), m.W2.copy(), m.b2.copy())

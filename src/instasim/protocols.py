@@ -33,7 +33,7 @@ from .metrics import (
     spearman_rho,
     triplet_correct,
 )
-from .records import PairLabel, require_str
+from .records import PairLabel, _require_str
 from .reporting import iter_jsonl, report_envelope
 from .sinkhorn import SinkhornConfig, _divergences, patch_sets
 
@@ -200,7 +200,7 @@ def load_retrieval_task(path) -> RetrievalTask:
                 raise FormatError(f"{path}:{lineno}: repeated gallery record")
             gallery = _str_list(obj["gallery"], path, lineno, "gallery")
         elif "query" in obj:
-            q = require_str(obj, "query", path, lineno)
+            q = _require_str(obj, "query", path, lineno)
             if q in relevance:
                 raise DuplicateId(f"{path}:{lineno}: duplicate query {q!r}")
             queries.append(q)
@@ -217,7 +217,7 @@ def load_triplet_task(path) -> TripletTask:
     rows = []
     for lineno, obj in iter_jsonl(path):
         row = tuple(
-            require_str(obj, key, path, lineno) for key in ("anchor", "positive", "negative", "mode")
+            _require_str(obj, key, path, lineno) for key in ("anchor", "positive", "negative", "mode")
         )
         if row[3] not in TRIPLET_MODES:
             raise FormatError(f"{path}:{lineno}: unknown mode {row[3]!r}")

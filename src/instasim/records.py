@@ -71,7 +71,7 @@ def _is_count(val, least: int) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
-def require_str(obj: dict, key: str, path, lineno: int) -> str:
+def _require_str(obj: dict, key: str, path, lineno: int) -> str:
     val = _require(obj, key, path, lineno)
     if not isinstance(val, str) or not val:
         raise FormatError(f"{path}:{lineno}: field {key!r} must be a non-empty string")
@@ -98,11 +98,11 @@ def load_manifest(path) -> list[ImageManifest]:
     records: list[ImageManifest] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        image_id = require_str(obj, "image_id", path, lineno)
-        instance_id = require_str(obj, "instance_id", path, lineno)
-        dataset_id = require_str(obj, "dataset_id", path, lineno)
-        subset = require_str(obj, "subset", path, lineno)
-        split = require_str(obj, "split", path, lineno)
+        image_id = _require_str(obj, "image_id", path, lineno)
+        instance_id = _require_str(obj, "instance_id", path, lineno)
+        dataset_id = _require_str(obj, "dataset_id", path, lineno)
+        subset = _require_str(obj, "subset", path, lineno)
+        split = _require_str(obj, "split", path, lineno)
         if subset not in SUBSETS:
             raise FormatError(f"{path}:{lineno}: unknown subset {subset!r}")
         if split not in SPLITS:
@@ -144,14 +144,14 @@ def manifest_index(records: list[ImageManifest]) -> dict[str, ImageManifest]:
 def load_triplets(path) -> list[Triplet]:
     triplets: list[Triplet] = []
     for lineno, obj in iter_jsonl(path):
-        kind = require_str(obj, "hard_negative_kind", path, lineno)
+        kind = _require_str(obj, "hard_negative_kind", path, lineno)
         if kind not in HARD_NEGATIVE_KINDS:
             raise FormatError(f"{path}:{lineno}: unknown hard_negative_kind {kind!r}")
         triplets.append(
             Triplet(
-                anchor=require_str(obj, "anchor", path, lineno),
-                positive=require_str(obj, "positive", path, lineno),
-                hard_negative=require_str(obj, "hard_negative", path, lineno),
+                anchor=_require_str(obj, "anchor", path, lineno),
+                positive=_require_str(obj, "positive", path, lineno),
+                hard_negative=_require_str(obj, "hard_negative", path, lineno),
                 hard_negative_kind=kind,
             )
         )
@@ -199,8 +199,8 @@ def validate_triplets(triplets: list[Triplet], index: dict[str, ImageManifest]) 
 def load_pair_labels(path) -> list[PairLabel]:
     pairs: list[PairLabel] = []
     for lineno, obj in iter_jsonl(path):
-        ref_id = require_str(obj, "ref_id", path, lineno)
-        cand_id = require_str(obj, "cand_id", path, lineno)
+        ref_id = _require_str(obj, "ref_id", path, lineno)
+        cand_id = _require_str(obj, "cand_id", path, lineno)
         label = _require(obj, "label", path, lineno)
         if isinstance(label, bool) or not isinstance(label, (int, float)):
             raise FormatError(f"{path}:{lineno}: label must be a number")
@@ -218,7 +218,7 @@ def load_votes(path) -> list[VoteRecord]:
     records: list[VoteRecord] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        pair_id = require_str(obj, "pair_id", path, lineno)
+        pair_id = _require_str(obj, "pair_id", path, lineno)
         votes = _require(obj, "votes", path, lineno)
         if not isinstance(votes, list) or not votes:
             raise FormatError(f"{path}:{lineno}: votes must be a non-empty array")

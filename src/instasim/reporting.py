@@ -28,12 +28,15 @@ from .errors import FormatError, InvalidInput, IoError
 FORMAT_VERSION = 1
 # the C scanner behind ``json.loads``: (text, index) -> (value, end)
 _scan_once = make_scanner(json.JSONDecoder())
+# the one canonical encoder; ``json.dumps`` with these arguments would
+# build a new one per call
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical_json(obj) -> str:
     """Serialize ``obj`` to the canonical JSON text."""
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _canonical.encode(obj)
     except ValueError as exc:
         raise InvalidInput(f"report is not serializable: {exc}") from exc
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import EmbeddingBundle
 from .errors import FormatError, InvalidInput, SingularDesign
-from .records import require_str
+from .records import _require_str
 from .reporting import atomic_write, iter_jsonl, report_envelope
 from .rng import derived_rng
 from .protocols import score_pairs
@@ -83,16 +83,16 @@ def load_grids(path) -> list[EditGrid]:
         try:
             points = [
                 GridPoint(
-                    image_id=require_str(p, "image_id", path, lineno),
+                    image_id=_require_str(p, "image_id", path, lineno),
                     identity_change=_grid_number(p, "identity_change", path, lineno),
                     factor_change=_grid_number(p, "factor_change", path, lineno),
-                    factor_name=require_str(p, "factor_name", path, lineno),
+                    factor_name=_require_str(p, "factor_name", path, lineno),
                 )
                 for p in points
             ]
         except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
-        grids.append(EditGrid(anchor=require_str(obj, "anchor", path, lineno), points=points))
+        grids.append(EditGrid(anchor=_require_str(obj, "anchor", path, lineno), points=points))
     return grids
 
 

@@ -241,6 +241,34 @@ def kendall_tau_b_dense(x, y) -> float:
     return concordant_minus_discordant / float(np.sqrt((n0 - n1) * (n0 - n2)))
 
 
+def kendall_tau_b_rowwise(x, y) -> float:
+    """Tau-b with concordant minus discordant counted one row at a time,
+    O(n^2) (the library's earlier implementation of ``kendall_tau_b``)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.size
+    concordant_minus_discordant = 0.0  # a sum of small integers, so exact
+    for i in range(n - 1):
+        signs = np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])
+        concordant_minus_discordant += float(signs.sum())
+
+    def tie_pairs(v):
+        counts = np.unique(v, return_counts=True)[1]
+        return float((counts * (counts - 1) / 2.0).sum())
+
+    n0 = n * (n - 1) / 2.0
+    n1, n2 = tie_pairs(x), tie_pairs(y)
+    return concordant_minus_discordant / float(np.sqrt((n0 - n1) * (n0 - n2)))
+
+
+def zero_grads(head) -> dict[str, np.ndarray]:
+    """Zero gradients for every parameter of ``head``, keyed as
+    ``heads.head_params`` names them."""
+    from instasim.heads import head_params
+
+    return {name: np.zeros_like(arr) for name, arr in head_params(head).items()}
+
+
 def adamw_step_allocating(
     head,
     grads: dict[str, np.ndarray],

@@ -22,6 +22,7 @@ from oracles import (
     one_entry,
     rel_err,
     spearman_oracle,
+    zero_grads,
 )
 
 from instasim.bundle import make_bundle, read_bundle, write_bundle
@@ -33,7 +34,6 @@ from instasim.heads import (
     mlp_backward,
     mlp_forward,
     save_head,
-    zero_grads,
 )
 from instasim.losses import (
     LossConfig,

@@ -450,6 +450,23 @@ class TestReporting:
         with pytest.raises(InvalidInput):
             canonical_json({"x": float("nan")})
 
+    def test_canonical_json_equals_the_json_dumps_form(self):
+        objs = [
+            {"z": [1.5, -0.0, 1e-300, 2**70], "a": {"é": "\u2028\n", "b": None}, "m": True},
+            [{"k": 3}, "ü", 0.1, [], {}],
+            {"1": 1, "10": 2, "2": [False, 1.0 / 3.0]},
+            "plain",
+            7,
+        ]
+        for obj in objs:
+            want = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            assert canonical_json(obj) == want
+
+    def test_non_finite_nested_rejected(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(InvalidInput):
+                canonical_json({"a": [1, {"b": bad}]})
+
     def test_config_hash_stable_under_key_order(self):
         h1 = config_hash({"alpha": 1, "beta": "x"})
         h2 = config_hash({"beta": "x", "alpha": 1})

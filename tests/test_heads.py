@@ -29,10 +29,9 @@ from instasim.heads import (
     mlp_backward,
     mlp_forward,
     save_head,
-    zero_grads,
 )
 
-from oracles import adamw_step_allocating, apply_head_per_item
+from oracles import adamw_step_allocating, apply_head_per_item, zero_grads
 
 
 def _quiet_erf(x):

@@ -1,10 +1,13 @@
 """Ranking metrics against brute-force oracles and hand-worked cases."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from instasim.errors import InvalidInput, UndefinedMetric
 from instasim.metrics import (
+    _strict_inversions,
     average_precision,
     cosine_similarity,
     kendall_tau_b,
@@ -21,6 +24,7 @@ from oracles import (
     auc_oracle,
     kendall_oracle,
     kendall_tau_b_dense,
+    kendall_tau_b_rowwise,
     midranks_oracle,
     ndcg_oracle,
     rank_average_loop,
@@ -226,6 +230,66 @@ class TestCorrelations:
             spearman_rho([1.0], [2.0])
         with pytest.raises(InvalidInput):
             kendall_tau_b([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("fn", [spearman_rho, kendall_tau_b])
+    def test_non_finite_input_is_invalid(self, fn):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput):
+                fn([1.0, bad, 3.0, 2.0], [1.0, 2.0, 3.0, 0.5])
+            with pytest.raises(InvalidInput):
+                fn([1.0, 2.0, 3.0, 2.0], [1.0, 2.0, bad, 0.5])
+
+
+def _kendall_case(rng, n, ties):
+    """x and y of length n, tied heavily on the named side(s), with
+    neither side constant."""
+    def side(tied):
+        return rng.integers(0, 3, size=n).astype(np.float64) if tied else rng.normal(size=n)
+
+    x, y = side(ties in ("x", "both")), side(ties in ("y", "both"))
+    x[0], x[1], y[0], y[1] = 0.0, 1.0, 0.0, 1.0
+    return x, y
+
+
+class TestKendallByMergeCount:
+    SIZES = (2, 3, 4, 5, 7, 8, 9, 31, 64, 100, 257, 1000, 5000)
+
+    @pytest.mark.parametrize("ties", ["none", "x", "y", "both"])
+    def test_equals_the_rowwise_count_exactly(self, rng, ties):
+        for n in self.SIZES:
+            x, y = _kendall_case(rng, n, ties)
+            assert kendall_tau_b(x, y) == kendall_tau_b_rowwise(x, y)
+
+    @pytest.mark.parametrize("ties", ["none", "x", "y", "both"])
+    def test_matches_scipy(self, rng, ties):
+        for n in self.SIZES:
+            x, y = _kendall_case(rng, n, ties)
+            assert abs(kendall_tau_b(x, y) - stats.kendalltau(x, y).statistic) < 1e-12
+
+    def test_signed_zeros_are_ties(self):
+        x = [0.0, -0.0, 1.0, 2.0]
+        y = [3.0, 1.0, 2.0, 2.0]
+        assert kendall_tau_b(x, y) == kendall_tau_b_rowwise(x, y)
+
+    def test_strict_inversions_match_pair_counting(self, rng):
+        for n in (1, 2, 3, 6, 16, 17, 50, 129):
+            for levels in (1, 2, n):
+                r = rng.integers(0, levels, size=n).astype(np.int64)
+                want = sum(int(r[i] > r[j]) for i in range(n) for j in range(i + 1, n))
+                assert _strict_inversions(r) == want
+
+    def test_memory_is_linear(self, rng):
+        n = 100_000
+        x = rng.integers(0, 1000, size=n).astype(np.float64)
+        y = rng.normal(size=n)
+        kendall_tau_b(x[:10], y[:10])
+        tracemalloc.start()
+        try:
+            kendall_tau_b(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * n
 
 
 class TestInputChecks:

@@ -13,7 +13,7 @@ from instasim.errors import (
     MissingItem,
     UndefinedMetric,
 )
-from instasim.heads import init_dual_head, zero_grads
+from instasim.heads import init_dual_head
 from instasim.losses import LossConfig
 from instasim.metrics import average_precision, cosine_similarity, ndcg_score, roc_auc
 from instasim.records import PairLabel, Triplet
@@ -31,7 +31,7 @@ from instasim.reporting import canonical_json
 from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence, solve_counts
 from instasim.trainer import TrainConfig, _micro_batch_pass, _TrainData
 
-from oracles import ap_oracle, auc_oracle, ndcg_oracle
+from oracles import ap_oracle, auc_oracle, ndcg_oracle, zero_grads
 
 
 def _unit(v):

@@ -7,7 +7,7 @@ import pytest
 from instasim import trainer
 from instasim.bundle import make_bundle
 from instasim.errors import InvalidInput, MissingItem
-from instasim.heads import adamw_init, head_params, identity_dual_head, init_dual_head, zero_grads
+from instasim.heads import adamw_init, head_params, identity_dual_head, init_dual_head
 from instasim.losses import LossConfig
 from instasim.records import ImageManifest, Triplet
 from instasim.sinkhorn import SinkhornConfig
@@ -20,7 +20,7 @@ from instasim.trainer import (
     train_step,
 )
 
-from oracles import micro_batch_pass_per_image, validation_accuracy_per_triplet
+from oracles import micro_batch_pass_per_image, validation_accuracy_per_triplet, zero_grads
 
 
 def _manifest(image_id, instance_id, split):
