@@ -54,8 +54,11 @@ underflowed mass below rounding, or whose sum underflowed to 0,
 absorbs alone (a self term's scalings stay far inside that bound):
 that update is redone as a log-sum-exp, its potentials become the new
 f and g, and its slice of E is rebuilt from -C / eps, recomputed from
-its points. A problem leaves its stack at the iteration it meets tol,
-so a stack runs on with only the problems still open.
+its points. A problem closes at the iteration it meets tol: its result
+is taken then, and it iterates on in place, out of the stopping test,
+so that a close copies nothing. Its stack is compacted to the problems
+still open only once at most half of them are, so a stack of B
+problems compacts at most log2(B) times.
 
 A note on tolerances: every solve stops when the worst row-marginal
 violation of its plan drops to tol, and the check reuses the next
@@ -77,7 +80,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import truediv
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -178,7 +180,7 @@ def _check_set(name: str, M, cfg: SinkhornConfig) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise InvalidInput(f"{name} must be a non-empty 2-D matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInput(f"{name} contains non-finite values")
     if M.shape[0] > cfg.max_tokens:
         raise InvalidInput(
@@ -197,20 +199,35 @@ def _check_pair(A, B, cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _half_sqdist(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """C_ij = 0.5 * ||X_i - Y_j||^2, clipped at zero against rounding.
-    With ``out`` and ``tmp`` (both n x m) it is built in ``out``, with
-    ``tmp`` as scratch space, in the same bits. For Y is X, numpy forms
+    """C_ij = 0.5 * ||X_i - Y_j||^2 of one problem, clipped at zero
+    against rounding. With ``out`` and ``tmp`` (both n x m) it is built
+    in ``out``, with ``tmp`` as scratch space, in the same bits."""
+    P, xx = np.matmul(X, Y.T, out=out), _sqnorms(X)
+    return _from_products(P, xx, xx if Y is X else _sqnorms(Y), Y is X, tmp)
+
+
+def _sqnorms(X: np.ndarray) -> np.ndarray:
+    """The squared norms of X's rows."""
+    return np.add.reduce(X * X, axis=1)
+
+
+def _from_products(P: np.ndarray, xx: np.ndarray, yy: np.ndarray, same: bool, tmp=None):
+    """C_ij = 0.5 * max(xx_i + yy_j - 2 P_ij, 0) in P's memory, from the
+    products P_ij = X_i . Y_j and the squared row norms xx and yy, for
+    one problem (n x m) or a padded stack of them (B x N x M, with
+    (B, N) and (B, M) norms); ``tmp`` (P's shape) is the scratch space.
+    Every step is elementwise, so a stack gives each entry the bits of
+    its one-problem call. For a self term (``same``, Y is X), numpy forms
     X @ X.T with a symmetric product, so C is exactly symmetric, and its
     diagonal is set to exactly 0, which bounds a self term's stabilized
     kernel by 1 (see TAU): rounding leaves up to about |X_i|^2 2^-52
     there, enough to overflow it for clouds far from the origin."""
-    P = np.matmul(X, Y.T, out=out)
     np.multiply(P, 2.0, out=P)
-    sq = np.add((X * X).sum(axis=1)[:, None], (Y * Y).sum(axis=1), out=tmp)
+    sq = np.add(xx[..., :, None], yy[..., None, :], out=tmp)
     np.subtract(sq, P, out=P)
     np.maximum(P, 0.0, out=P)
-    if Y is X:
-        np.fill_diagonal(P, 0.0)
+    if same:
+        P.reshape(*P.shape[:-2], -1)[..., :: P.shape[-1] + 1] = 0.0
     return np.multiply(P, 0.5, out=P)
 
 
@@ -284,42 +301,64 @@ class _Stack:
     is symmetric and its f is its g, so its column update is its row
     update. The potentials are u = f + log alpha and v = g + log beta
     for the scalings the loop carries; padded rows and columns have
-    scaling and marginal 0 and kernel entries 1, and ``real`` marks the
-    rows that are not padding (True when none is). A stack of one entry
-    drops the B axis: numpy runs 2-D operations faster, with the same
-    bits. When that entry needs no padding either, its K is built in E's
-    memory, and an absorption recomputes it there from the points, so a
-    problem over STACK_ELEMENTS holds three arrays of its size (E, E^T
-    and the scratch space of the log-domain steps and the plan), a self
-    term two."""
+    scaling and marginal 0 and kernel entries 1. ``ns`` holds each
+    entry's row count as a float, the divisor of its error, and 0 once
+    the entry is closed. A stack of one entry drops the B axis: numpy
+    runs 2-D operations faster, with the same bits; ``real`` then marks
+    its rows that are not padding (True when none is), and ``ns`` is its
+    row count. When that entry needs no padding either, its K is built
+    in E's memory, and an absorption recomputes it there from the
+    points, so a problem over STACK_ELEMENTS holds three arrays of its
+    size (E, E^T and the scratch space of the log-domain steps and the
+    plan), a self term two.
+
+    The padded stack is built as a whole where the bits allow. Each
+    entry's products X @ Y.T are its own matmul, built contiguously and
+    copied into E (a batched or padded product may round differently);
+    the rest of K is elementwise and runs over the whole stack, E^T is
+    one copy of E's transpose, and the marginals come from masks over
+    the shapes, with -log n computed once per size."""
 
     def __init__(self, ks: list[int], problems, cfg: SinkhornConfig, cross: bool):
         self.ks, self.problems, self.cross, self.eps = ks, problems, cross, cfg.epsilon
-        self.shapes = [(len(problems[k][0]), len(problems[k][1])) for k in ks]
+        self.shapes = shapes = [(len(problems[k][0]), len(problems[k][1])) for k in ks]
+        # -log n of every size in the stack, the same scalar call per size
+        self.logs = {n: -np.log(n) for shape in shapes for n in shape}
         B = len(ks)
-        N = max(2, max(n for n, _ in self.shapes))
-        M = max(2, max(m for _, m in self.shapes))
+        N = max(2, max(n for n, _ in shapes))
+        M = max(2, max(m for _, m in shapes))
         self.buf = np.empty(B * N * M)
-        if self.shapes == [(N, M)]:
+        if shapes == [(N, M)]:
             E = self._kernel(problems[ks[0]], np.empty((N, M)), self.buf.reshape(N, M))
             Et = np.ascontiguousarray(E.T) if cross else E
-            loga = np.full(N, -np.log(N))
-            logb = np.full(M, -np.log(M)) if cross else loga
-            rows = None
+            loga = np.full(N, self.logs[N])
+            logb = np.full(M, self.logs[M]) if cross else loga
+            rows = cols = None
         else:
+            rows = np.arange(N) < np.array([n for n, _ in shapes])[:, None]
+            cols = np.arange(M) < np.array([m for _, m in shapes])[:, None] if cross else rows
             E = np.zeros((B, N, M))
-            Et = np.zeros((B, M, N)) if cross else E
-            loga = np.full((B, N), -np.inf)
-            logb = np.full((B, M), -np.inf) if cross else loga
+            norms: dict = {}
             for b, k in enumerate(ks):
-                Kb = self._kernel(problems[k])
-                n, m = Kb.shape
-                E[b, :n, :m] = Kb
-                loga[b, :n] = -np.log(n)
-                logb[b, :m] = -np.log(m)
-                if cross:
-                    Et[b, :m, :n] = Kb.T
-            rows = loga > -np.inf
+                X, Y = problems[k]
+                E[b, : len(X), : len(Y)] = X @ Y.T
+                for Z in (X, Y):
+                    if id(Z) not in norms:
+                        norms[id(Z)] = _sqnorms(Z)
+            xx = np.zeros((B, N))
+            xx[rows] = np.concatenate([norms[id(problems[k][0])] for k in ks])
+            yy = np.zeros((B, M)) if cross else xx
+            if cross:
+                yy[cols] = np.concatenate([norms[id(problems[k][1])] for k in ks])
+            _from_products(E, xx, yy, not cross, self.buf.reshape(B, N, M))
+            np.divide(E, -self.eps, out=E)
+            Et = np.empty((B, M, N)) if cross else E
+            if cross:
+                np.copyto(Et, E.swapaxes(-1, -2))
+            loga = np.where(rows, np.array([[self.logs[n]] for n, _ in shapes]), -np.inf)
+            logb = loga
+            if cross:
+                logb = np.where(cols, np.array([[self.logs[m]] for _, m in shapes]), -np.inf)
         u0 = _half_step(Et, logb, loga, self.buf.reshape(Et.shape))
         am = np.exp(loga)
         bm = np.exp(logb) if cross else am
@@ -329,22 +368,22 @@ class _Stack:
             f, g, alpha = u0, logb.copy() if cross else u0.copy(), np.ones(N)
         else:
             f = np.where(rows, u0, 0.0)
-            g = np.where(bm > 0.0, logb, 0.0) if cross else f.copy()
+            g = np.where(cols, logb, 0.0) if cross else f.copy()
             alpha = rows.astype(float)
         np.add(E, f[..., None], out=E)
         np.add(E, g[..., None, :], out=E)
-        for b, (n, m) in enumerate(self.shapes):
+        for b, (n, m) in enumerate(shapes):
             if (n, m) != (N, M):
                 E[b, n:], E[b, :, m:] = 0.0, 0.0
         np.exp(E, out=E)
         if cross:
             np.copyto(Et, E.swapaxes(-1, -2))
-        self.diff = np.zeros_like(alpha)
-        arrays = [E, Et, am, bm, f, g, alpha, self.diff, rows]
+        arrays = [E, Et, am, bm, f, g, alpha, np.zeros_like(alpha), rows]
         if rows is not None and B == 1:
             arrays = [a[0] for a in arrays]
         self.E, self.Et, self.am, self.bm, self.f, self.g, self.alpha, self.d, rows = arrays
-        self.real = True if all(n == N for n, _ in self.shapes) else rows
+        self.ns = shapes[0][0] if B == 1 else np.array([float(n) for n, _ in shapes])
+        self.real = True if all(n == N for n, _ in shapes) else rows
 
     def _kernel(self, problem, out=None, tmp=None) -> np.ndarray:
         """K = -C / eps of one (X, Y) problem, in ``out`` when given."""
@@ -376,9 +415,9 @@ class _Stack:
             v = self.rows(self.g)[b, :m] + np.log(self.rows(beta)[b, :m])
             Kt = self.Et if K is self.E else np.empty((m, n))
             np.copyto(Kt, K.T)
-            return K, _half_step(Kt, v, np.full(n, -np.log(n)), scratch.reshape(m, n)), v
+            return K, _half_step(Kt, v, np.full(n, self.logs[n]), scratch.reshape(m, n)), v
         u = self.rows(self.f)[b, :n] + np.log(self.rows(alpha)[b, :n])
-        return K, u, _half_step(K, u, np.full(m, -np.log(m)), scratch.reshape(n, m))
+        return K, u, _half_step(K, u, np.full(m, self.logs[m]), scratch.reshape(n, m))
 
     def absorb(self, b: int, K: np.ndarray, f: np.ndarray, g: np.ndarray, alpha, beta) -> None:
         """Make f and g entry b's absorbed potentials: its slice of E (and
@@ -402,21 +441,42 @@ class _Stack:
         np.multiply(self.E.reshape(-1, *self.E.shape[-2:])[b, :n, :m], alpha[:, None], out=T)
         return np.multiply(T, beta, out=T)
 
-    def drop(self, done: list[int]) -> None:
-        """Take the entries at the ``done`` indices, some but not all,
-        out of the stack."""
+    def close(self, done: list, errs: list, it: int, tol: float, alpha, beta, grad, out):
+        """Put in ``out`` what ``_solve`` returns for the entries at the
+        ``done`` indices, closed at iteration ``it`` with errors ``errs``
+        and scalings ``alpha`` and ``beta``. Their log potentials
+        u = f + log alpha and v = g + log beta are formed together,
+        elementwise, so each entry keeps its bits."""
+        alphas, betas = self.rows(alpha), self.rows(beta)
+        us = self.rows(self.f) + np.log(alphas)
+        vs = self.rows(self.g) + np.log(betas)
+        for b, err in zip(done, errs):
+            (n, m), k = self.shapes[b], self.ks[b]
+            # np.add.reduce(x) / n is numpy's own mean, in the same bits
+            mean_u, mean_v = np.add.reduce(us[b, :n]) / n, np.add.reduce(vs[b, :m]) / m
+            value = self.eps * float((mean_u - self.logs[n]) + (mean_v - self.logs[m]))
+            result = SinkhornResult(value, err <= tol, it, err)
+            if not grad:
+                out[k] = (result, None, None) if self.cross else (result, None)
+                continue
+            T = self.plan(b, alphas[b, :n], betas[b, :m])
+            dX, dY = _ot_position_grads(*self.problems[k], T)
+            out[k] = (result, dX, dY) if self.cross else (result, 0.5 * (dX + dY))
+
+    def drop(self, done: np.ndarray) -> None:
+        """Compact the stack: take the closed entries at the ``done``
+        indices, some but not all, out of every per-entry array. The loop
+        calls it only once at most half of the entries are still open, so
+        a stack of B entries compacts at most log2(B) times."""
         keep = np.ones(len(self.ks), dtype=bool)
         keep[done] = False
         self.ks = [k for k, kept in zip(self.ks, keep) if kept]
         self.shapes = [shape for shape, kept in zip(self.shapes, keep) if kept]
-        names = ("E", "am", "f", "g", "alpha", "alpha2", "diff", "real")
+        names = ("E", "am", "f", "g", "alpha", "alpha2", "d", "ns")
         for name in names + (("Et", "bm", "beta") if self.cross else ()):
-            val = getattr(self, name)
-            if isinstance(val, np.ndarray):
-                setattr(self, name, val[keep])
+            setattr(self, name, getattr(self, name)[keep])
         if not self.cross:
             self.Et, self.bm, self.beta = self.E, self.am, self.alpha2
-        self.d = self.diff
 
 
 def _chunks(items: list, shape) -> Iterator[list]:
@@ -435,11 +495,11 @@ def _chunks(items: list, shape) -> Iterator[list]:
         yield chunk
 
 
-@np.errstate(divide="ignore", over="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, out: list) -> None:
     """Iterate one stack of the problems at indices ``ks`` until each
-    meets tol or reaches max_iters. A finished problem leaves the stack
-    at once, with what ``_solve`` returns for it in ``out``.
+    meets tol or reaches max_iters, with what ``_solve`` returns for
+    each problem in ``out``.
 
     One iteration starts from the row scalings alpha (u = f + log alpha).
     Cross terms alternate: the column update beta = b / E^T alpha
@@ -459,15 +519,31 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
     become the two potentials, and the entry's kernel is rebuilt. A self
     term's scalings stay in [n^-2.5, n^3.5] (see the column update), so
     it never absorbs.
+
+    An entry closes at the iteration it meets tol: its result is taken
+    then, and it keeps iterating in place, its error read as +inf, so a
+    close costs no copy. The stack is compacted (``_Stack.drop``) only
+    once at most half of its entries are open. A closed entry still
+    absorbs: left alone, its scalings could overflow to inf and its sums
+    to NaN, and a NaN would hide an open entry's scaling from the
+    ``> _SCALE_MAX`` test. The entries' arithmetic does not depend on one
+    another, so an open entry keeps its bits.
+
+    In a stack of several entries, padded rows have alpha = alpha' = 0,
+    and their ratio is NaN (0/0), which the error's ``np.fmax`` skips. A
+    real row never holds NaN: its alpha lies in (0, e^TAU], a row
+    marginal is positive and its sum, over kernel entries at most 1 and
+    scalings at most e^TAU, is finite, so alpha' lies in (0, inf] and
+    alpha / alpha' is finite. A closed entry divides by an ``ns`` of 0,
+    which gives +inf, or NaN when its error is exactly 0; ``np.fmin``
+    and ``<= tol`` pass over both. A one-entry stack masks its padding
+    instead and keeps a Python float error, which is cheaper there.
     """
     st = _Stack(ks, problems, cfg, cross)
     it, tol, cap = 0, cfg.tol, cfg.max_iters
     alpha = alpha2 = st.alpha
     while True:
-        E, Et, am, bm = st.E, st.Et, st.am, st.bm
-        d, diff, real = st.d, st.diff, st.real
-        ns = [n for n, _ in st.shapes]
-        # a stack without its B axis takes the cheaper error of one entry
+        E, Et, am, bm, d, ns, real = st.E, st.Et, st.am, st.bm, st.d, st.ns, st.real
         single = d.ndim == 1
         while True:
             if it and cross:
@@ -492,37 +568,33 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
                 for b in st.over(beta):
                     st.absorb(b, *st.redo(b, alpha, beta, row=False), alpha, beta)
             alpha2 = _scale(Et, beta, am) if cross else beta
-            np.divide(alpha, alpha2, out=d, where=real)
-            np.subtract(d, 1.0, out=d, where=real)
-            np.abs(d, out=d)
-            if single:
-                errs = [float(np.maximum.reduce(d)) / ns[0]]
-            else:
-                errs = list(map(truediv, np.maximum.reduce(diff, axis=1).tolist(), ns))
             it += 1
-            if min(errs) <= tol or it >= cap:
+            if single:
+                np.divide(alpha, alpha2, out=d, where=real)
+                np.subtract(d, 1.0, out=d, where=real)
+                np.abs(d, out=d)
+                err = float(np.maximum.reduce(d)) / ns
+                if err <= tol or it >= cap:
+                    st.close([0], [err], it, tol, alpha, beta, grad, out)
+                    return
+                continue
+            np.divide(alpha, alpha2, out=d)
+            np.subtract(d, 1.0, out=d)
+            np.abs(d, out=d)
+            errs = np.fmax.reduce(d, axis=-1)
+            np.divide(errs, ns, out=errs)
+            if np.fmin.reduce(errs) <= tol or it >= cap:
                 break
-        if it >= cap:
-            done = list(range(len(errs)))
-        else:
-            done = [b for b, e in enumerate(errs) if e <= tol]
-        alphas, betas, fs, gs = st.rows(alpha), st.rows(beta), st.rows(st.f), st.rows(st.g)
-        for b in done:
-            k, (n, m), e = st.ks[b], st.shapes[b], errs[b]
-            log_a, log_b = -np.log(n), -np.log(m)
-            ab, bb = alphas[b, :n], betas[b, :m]
-            ub, vb = fs[b, :n] + np.log(ab), gs[b, :m] + np.log(bb)
-            value = cfg.epsilon * float((ub.mean() - log_a) + (vb.mean() - log_b))
-            grads = (None, None) if cross else (None,)
-            if grad:
-                dX, dY = _ot_position_grads(*problems[k], st.plan(b, ab, bb))
-                grads = (dX, dY) if cross else (0.5 * (dX + dY),)
-            out[k] = (SinkhornResult(value, e <= tol, it, e), *grads)
-        if len(done) == len(errs):
+        done = np.flatnonzero(errs <= tol if it < cap else ns)
+        st.close(done.tolist(), errs[done].tolist(), it, tol, alpha, beta, grad, out)
+        ns[done] = 0.0
+        left = np.count_nonzero(ns)
+        if not left:
             return
-        st.alpha, st.alpha2, st.beta = alpha, alpha2, beta
-        st.drop(done)
-        alpha, alpha2, beta = st.alpha, st.alpha2, st.beta
+        if 2 * left <= len(ns):
+            st.alpha, st.alpha2, st.beta = alpha, alpha2, beta
+            st.drop(np.flatnonzero(ns == 0.0))
+            alpha, alpha2, beta = st.alpha, st.alpha2, st.beta
 
 
 def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
@@ -543,10 +615,13 @@ def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
     v = log b + G / eps.
     """
     out: list = [None] * len(problems)
-    shapes = [(len(X), len(Y)) for X, Y in problems]
-    order = sorted(range(len(problems)), key=shapes.__getitem__)
-    for chunk in _chunks(order, shapes.__getitem__):
-        _run(chunk, problems, cfg, cross, grad, out)
+    if len(problems) == 1:
+        _run([0], problems, cfg, cross, grad, out)
+    else:
+        shapes = [(len(X), len(Y)) for X, Y in problems]
+        order = sorted(range(len(problems)), key=shapes.__getitem__)
+        for chunk in _chunks(order, shapes.__getitem__):
+            _run(chunk, problems, cfg, cross, grad, out)
     for result, *_ in out:
         _tally(result)
     return out

@@ -1,4 +1,5 @@
 """Entropic optimal transport: divergence values, gradients, invariants."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -375,6 +376,43 @@ def _absorptions(monkeypatch):
     return stacks, absorbed
 
 
+def _compactions(monkeypatch):
+    """Through monkeypatched ``_Stack`` and ``_scale``, one record per
+    solve stack: its entry count B; its compactions, as (entries, closed
+    entries dropped); the half-steps it ran with a closed entry in place
+    beside an open one; and the absorptions of a closed entry while an
+    entry of its stack was open."""
+    stacks, live = [], []
+
+    class Recording(sinkhorn._Stack):
+        def __init__(self, ks, problems, cfg, cross):
+            super().__init__(ks, problems, cfg, cross)
+            stacks.append({"B": len(ks), "drops": [], "in_place": 0, "late": 0})
+            live.append(self)
+
+        def mixed(self):
+            # a closed entry (ns 0) beside an open one
+            return np.ndim(self.ns) == 1 and self.ns.any() and not self.ns.all()
+
+        def drop(self, done):
+            stacks[-1]["drops"].append((len(self.ks), len(done)))
+            super().drop(done)
+
+        def redo(self, b, alpha, beta, row):
+            if self.mixed() and self.ns[b] == 0.0:
+                stacks[-1]["late"] += 1
+            return super().redo(b, alpha, beta, row)
+
+    def scale(*args):
+        stacks[-1]["in_place"] += live[-1].mixed()
+        return scale.original(*args)
+
+    scale.original = sinkhorn._scale
+    monkeypatch.setattr(sinkhorn, "_Stack", Recording)
+    monkeypatch.setattr(sinkhorn, "_scale", scale)
+    return stacks
+
+
 class TestBatchedSolves:
     """``cross_terms`` and ``self_terms`` against a loop of one-problem
     calls: the same results and gradients, bit for bit."""
@@ -456,6 +494,51 @@ class TestBatchedSolves:
         assert any(stack & entries and stack - entries for stack in stacks)
         assert len({it for _, it in absorbed}) > 1
         self._same(self_terms(sets, cfg, grad), want_self)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_a_stack_compacts_once_most_of_it_has_closed(self, rng, monkeypatch, grad):
+        # these self terms close after 1 to 11 iterations: in the largest
+        # stack some close while most run on, and iterate in place, until
+        # at least half have closed and the stack compacts
+        sets = _mixed_sets(rng, 24)
+        want = [self_term(X, self.CFG, grad) for X in sets]
+        stacks = _compactions(monkeypatch)
+        self._same(self_terms(sets, self.CFG, grad), want)
+        assert len({r.iterations for r, _ in want}) > 3
+        compacted = [s for s in stacks if s["drops"]]
+        assert compacted and all(s["in_place"] for s in compacted)
+        for s in compacted:
+            size, closed = s["drops"][0]
+            assert size == s["B"] and 2 * closed >= size
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_closed_entries_absorb_beside_open_ones(self, rng, monkeypatch, grad):
+        # below every scaling, the bound makes each update absorb, so a
+        # closed entry that iterates in place absorbs while its stack's
+        # open entries run on; open and closed keep their bits
+        sets = _mixed_sets(rng, 24)
+        pairs = [(sets[k], sets[(7 * k + 3) % len(sets)]) for k in range(len(sets))]
+        monkeypatch.setattr(sinkhorn, "_SCALE_MAX", 1e-3)
+        want = [cross_term(A, B, self.CFG, grad) for A, B in pairs]
+        stacks = _compactions(monkeypatch)
+        self._same(cross_terms(pairs, self.CFG, grad), want)
+        assert any(s["late"] for s in stacks)
+        assert len({r.iterations for r, _, _ in want}) > 1
+
+    def test_a_stack_of_b_entries_compacts_at_most_log2_b_times(self, rng, monkeypatch):
+        # a compaction leaves at most half the entries, and only when at
+        # most half of them are open
+        sets = _mixed_sets(rng, 80)
+        pairs = [(sets[k], sets[(7 * k + 3) % len(sets)]) for k in range(len(sets))]
+        stacks = _compactions(monkeypatch)
+        for cfg in (self.CFG, SinkhornConfig(epsilon=0.1, max_iters=300, tol=1e-7)):
+            self_terms(sets, cfg)
+            cross_terms(pairs, cfg)
+        assert sum(len(s["drops"]) for s in stacks) > 3
+        for s in stacks:
+            assert len(s["drops"]) <= math.ceil(math.log2(s["B"]))
+            for size, closed in s["drops"]:
+                assert 2 * (size - closed) <= size
 
     def test_scale_equals_the_product_then_sum_half_step(self, rng):
         """``_scale`` against m / np.add.reduce(E * s[..., None], axis=-2),
