@@ -10,7 +10,7 @@ import numpy as np
 
 from instasim.bundle import make_bundle
 from instasim.losses import LossConfig
-from instasim.protocols import RetrievalTask, TripletTask, run_protocol, triplet_accuracy
+from instasim.protocols import RetrievalTask, TripletTask, run_protocol
 from instasim.records import ImageManifest, Triplet
 from instasim.trainer import TrainConfig, train
 
@@ -73,7 +73,7 @@ def main():
     print("retrieval mAP on raw embeddings: %.4f" % retrieval["map"])
 
     trips = [(t.anchor, t.positive, t.hard_negative, "HARD") for t in triplets[:40]]
-    acc = triplet_accuracy(TripletTask(triplets=trips), bundle)
+    acc = run_protocol("TRIPLET", bundle, task=TripletTask(triplets=trips))["metrics"]["accuracy"]
     print("raw triplet accuracy (HARD): %.3f" % acc["HARD"])
 
 

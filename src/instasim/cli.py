@@ -48,7 +48,7 @@ from .protocols import (
     load_retrieval_task,
     load_triplet_task,
     run_protocol,
-    similarity,
+    score_pairs,
 )
 from .records import (
     load_manifest,
@@ -214,8 +214,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_score(args) -> int:
     bundle = read_bundle(args.bundle)
-    res = similarity(args.pair[0], args.pair[1], bundle, _config(SinkhornConfig, args))
-    print(f"similarity={res.similarity:.12g} distance={res.distance:.12g}")
+    sim = float(score_pairs(bundle, [tuple(args.pair)], _config(SinkhornConfig, args))[0])
+    print(f"similarity={sim:.12g} distance={1.0 - sim:.12g}")
     return 0
 
 

@@ -5,7 +5,7 @@ One engine, ``score_pairs``, scores bundle item pairs: CLS bundles use
 cosine, PATCH bundles the negated transport divergence on
 L2-normalized rows. Distance is 1 - similarity either way. Every
 protocol, the sensitivity analysis, the trainer's validation accuracy
-and the one-pair ``similarity`` go through it, except CLS retrieval.
+and ``instasim score`` go through it, except CLS retrieval.
 That scores blocks of query rows against the whole gallery by the same
 per-pair ``ddot``, with no pair list, and holds one block of scores
 beside the stacked rows: ``CLS_PAIR_BLOCK`` scores, or one gallery row
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -39,27 +39,6 @@ from .sinkhorn import SinkhornConfig, _divergences, patch_sets
 
 PROTOCOLS = ("RETRIEVAL", "VERIFICATION", "TRIPLET", "CORRELATION")
 TRIPLET_MODES = ("EASY", "HARD")
-
-
-class SimilarityResult(NamedTuple):
-    similarity: float
-    distance: float
-
-
-def similarity(
-    x_id: str,
-    y_id: str,
-    bundle: EmbeddingBundle,
-    sink_cfg: SinkhornConfig = SinkhornConfig(),
-) -> SimilarityResult:
-    """Pairwise similarity and distance D = 1 - similarity.
-
-    CLS bundles: cosine, in [-1, 1]. PATCH bundles: negated debiased
-    divergence on row-normalized token matrices (0 for identical sets,
-    negative otherwise).
-    """
-    sim = float(score_pairs(bundle, [(x_id, y_id)], sink_cfg)[0])
-    return SimilarityResult(similarity=sim, distance=1.0 - sim)
 
 
 # pairs per vectorized block in the CLS branch of ``score_pairs``; bounds
@@ -90,13 +69,14 @@ def score_pairs(
     order and would move last bits. PATCH plans first: every distinct
     item is checked against ``max_tokens`` (the error names its id) and
     prepared once by ``patch_sets``, which, when debiased, solves all
-    their self terms OT(X, X) in one batched call. Then every distinct
-    ordered pair's cross term is solved in one ``cross_terms`` call; a
-    pair of equal sets is solved as one self term instead, the only
-    self term a raw (not debiased) divergence solves. Each pair is then
-    debiased by ``sinkhorn_divergence`` from its solved terms and scores
-    0.0 - that value, so that identical sets score +0.0, not -0.0. OT(A, B)
-    and OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
+    their self terms OT(X, X) in one batched call. The distinct ordered
+    pairs then go to ``sinkhorn._divergences``, the plan of every
+    divergence: it solves their cross terms in one ``cross_terms`` call
+    (a pair of equal sets is solved as one self term instead, the only
+    self term a raw, not debiased, divergence solves) and debiases each
+    pair by one ``sinkhorn_divergence`` call. A pair scores 0.0 - that
+    value, so that identical sets score +0.0, not -0.0. OT(A, B) and
+    OT(B, A) differ in the last bits, so (x, y) and (y, x) are not
     merged. The plan lives for this call only.
     """
     if bundle.token_kind == "CLS":
@@ -292,24 +272,6 @@ def _retrieval_scores(queries: list[str], gallery: list[str], bundle, sink_cfg):
         yield queries[lo : lo + step], np.vecdot(U[r, None], G) / (norms[r, None] * ng)
 
 
-def _triplet_counts(task: TripletTask, bundle, sink_cfg) -> tuple[dict, dict]:
-    """Correct and total triplets per mode (strict ties-incorrect comparison)."""
-    pairs = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
-    sims = score_pairs(bundle, pairs, sink_cfg).reshape(-1, 2)
-    correct: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
-        totals[mode] = totals.get(mode, 0) + 1
-        correct[mode] = correct.get(mode, 0) + (1 if triplet_correct(sim_p, sim_n) else 0)
-    return correct, totals
-
-
-def triplet_accuracy(task: TripletTask, bundle, sink_cfg=SinkhornConfig()) -> dict[str, float]:
-    """Accuracy per mode (strict ties-incorrect comparison)."""
-    correct, totals = _triplet_counts(task, bundle, sink_cfg)
-    return {mode: correct[mode] / totals[mode] for mode in sorted(totals)}
-
-
 def _verification_rows(pairs: list[PairLabel], bundle, sink_cfg, binary: bool):
     rows = sorted(pairs, key=lambda p: (p.ref_id, p.cand_id))
     if not rows:
@@ -375,7 +337,14 @@ def run_protocol(
     elif protocol == "TRIPLET":
         if not isinstance(task, TripletTask):
             raise InvalidInput("TRIPLET needs a TripletTask")
-        correct, totals = _triplet_counts(task, bundle, sink_cfg)
+        scored = [pair for a, p, n, _ in task.triplets for pair in ((a, p), (a, n))]
+        sims = score_pairs(bundle, scored, sink_cfg).reshape(-1, 2)
+        # correct and total triplets per mode (strict ties-incorrect comparison)
+        correct: dict[str, int] = {}
+        totals: dict[str, int] = {}
+        for (_, _, _, mode), (sim_p, sim_n) in zip(task.triplets, sims):
+            totals[mode] = totals.get(mode, 0) + 1
+            correct[mode] = correct.get(mode, 0) + (1 if triplet_correct(sim_p, sim_n) else 0)
         metrics = {
             "accuracy": {m: correct[m] / totals[m] for m in sorted(totals)},
             "overall_accuracy": sum(correct.values()) / len(task.triplets),

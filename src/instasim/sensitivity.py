@@ -18,6 +18,7 @@ as each instance's mean identity slope across its grids.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,12 +252,14 @@ def similarity_trend(
 
 
 def write_trend_csv(path, trends: dict[str, list[tuple[float, float, int]]]) -> None:
-    """CSV hand-off for plotting: factor,level,mean_similarity,count."""
+    """CSV hand-off for plotting: factor,level,mean_similarity,count; a
+    factor name is quoted only when it holds a comma, quote or newline."""
     with atomic_write(path) as fh:
-        fh.write("factor,level,mean_similarity,count\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("factor", "level", "mean_similarity", "count"))
         for factor_name in sorted(trends):
             for level, mean, count in trends[factor_name]:
-                fh.write(f"{factor_name},{level!r},{mean!r},{count}\n")
+                writer.writerow((factor_name, repr(level), repr(mean), count))
 
 
 def analyze_grids(

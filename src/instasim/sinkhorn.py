@@ -25,12 +25,13 @@ the self terms both argument slots contribute.
 The solves are public: ``self_terms`` (OT_eps(X, X), which depends on
 one set only) and ``cross_terms`` solve many problems together and
 return one result per problem, in input order; ``self_term`` and
-``cross_term`` are their one-problem calls. A caller that compares one
-set with many others prepares it once with ``patch_sets`` (unit rows,
-their norms and the self term) and passes the self term to
-``sinkhorn_divergence`` or ``divergence_grad``, which then solve only
-the cross term; one that solved its cross terms in a ``cross_terms``
-call passes those too, and the call solves nothing. A caller that
+``cross_term`` are their one-problem calls. ``_divergences`` plans
+every divergence: it solves the missing terms of many comparisons in
+one call of each and hands each comparison's terms (``cross`` among
+them) to ``sinkhorn_divergence`` or ``divergence_grad``, which then
+only debias; called without ``cross``, those two are its one-entry
+calls. A caller that compares one set with many others prepares it
+once with ``patch_sets`` and passes its self term in. A caller that
 reports how many solves stopped at max_iters opens ``with
 solve_counts() as counts:``; every solve run inside the block, at any
 depth of calls, adds to ``counts``.
@@ -670,53 +671,45 @@ def cross_term(A, B, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False)
     return cross_terms([(A, B)], cfg, grad)[0]
 
 
-def _debias(ab: SinkhornResult, aa: SinkhornResult, bb: SinkhornResult) -> SinkhornResult:
-    """S_eps = OT(A, B) - 0.5 * (OT(A, A) + OT(B, B)); converged only when
-    all three solves are, with the largest of their marginal errors."""
-    return SinkhornResult(
+def _debias(cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
+    """(result, dA, dB) of one comparison from its solved terms, as
+    ``_divergences`` hands them on. Raw, it is ``cross`` as given.
+    Debiased, S_eps = OT(A, B) - 0.5 * (OT(A, A) + OT(B, B)), converged
+    only when all three solves are, with the largest of their marginal
+    errors, and each gradient less its set's half_grad."""
+    ab, dA, dB = cross
+    if not cfg.debiased:
+        return ab, dA, dB
+    if self_a is None or self_b is None:
+        raise InvalidInput("a debiased divergence given its cross term needs both self terms")
+    (aa, half_a), (bb, half_b) = self_a, self_b
+    if grad:
+        dA, dB = dA - half_a, dB - half_b
+    result = SinkhornResult(
         value=ab.value - 0.5 * (aa.value + bb.value),
         converged=ab.converged and aa.converged and bb.converged,
         iterations=max(ab.iterations, aa.iterations, bb.iterations),
         marginal_err=max(ab.marginal_err, aa.marginal_err, bb.marginal_err),
     )
-
-
-def _divergence(A, B, cfg: SinkhornConfig, self_a, self_b, cross, grad: bool):
-    """(result, dA, dB) of one comparison from its solved terms; the
-    terms given as None are solved here, and the gradients are None
-    unless ``grad`` is set. Two sets with equal values are compared as
-    one self term, and ``cross`` goes unused (numpy's symmetric X @ X.T
-    differs in its last bits from X @ Y.T for a copy Y of X): debiased,
-    value and gradients are exactly 0; raw, they are the self term's
-    value and its half_grad."""
-    A, B = _check_pair(A, B, cfg)
-    if np.array_equal(A, B):
-        aa, half = self_a if self_a is not None else self_term(A, cfg, grad)
-        if cfg.debiased:
-            aa, half = _debias(aa, aa, aa), np.zeros_like(A)
-        return (aa, half.copy(), half.copy()) if grad else (aa, None, None)
-    ab, dA, dB = cross if cross is not None else cross_term(A, B, cfg, grad)
-    if not cfg.debiased:
-        return ab, dA, dB
-    missing = [X for X, given in ((A, self_a), (B, self_b)) if given is None]
-    solved = iter(self_terms(missing, cfg, grad) if missing else ())
-    aa, half_a = self_a if self_a is not None else next(solved)
-    bb, half_b = self_b if self_b is not None else next(solved)
-    if grad:
-        dA, dB = dA - half_a, dB - half_b
-    return _debias(ab, aa, bb), dA, dB
+    return result, dA, dB
 
 
 def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
     """What ``divergence_grad`` (``grad`` set) or ``sinkhorn_divergence``
     returns for each (A, B, self_a, self_b) comparison, in input order.
-    The self terms given as None are solved in one ``self_terms`` call,
-    each array once, and the cross terms in one ``cross_terms`` call;
-    then each comparison goes to the one-pair function with all its
-    terms, which solves nothing more. As there, a pair of equal sets is
-    solved as one self term, the only self term a raw (not debiased)
-    divergence solves."""
+    The cross terms of unequal sets are solved, and checked, in one
+    ``cross_terms`` call, and the self terms given as None in one
+    ``self_terms`` call, each array once. Two sets with equal values are
+    compared as one self term (numpy's symmetric X @ X.T differs in its
+    last bits from X @ Y.T for a copy Y of X), the only self term a raw
+    divergence solves, handed on as both self terms and the cross term:
+    debiased, value and gradients are then exactly 0; raw, they are the
+    self term's value and half_grad. Each comparison goes with all its
+    terms to the one-pair function by its module-global name, which
+    only debiases."""
     same = [np.array_equal(A, B) for A, B, _, _ in comparisons]
+    unequal = [(A, B) for (A, B, _, _), s in zip(comparisons, same) if not s]
+    crossed = iter(cross_terms(unequal, cfg, grad))
     missing: dict[int, np.ndarray] = {}
     for (A, B, sa, sb), s in zip(comparisons, same):
         if sa is None and (s or cfg.debiased):
@@ -724,20 +717,17 @@ def _divergences(comparisons, cfg: SinkhornConfig, grad: bool) -> list:
         if sb is None and not s and cfg.debiased:
             missing.setdefault(id(B), B)
     solved = dict(zip(missing, self_terms(list(missing.values()), cfg, grad))) if missing else {}
-    unequal = [(A, B) for (A, B, _, _), s in zip(comparisons, same) if not s]
-    crossed = iter(cross_terms(unequal, cfg, grad))
     finish = divergence_grad if grad else sinkhorn_divergence
-    return [
-        finish(
-            A,
-            B,
-            cfg,
-            sa if sa is not None else solved.get(id(A)),
-            sb if sb is not None else solved.get(id(B)),
-            None if s else next(crossed),
-        )
-        for (A, B, sa, sb), s in zip(comparisons, same)
-    ]
+    out = []
+    for (A, B, sa, sb), s in zip(comparisons, same):
+        sa = sa if sa is not None else solved.get(id(A))
+        if s:
+            res, half = sa
+            sb, cross = sa, (res, half.copy(), half.copy()) if grad else (res, None, None)
+        else:
+            sb, cross = sb if sb is not None else solved.get(id(B)), next(crossed)
+        out.append(finish(A, B, cfg, sa, sb, cross))
+    return out
 
 
 def sinkhorn_divergence(
@@ -747,13 +737,15 @@ def sinkhorn_divergence(
 
     ``self_a`` and ``self_b`` are what ``self_term(A, cfg)`` and
     ``self_term(B, cfg)`` returned, for a caller that compares A or B
-    with many sets, and ``cross`` is what ``cross_term(A, B, cfg)``
-    returned, for one that solved its cross terms together; the ones
-    not given are solved here. Non-convergence within max_iters is
-    reported through the flag, not raised; the returned value uses the
-    final iterate.
+    with many sets; the ones not given are solved by a one-entry
+    ``_divergences`` call. ``cross`` is that call's hand-off: with it,
+    the call only debiases, and a debiased one needs both self terms.
+    Non-convergence within max_iters is reported through the flag, not
+    raised; the returned value uses the final iterate.
     """
-    return _divergence(A, B, cfg, self_a, self_b, cross, grad=False)[0]
+    if cross is None:
+        return _divergences([(A, B, self_a, self_b)], cfg, grad=False)[0]
+    return _debias(cfg, self_a, self_b, cross, grad=False)[0]
 
 
 class PatchSet(NamedTuple):
@@ -795,14 +787,13 @@ def divergence_grad(
 ):
     """Divergence value plus gradients with respect to A and B rows.
 
-    Returns (value, dA, dB, converged). ``self_a``, ``self_b`` and
-    ``cross`` are what ``self_term(A, cfg, grad=True)``,
-    ``self_term(B, cfg, grad=True)`` and ``cross_term(A, B, cfg,
-    grad=True)`` returned, for a caller that solved them in batches;
-    the ones not given are solved here. Gradients hold the
+    Returns (value, dA, dB, converged). The terms are given as to
+    ``sinkhorn_divergence``, solved with ``grad=True``. Gradients hold the
     transport plans fixed at their converged values, which is exact in
     the limit of a converged solve; finite-difference checks should
     therefore run the solver at a tight tol.
     """
-    res, dA, dB = _divergence(A, B, cfg, self_a, self_b, cross, grad=True)
+    if cross is None:
+        return _divergences([(A, B, self_a, self_b)], cfg, grad=True)[0]
+    res, dA, dB = _debias(cfg, self_a, self_b, cross, grad=True)
     return res.value, dA, dB, res.converged

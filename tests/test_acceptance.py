@@ -56,7 +56,6 @@ from instasim.protocols import (
     RetrievalTask,
     TripletTask,
     run_protocol,
-    triplet_accuracy,
 )
 from instasim.records import ImageManifest, Triplet, VoteRecord
 from instasim.reporting import canonical_json
@@ -411,7 +410,8 @@ def test_metric_oracles():
             for _ in range(n_trip):
                 a, p, ng = rng.choice(ids, size=3, replace=False)
                 trips.append((str(a), str(p), str(ng), str(rng.choice(["EASY", "HARD"]))))
-            got = triplet_accuracy(TripletTask(triplets=trips), bundle)
+            task = TripletTask(triplets=trips)
+            got = run_protocol("TRIPLET", bundle, task=task)["metrics"]["accuracy"]
             for mode in set(t[3] for t in trips):
                 subset = [t for t in trips if t[3] == mode]
                 wins = sum(

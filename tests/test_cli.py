@@ -1056,7 +1056,7 @@ class TestFlagsBuildTheConfigs:
                 "--out", out_dir / "r.json"]
 
     # the library function each command hands its config to
-    CALLEE = {"train": "train", "score": "similarity", "eval": "run_protocol",
+    CALLEE = {"train": "train", "score": "score_pairs", "eval": "run_protocol",
               "sensitivity": "grid_scores"}
 
     def _built(self, monkeypatch, command, argv):

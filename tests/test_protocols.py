@@ -24,8 +24,6 @@ from instasim.protocols import (
     load_triplet_task,
     run_protocol,
     score_pairs,
-    similarity,
-    triplet_accuracy,
 )
 from instasim.reporting import canonical_json
 from instasim.sinkhorn import SinkhornConfig, SolveCounts, sinkhorn_divergence, solve_counts
@@ -53,12 +51,14 @@ def planted_bundle():
 
 
 class TestSimilarity:
+    """One pair through ``score_pairs``; ``instasim score`` prints it with
+    its distance 1 - similarity (tests/test_cli.py, TestTrainApplyScore)."""
+
     def test_cls_is_cosine(self, planted_bundle):
-        res = similarity("query", "match_exact", planted_bundle)
-        assert abs(res.similarity - 1.0) < 1e-6
-        assert abs(res.distance - (1.0 - res.similarity)) < 1e-15
-        res_orth = similarity("query", "off_far", planted_bundle)
-        assert abs(res_orth.similarity) < 1e-7
+        (sim,) = score_pairs(planted_bundle, [("query", "match_exact")])
+        assert abs(sim - 1.0) < 1e-6
+        (sim_orth,) = score_pairs(planted_bundle, [("query", "off_far")])
+        assert abs(sim_orth) < 1e-7
 
     def test_patch_is_negated_divergence_on_unit_rows(self, rng):
         cfg = SinkhornConfig(epsilon=0.1, max_iters=5000, tol=1e-6)
@@ -67,24 +67,24 @@ class TestSimilarity:
         bundle = make_bundle(
             "PATCH", 6, {"x": X.astype(np.float32), "y": Y.astype(np.float32)}
         )
-        res = similarity("x", "y", bundle, cfg)
+        (sim,) = score_pairs(bundle, [("x", "y")], cfg)
         Xu = X.astype(np.float32).astype(np.float64)
         Yu = Y.astype(np.float32).astype(np.float64)
         Xu /= np.linalg.norm(Xu, axis=1, keepdims=True)
         Yu /= np.linalg.norm(Yu, axis=1, keepdims=True)
         want = -sinkhorn_divergence(Xu, Yu, cfg).value
-        assert abs(res.similarity - want) < 1e-12
+        assert abs(sim - want) < 1e-12
 
     def test_identical_patch_sets_score_zero(self, rng):
         Z = rng.normal(size=(5, 4)).astype(np.float32)
         bundle = make_bundle("PATCH", 4, {"a": Z, "b": Z.copy()})
-        res = similarity("a", "b", bundle)
-        assert res.similarity == 0.0
-        assert res.distance == 1.0
+        (sim,) = score_pairs(bundle, [("a", "b")])
+        assert sim == 0.0 and not np.signbit(sim)
+        assert 1.0 - sim == 1.0
 
     def test_missing_item(self, planted_bundle):
         with pytest.raises(MissingItem):
-            similarity("query", "ghost", planted_bundle)
+            score_pairs(planted_bundle, [("query", "ghost")])
 
 
 def _unit_rows(M):
@@ -303,9 +303,7 @@ class TestRetrieval:
     def test_map_matches_direct_metric(self, planted_bundle):
         task = self._task()
         gallery = sorted(task.gallery)
-        scores = [
-            similarity("query", g, planted_bundle).similarity for g in gallery
-        ]
+        scores = score_pairs(planted_bundle, [("query", g) for g in gallery])
         labels = [1 if g in task.relevance["query"] else 0 for g in gallery]
         want = average_precision(scores, labels, tie_key=np.array(gallery))
         got = run_protocol("RETRIEVAL", planted_bundle, task=task)["metrics"]["map"]
@@ -443,12 +441,13 @@ class TestTripletProtocol:
                 ("query", "off_far", "match_close", "HARD"),  # wrong by design
             ]
         )
-        acc = triplet_accuracy(task, planted_bundle)
+        acc = run_protocol("TRIPLET", planted_bundle, task=task)["metrics"]["accuracy"]
         assert acc == {"EASY": 1.0, "HARD": 0.0}
 
     def test_tie_counts_as_incorrect(self, planted_bundle):
         task = TripletTask(triplets=[("query", "match_exact", "match_exact", "HARD")])
-        assert triplet_accuracy(task, planted_bundle) == {"HARD": 0.0}
+        acc = run_protocol("TRIPLET", planted_bundle, task=task)["metrics"]["accuracy"]
+        assert acc == {"HARD": 0.0}
 
     def test_overall_accuracy_is_the_exact_share_of_correct_triplets(self):
         # 15 / 22 * 22 is not exactly 15, so a count rebuilt from the

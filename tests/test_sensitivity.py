@@ -1,4 +1,5 @@
 """Sensitivity regression: exact recovery, bootstrap behaviour, trends."""
+import csv
 import json
 
 import numpy as np
@@ -252,6 +253,16 @@ class TestTrend:
         assert lines[1].startswith("blur,0.0,")
         assert lines[2] == "viewpoint,0.0,0.5,3"
         assert len(lines) == 4
+
+    def test_trend_csv_quotes_a_factor_name_that_needs_it(self, tmp_path):
+        path = tmp_path / "trend.csv"
+        names = ["light, warm", "two\nlines", "plain"]
+        write_trend_csv(path, {name: [(0.0, 0.5, 3)] for name in names})
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["factor", "level", "mean_similarity", "count"]
+        assert rows[1:] == [[name, "0.0", "0.5", "3"] for name in sorted(names)]
+        assert "\nplain,0.0,0.5,3\n" in path.read_text(encoding="utf-8")
 
 
 class TestGridIO:

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from instasim import sinkhorn
+from instasim.bundle import make_bundle
 from instasim.errors import InvalidInput, ShapeError
+from instasim.losses import LossConfig, patch_losses
+from instasim.protocols import score_pairs
 from instasim.sinkhorn import (
     STACK_ELEMENTS,
     SinkhornConfig,
@@ -329,6 +332,70 @@ class TestSolveCounts:
         with solve_counts() as counts:
             divergence_grad(A, B, TIGHT, self_a, self_b)
         assert counts == SolveCounts(solves=1, unconverged=0)
+
+
+class TestDivergencePlan:
+    """``_divergences`` plans every comparison: it checks each set once,
+    through the ``self_terms`` and ``cross_terms`` calls that solve it,
+    and hands each comparison's terms to the one-pair function, called
+    by its module-global name once per distinct comparison."""
+
+    CFG = SinkhornConfig(epsilon=0.2, max_iters=200)
+
+    @staticmethod
+    def _patch_bundle(rng, n):
+        items = {f"i{j}": rng.normal(size=(int(rng.integers(1, 6)), 3)) for j in range(n)}
+        return make_bundle("PATCH", 3, items)
+
+    @staticmethod
+    def _calls(monkeypatch, *names):
+        """Count the calls of each module-global function in ``names``."""
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+
+            def counted(*args, _fn=getattr(sinkhorn, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(sinkhorn, name, counted)
+        return counts
+
+    def test_each_set_is_checked_once_per_solve_call(self, rng, monkeypatch):
+        n = 5
+        bundle = self._patch_bundle(rng, n)
+        unequal = [("i0", "i1"), ("i1", "i0"), ("i2", "i3"), ("i0", "i4")]
+        pairs = unequal + [("i2", "i2")] + unequal[::-1]
+        counts = self._calls(monkeypatch, "_check_set")
+        score_pairs(bundle, pairs, self.CFG)
+        # n self terms in one ``self_terms`` call, then two sets for each
+        # distinct unequal ordered pair in one ``cross_terms`` call
+        assert counts["_check_set"] == n + 2 * len(unequal)
+
+    def test_one_finisher_call_per_distinct_comparison(self, rng, monkeypatch):
+        bundle = self._patch_bundle(rng, 5)
+        pairs = [("i0", "i1"), ("i1", "i0"), ("i3", "i3"), ("i0", "i1"), ("i2", "i4")]
+        counts = self._calls(monkeypatch, "sinkhorn_divergence", "divergence_grad")
+        score_pairs(bundle, pairs, self.CFG)
+        assert counts == {"sinkhorn_divergence": 4, "divergence_grad": 0}
+
+        mats = [bundle.get(f"i{j}") for j in range(5)]
+        rows = [(0, [1, 2, 3]), (1, [0, 2]), (0, [1, 4]), (2, [2, 3])]
+        distinct = {(a, j) for a, others in rows for j in others}
+        counts.update(sinkhorn_divergence=0, divergence_grad=0)
+        patch_losses(mats, rows, LossConfig(patch_metric="SINKHORN"), self.CFG)
+        assert counts == {"sinkhorn_divergence": 0, "divergence_grad": len(distinct)}
+
+    def test_a_cross_hand_off_needs_the_self_terms(self, rng):
+        A, B = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        cross, cross_g = cross_term(A, B, self.CFG), cross_term(A, B, self.CFG, grad=True)
+        self_a = self_term(A, self.CFG)
+        for given in ((None, None), (self_a, None), (None, self_term(B, self.CFG))):
+            with pytest.raises(InvalidInput):
+                sinkhorn_divergence(A, B, self.CFG, *given, cross=cross)
+        with pytest.raises(InvalidInput):
+            divergence_grad(A, B, self.CFG, self_term(A, self.CFG, grad=True), cross=cross_g)
+        raw = SinkhornConfig(epsilon=0.2, max_iters=200, debiased=False)
+        assert sinkhorn_divergence(A, B, raw, cross=cross) is cross[0]
 
 
 def _mixed_sets(rng, count):
