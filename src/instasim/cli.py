@@ -1,5 +1,10 @@
 """Command line interface: one subcommand per pipeline stage.
 
+A call builds the parser of the one subcommand it names; the full tree
+of every subcommand is built only for the top-level help, --version, no
+arguments and an unknown command name. Help and usage errors print the
+same bytes either way.
+
 Exit codes: 0 success, 2 usage errors (argparse), 1 data errors. Data
 errors print one machine-parsable line to stderr:
 
@@ -108,6 +113,8 @@ def _report_envelope(command: str, seed: int, params: dict) -> dict:
 
 
 def _cmd_curate(args) -> int:
+    if args.out_instances and not args.manifests:
+        raise InvalidInput("--out-instances needs --manifests to sample instances from")
     inventory = load_inventory(args.inventory)
     if args.filter:
         inventory = apply_filters(inventory, load_filter_rules(args.filter))
@@ -227,10 +234,14 @@ def _cmd_eval(args) -> int:
     if protocol in ("RETRIEVAL", "TRIPLET"):
         if not args.task:
             raise InvalidInput(f"{args.protocol} needs --task")
+        if args.pairs is not None:
+            raise InvalidInput(f"{args.protocol} reads --task, not --pairs")
         task = load_retrieval_task(args.task) if protocol == "RETRIEVAL" else load_triplet_task(args.task)
     else:
         if not args.pairs:
             raise InvalidInput(f"{args.protocol} needs --pairs")
+        if args.task is not None:
+            raise InvalidInput(f"{args.protocol} reads --pairs, not --task")
         pairs = load_pair_labels(args.pairs)
     sink_cfg = _config(SinkhornConfig, args)
     report = run_protocol(protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=sink_cfg)
@@ -287,35 +298,24 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="instasim",
-        description="Instance-identity similarity toolkit over precomputed embedding bundles.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("curate", help="filter inventory, allocate budget, sample instances")
-    _common_flags(p)
+def _curate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inventory", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--filter", help="declarative dataset filter config (JSON)")
     p.add_argument("--manifests", help="image manifest JSONL for instance sampling")
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-instances", help="selected-instance JSONL output")
-    p.set_defaults(func=_cmd_curate)
 
-    p = sub.add_parser("mine", help="brute-force hard-negative mining by cosine")
-    _common_flags(p)
+
+def _mine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query-bundle", required=True)
     p.add_argument("--pool-bundle", required=True)
     p.add_argument("--manifests", required=True)
     p.add_argument("--k", type=int, default=1, help="negatives per query, at least 1")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mine)
 
-    p = sub.add_parser("triplets", help="build training triplets from samples + mined negatives")
-    _common_flags(p)
+
+def _triplets_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instances", required=True)
     p.add_argument("--mined", help="mined-negative JSONL (needed for real-negative kinds)")
     p.add_argument("--manifests", required=True)
@@ -323,10 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total", type=int, help="triplet count (default: one per instance)")
     p.add_argument("--out", required=True)
     p.add_argument("--out-report")
-    p.set_defaults(func=_cmd_triplets)
 
-    p = sub.add_parser("train", help="train the dual projection heads")
-    _common_flags(p)
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     _sinkhorn_flags(p)
     p.add_argument("--manifests", required=True)
     p.add_argument("--cls-bundle", required=True)
@@ -346,61 +345,110 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=LossConfig.margin)
     p.add_argument("--objective", choices=OBJECTIVES, default=LossConfig.objective)
     p.add_argument("--patch-metric", choices=PATCH_METRICS, default=LossConfig.patch_metric)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("apply", help="project a bundle through a trained head")
-    _common_flags(p)
+
+def _apply_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--head", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_apply)
 
-    p = sub.add_parser("score", help="similarity and distance of one pair")
-    _common_flags(p)
+
+def _score_flags(p: argparse.ArgumentParser) -> None:
     _sinkhorn_flags(p)
     p.add_argument("--bundle", required=True)
     p.add_argument("--pair", nargs=2, metavar=("X", "Y"), required=True)
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("eval", help="run an evaluation protocol, write a JSON report")
-    _common_flags(p)
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     _sinkhorn_flags(p)
     p.add_argument("protocol", choices=[name.lower() for name in PROTOCOLS])
     p.add_argument("--bundle", required=True)
     p.add_argument("--task", help="task JSONL (retrieval, triplet)")
     p.add_argument("--pairs", help="labeled-pair JSONL (verification, correlation)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sensitivity", help="edit-grid regression and bootstrap aggregation")
-    _common_flags(p)
+
+def _sensitivity_flags(p: argparse.ArgumentParser) -> None:
     _sinkhorn_flags(p)
     p.add_argument("--grids", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--n-boot", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--out-trend", help="per-level similarity curve CSV")
-    p.set_defaults(func=_cmd_sensitivity)
 
-    p = sub.add_parser("aggregate-votes", help="continuous/binary labels from annotator votes")
-    _common_flags(p)
+
+def _aggregate_votes_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--votes", required=True)
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_aggregate_votes)
 
-    p = sub.add_parser("inspect", help="dump bundle headers and manifest statistics")
-    _common_flags(p)
+
+def _inspect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle")
     p.add_argument("--manifests")
-    p.set_defaults(func=_cmd_inspect)
 
+
+# name -> (help line, flags after the common ones, handler), in help order
+_COMMANDS = {
+    "curate": ("filter inventory, allocate budget, sample instances", _curate_flags, _cmd_curate),
+    "mine": ("brute-force hard-negative mining by cosine", _mine_flags, _cmd_mine),
+    "triplets": (
+        "build training triplets from samples + mined negatives", _triplets_flags, _cmd_triplets
+    ),
+    "train": ("train the dual projection heads", _train_flags, _cmd_train),
+    "apply": ("project a bundle through a trained head", _apply_flags, _cmd_apply),
+    "score": ("similarity and distance of one pair", _score_flags, _cmd_score),
+    "eval": ("run an evaluation protocol, write a JSON report", _eval_flags, _cmd_eval),
+    "sensitivity": (
+        "edit-grid regression and bootstrap aggregation", _sensitivity_flags, _cmd_sensitivity
+    ),
+    "aggregate-votes": (
+        "continuous/binary labels from annotator votes",
+        _aggregate_votes_flags,
+        _cmd_aggregate_votes,
+    ),
+    "inspect": ("dump bundle headers and manifest statistics", _inspect_flags, _cmd_inspect),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``instasim`` parser with the subparser of ``command`` alone, or
+    with all of them when ``command`` names none.
+
+    ``main`` builds only the subparser the call runs. The full tree is
+    built for what needs every command: the top-level help, --version, no
+    arguments and an unknown command name. Both print the same bytes:
+    in one-command mode the subcommand metavar lists every command, as
+    the full tree's usage line does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="instasim",
+        description="Instance-identity similarity toolkit over precomputed embedding bundles.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    if command in _COMMANDS:
+        # the usage line still lists every command; the full tree sets no
+        # metavar, since it would replace `command` in "arguments are required"
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    for name in names:
+        help_line, flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        _common_flags(p)
+        flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         with solve_counts() as counts:
             status = args.func(args)

@@ -87,7 +87,7 @@ def load_grids(path) -> list[EditGrid]:
                     image_id=_require_str(p, "image_id", path, lineno),
                     identity_change=_grid_number(p, "identity_change", path, lineno),
                     factor_change=_grid_number(p, "factor_change", path, lineno),
-                    factor_name=_require_str(p, "factor_name", path, lineno),
+                    factor_name=_factor_name(p, path, lineno),
                 )
                 for p in points
             ]
@@ -95,6 +95,20 @@ def load_grids(path) -> list[EditGrid]:
             raise FormatError(f"{path}:{lineno}: bad grid point: {exc}") from exc
         grids.append(EditGrid(anchor=_require_str(obj, "anchor", path, lineno), points=points))
     return grids
+
+
+def _lone_cr(name: str) -> bool:
+    """Whether ``name`` holds a carriage return outside a CRLF pair: the
+    trend CSV writes such a name unquoted, and a CSV reader ends the row
+    at that return."""
+    return "\r" in name.replace("\r\n", "")
+
+
+def _factor_name(point: dict, path, lineno) -> str:
+    name = _require_str(point, "factor_name", path, lineno)
+    if _lone_cr(name):
+        raise FormatError(f"{path}:{lineno}: factor_name {name!r} holds a lone carriage return")
+    return name
 
 
 def _grid_number(point: dict, key: str, path, lineno) -> float:
@@ -253,7 +267,12 @@ def similarity_trend(
 
 def write_trend_csv(path, trends: dict[str, list[tuple[float, float, int]]]) -> None:
     """CSV hand-off for plotting: factor,level,mean_similarity,count; a
-    factor name is quoted only when it holds a comma, quote or newline."""
+    factor name is quoted only when it holds a comma, quote or newline. A
+    name with a lone carriage return is rejected before the file is
+    opened, since it would split its row."""
+    for factor_name in trends:
+        if _lone_cr(factor_name):
+            raise InvalidInput(f"factor name {factor_name!r} holds a lone carriage return")
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("factor", "level", "mean_similarity", "count"))

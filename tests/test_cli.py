@@ -7,6 +7,7 @@ within-instance cosines are cos(angle deltas) and cross-instance
 cosines are exactly zero. One test also invokes the installed
 ``instasim`` console script as a subprocess.
 """
+import argparse
 import contextlib
 import io
 import json
@@ -347,6 +348,91 @@ class TestTopLevel:
         assert proc.stdout == "[]\n"
 
 
+def _captured(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# the fewest flags each command parses with; the last pair is a required flag
+MINIMAL_ARGV = {
+    "curate": ["--inventory", "i", "--budget", "1", "--out-report", "r"],
+    "mine": ["--query-bundle", "q", "--pool-bundle", "p", "--manifests", "m", "--out", "o"],
+    "triplets": ["--instances", "i", "--manifests", "m", "--out", "o"],
+    "train": ["--manifests", "m", "--cls-bundle", "c", "--triplets", "t", "--out-head", "h"],
+    "apply": ["--head", "h", "--bundle", "b", "--out", "o"],
+    "score": ["--pair", "x", "y", "--bundle", "b"],
+    "eval": ["retrieval", "--bundle", "b", "--out", "o"],
+    "sensitivity": ["--grids", "g", "--bundle", "b", "--out", "o"],
+    "aggregate-votes": ["--votes", "v", "--out", "o"],
+    "inspect": [],
+}
+BAD_CHOICES = {
+    "eval": [["RETRIEVAL", "--bundle", "b", "--out", "o"]],
+    "train": [MINIMAL_ARGV["train"] + [flag, "nope"]
+              for flag in ("--activation", "--objective", "--patch-metric")],
+}
+
+
+def _usage_cases():
+    yield ["--version"]
+    yield ["-h"]
+    yield []
+    yield ["bogus"]
+    for command, argv in MINIMAL_ARGV.items():
+        yield [command, "-h"]
+        if argv:
+            yield [command, *argv[:-2]]
+        yield [command, "--frobnicate", *argv]
+        yield [command, *argv, "trailing"]
+        for bad in BAD_CHOICES.get(command, []):
+            yield [command, *bad]
+
+
+class TestOneSubparserPerCall:
+    """``main`` builds only the subparser it runs, and prints what the
+    full parser prints."""
+
+    def test_minimal_argv_names_every_command(self):
+        assert list(MINIMAL_ARGV) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", list(_usage_cases()), ids=" ".join)
+    def test_same_bytes_as_the_full_parser(self, argv):
+        want = _captured(lambda a: cli.build_parser().parse_args(a), argv)
+        assert _captured(main, argv) == want
+
+    def test_no_command_names_the_missing_argument(self):
+        code, out, err = _captured(main, [])
+        assert (code, out) == (2, "")
+        assert err.endswith("instasim: error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["inspect", "--manifests", "{manifests}"], 1),
+        (["-h"], 10),
+    ])
+    def test_add_parser_calls(self, argv, calls, world, monkeypatch):
+        made = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            made.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        run_cli(*(a.format(manifests=world.manifests) for a in argv))
+        assert len(made) == calls
+
+    def test_no_argv_reads_sys_argv(self, world, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["instasim", "inspect", "--manifests", str(world.manifests)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main() == 0
+        assert out.getvalue().startswith(f"manifests {world.manifests}: 13 images\n")
+
+
 class TestCurate:
     def test_report_allocation_and_instance_sampling(self, world, tmp_path):
         report_path = tmp_path / "curation.json"
@@ -401,6 +487,21 @@ class TestCurate:
         )
         assert code == 1
         assert err.startswith("error: InsufficientInventory:")
+
+    def test_out_instances_without_manifests_is_a_data_error(self, world, tmp_path):
+        report_path, instances_path = tmp_path / "curation.json", tmp_path / "instances.jsonl"
+        code, out, err = run_cli(
+            "curate",
+            "--inventory", world.inventory,
+            "--budget", 5,
+            "--out-report", report_path,
+            "--out-instances", instances_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidInput: --out-instances needs --manifests to sample instances from\n"
+        )
+        assert not report_path.exists() and not instances_path.exists()
 
 
 class TestMine:
@@ -798,6 +899,36 @@ class TestEval:
         assert code == 1
         assert "--pairs" in err
 
+    @pytest.mark.parametrize("protocol", ["verification", "correlation"])
+    def test_pair_protocol_given_a_task_is_a_data_error(self, protocol, world, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            "eval", protocol,
+            "--bundle", world.cls_bundle,
+            "--pairs", world.verif_pairs,
+            "--task", world.retrieval_task,
+            "--out", out_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidInput: {protocol} reads --pairs, not --task\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("protocol, task", [
+        ("retrieval", "retrieval_task"), ("triplet", "triplet_task"),
+    ])
+    def test_task_protocol_given_pairs_is_a_data_error(self, protocol, task, world, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            "eval", protocol,
+            "--bundle", world.cls_bundle,
+            "--task", getattr(world, task),
+            "--pairs", world.verif_pairs,
+            "--out", out_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidInput: {protocol} reads --task, not --pairs\n"
+        assert not out_path.exists()
+
     def test_patch_verification_scores_a_set_with_itself_as_positive_zero(self, world, tmp_path):
         pairs = tmp_path / "pairs.jsonl"
         _jsonl(pairs, [
@@ -922,6 +1053,23 @@ class TestSensitivityCli:
             assert code == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_lone_carriage_return_in_a_factor_name_fails_before_any_report(
+        self, world, tmp_path
+    ):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(Path(world.grids).read_text().replace('"blur"', '"blur\\rsharp"'))
+        out_path, trend_path = tmp_path / "sensitivity.json", tmp_path / "trend.csv"
+        code, out, err = run_cli(
+            "sensitivity",
+            "--grids", grids,
+            "--bundle", world.aux_bundle,
+            "--out", out_path,
+            "--out-trend", trend_path,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: FormatError: {grids}:1: factor_name ")
+        assert not out_path.exists() and not trend_path.exists()
 
 
 class TestUnconvergedWarning:

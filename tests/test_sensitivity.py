@@ -264,6 +264,16 @@ class TestTrend:
         assert rows[1:] == [[name, "0.0", "0.5", "3"] for name in sorted(names)]
         assert "\nplain,0.0,0.5,3\n" in path.read_text(encoding="utf-8")
 
+    def test_trend_csv_rejects_a_lone_carriage_return_before_opening(self, tmp_path):
+        path = tmp_path / "trend.csv"
+        with pytest.raises(InvalidInput, match="lone carriage return"):
+            write_trend_csv(path, {"plain": [(0.0, 0.5, 3)], "a\rb": [(0.0, 0.5, 3)]})
+        assert list(tmp_path.iterdir()) == []
+        # a CRLF pair holds a newline, so the writer quotes it and the row survives
+        write_trend_csv(path, {"a\r\nb": [(0.0, 0.5, 3)]})
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == [["a\r\nb", "0.0", "0.5", "3"]]
+
 
 class TestGridIO:
     def test_round_trip(self, tmp_path):
@@ -276,6 +286,19 @@ class TestGridIO:
         assert len(grids) == 1
         assert grids[0].anchor == "a"
         assert grids[0].points[0] == _point("x", 1.0, 0.0, name="blur")
+
+    def test_lone_carriage_return_in_a_factor_name_names_its_line(self, tmp_path):
+        path = tmp_path / "grids.jsonl"
+        point = {"image_id": "x", "identity_change": 0, "factor_change": 1, "factor_name": "f"}
+        lines = [{"anchor": "a", "points": [point]},
+                 {"anchor": "b", "points": [{**point, "factor_name": "f\rg"}]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(FormatError) as exc:
+            load_grids(path)
+        assert str(exc.value).startswith(f"{path}:2: factor_name 'f\\rg' ")
+        lines[1]["points"][0]["factor_name"] = "f\r\ng"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert load_grids(path)[1].factor_name == "f\r\ng"
 
     def test_loader_errors(self, tmp_path):
         path = tmp_path / "grids.jsonl"
