@@ -11,6 +11,8 @@ errors print one machine-parsable line to stderr:
     error: <code>: <message>
 
 where <code> is the exception class name from the error taxonomy.
+A command checks its flags and builds its configs before it reads any
+input, so a bad flag is reported even when an input file is missing.
 A command that returns normally after any of its Sinkhorn solves
 missed --tol (only ``eval``, ``score``, ``sensitivity`` and ``train``
 solve) also prints one line
@@ -155,15 +157,15 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_triplets(args) -> int:
-    samples, _ = load_samples(args.instances)
-    mined = load_mined(args.mined) if args.mined else {}
-    manifests = load_manifest(args.manifests)
     try:
         mix = tuple(float(x) for x in args.mix.split(":"))
     except ValueError:
         raise InvalidInput(f"--mix weights must be numbers, got {args.mix!r}") from None
     if len(mix) != 3:
         raise InvalidInput(f"--mix needs three colon-separated weights, got {args.mix!r}")
+    samples, _ = load_samples(args.instances)
+    mined = load_mined(args.mined) if args.mined else {}
+    manifests = load_manifest(args.manifests)
     triplets, shortfall = build_triplets(
         samples, mined, manifests, mix=mix, total=args.total, seed=args.seed
     )
@@ -188,13 +190,13 @@ def _cmd_triplets(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = _config(
+        TrainConfig, args, loss=_config(LossConfig, args), sinkhorn=_config(SinkhornConfig, args)
+    )
     manifests = load_manifest(args.manifests)
     cls_bundle = read_bundle(args.cls_bundle)
     patch_bundle = read_bundle(args.patch_bundle) if args.patch_bundle else None
     triplets = load_triplets(args.triplets)
-    cfg = _config(
-        TrainConfig, args, loss=_config(LossConfig, args), sinkhorn=_config(SinkhornConfig, args)
-    )
     result = train(manifests, cls_bundle, triplets, cfg, patch_bundle=patch_bundle)
     # every field but the seed, which the envelope hashes on its own; the
     # Sinkhorn fields join the hash with the next re-pin of the golden hashes
@@ -220,30 +222,32 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    bundle = read_bundle(args.bundle)
-    sim = float(score_pairs(bundle, [tuple(args.pair)], _config(SinkhornConfig, args))[0])
+    sink_cfg = _config(SinkhornConfig, args)
+    sim = float(score_pairs(read_bundle(args.bundle), [tuple(args.pair)], sink_cfg)[0])
     print(f"similarity={sim:.12g} distance={1.0 - sim:.12g}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    bundle = read_bundle(args.bundle)
     protocol = args.protocol.upper()
-    task = None
-    pairs = None
-    if protocol in ("RETRIEVAL", "TRIPLET"):
+    by_task = protocol in ("RETRIEVAL", "TRIPLET")
+    if by_task:
         if not args.task:
             raise InvalidInput(f"{args.protocol} needs --task")
         if args.pairs is not None:
             raise InvalidInput(f"{args.protocol} reads --task, not --pairs")
-        task = load_retrieval_task(args.task) if protocol == "RETRIEVAL" else load_triplet_task(args.task)
     else:
         if not args.pairs:
             raise InvalidInput(f"{args.protocol} needs --pairs")
         if args.task is not None:
             raise InvalidInput(f"{args.protocol} reads --pairs, not --task")
-        pairs = load_pair_labels(args.pairs)
     sink_cfg = _config(SinkhornConfig, args)
+    bundle = read_bundle(args.bundle)
+    task = pairs = None
+    if by_task:
+        task = load_retrieval_task(args.task) if protocol == "RETRIEVAL" else load_triplet_task(args.task)
+    else:
+        pairs = load_pair_labels(args.pairs)
     report = run_protocol(protocol, bundle, task=task, pairs=pairs, seed=args.seed, sink_cfg=sink_cfg)
     write_json_report(args.out, report)
     print(f"wrote {args.out}")
@@ -251,9 +255,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    sink_cfg = _config(SinkhornConfig, args)
+    if args.n_boot < 1:
+        raise InvalidInput(f"n_boot must be >= 1, got {args.n_boot}")
     grids = load_grids(args.grids)
     # one engine pass for the fits and the trend, which share their pairs
-    scores = grid_scores(grids, read_bundle(args.bundle), _config(SinkhornConfig, args))
+    scores = grid_scores(grids, read_bundle(args.bundle), sink_cfg)
     report = analyze_grids(grids, scores, n_boot=args.n_boot, seed=args.seed)
     write_json_report(args.out, report)
     if args.out_trend:

@@ -37,14 +37,16 @@ solve_counts() as counts:``; every solve run inside the block, at any
 depth of calls, adds to ``counts``.
 
 One kernel runs every solve (GeomLoss batches point clouds the same
-way; Feydy et al., AISTATS 2019). Problems are sorted by shape and
-stacked in chunks, zero-padded to (B, N, M) and bounded by
-STACK_ELEMENTS padded elements, not by a pair count, so its working
-memory stays small whatever the token count; a problem over the bound
-is solved alone. The loop runs Schmitzer's log-stabilized scaling
-algorithm ("Stabilized Sparse Scaling Algorithms for Entropy
-Regularized Transport Problems", SIAM J. Sci. Comput. 2019, section 3):
-each problem's kernel is kept as E = exp(-C / eps + f + g), built from
+way; Feydy et al., AISTATS 2019). A call checks each distinct set once
+and computes the squared norms of its rows once, whatever number of
+problems share it. Problems are sorted by shape and stacked in chunks,
+zero-padded to (B, N, M) and bounded by STACK_ELEMENTS padded
+elements, not by a pair count, so its working memory stays small
+whatever the token count; a problem over the bound is solved alone.
+The loop runs Schmitzer's log-stabilized scaling algorithm
+("Stabilized Sparse Scaling Algorithms for Entropy Regularized
+Transport Problems", SIAM J. Sci. Comput. 2019, section 3): each
+problem's kernel is kept as E = exp(-C / eps + f + g), built from
 absorbed log potentials f and g, and a half-step updates scalings on
 it in one einsum pass over the stack, a contraction over a leading
 axis, then a division by the marginal. einsum adds that axis one row
@@ -55,11 +57,11 @@ underflowed mass below rounding, or whose sum underflowed to 0,
 absorbs alone (a self term's scalings stay far inside that bound):
 that update is redone as a log-sum-exp, its potentials become the new
 f and g, and its slice of E is rebuilt from -C / eps, recomputed from
-its points. A problem closes at the iteration it meets tol: its result
-is taken then, and it iterates on in place, out of the stopping test,
-so that a close copies nothing. Its stack is compacted to the problems
-still open only once at most half of them are, so a stack of B
-problems compacts at most log2(B) times.
+its points and their norms. A problem closes at the iteration it meets
+tol: its result is taken then, and it iterates on in place, out of the
+stopping test, so that a close copies nothing. Its stack is compacted
+to the problems still open only once at most half of them are, so a
+stack of B problems compacts at most log2(B) times.
 
 A note on tolerances: every solve stops when the worst row-marginal
 violation of its plan drops to tol, and the check reuses the next
@@ -191,20 +193,20 @@ def _check_set(name: str, M, cfg: SinkhornConfig) -> np.ndarray:
     return M
 
 
-def _check_pair(A, B, cfg: SinkhornConfig) -> tuple[np.ndarray, np.ndarray]:
-    A = _check_set("A", A, cfg)
-    B = _check_set("B", B, cfg)
-    if A.shape[1] != B.shape[1]:
-        raise ShapeError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
-    return A, B
+def _checker(cfg: SinkhornConfig):
+    """check(name, M) for one solve call: M as a checked float64 matrix
+    and the squared norms of its rows, both made once per distinct array.
+    The table is keyed by id(M), so the call must hold every M it checks
+    until it returns; it dies with the call."""
+    seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+    def check(name: str, M) -> tuple[np.ndarray, np.ndarray]:
+        if id(M) not in seen:
+            X = _check_set(name, M, cfg)
+            seen[id(M)] = X, _sqnorms(X)
+        return seen[id(M)]
 
-def _half_sqdist(X: np.ndarray, Y: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """C_ij = 0.5 * ||X_i - Y_j||^2 of one problem, clipped at zero
-    against rounding. With ``out`` and ``tmp`` (both n x m) it is built
-    in ``out``, with ``tmp`` as scratch space, in the same bits."""
-    P, xx = np.matmul(X, Y.T, out=out), _sqnorms(X)
-    return _from_products(P, xx, xx if Y is X else _sqnorms(Y), Y is X, tmp)
+    return check
 
 
 def _sqnorms(X: np.ndarray) -> np.ndarray:
@@ -233,12 +235,20 @@ def _from_products(P: np.ndarray, xx: np.ndarray, yy: np.ndarray, same: bool, tm
 
 
 # padded elements B x N x M of one solve stack, which holds E, E^T and a
-# scratch array of that size (128 KiB of float64 each); a problem over
-# it is solved alone. With one-pass half-steps, 15-second runs of the
-# bench's patch workload gave wall_s medians of 0.190, 0.181, 0.177 and
-# 0.184 s for 2^13 to 2^16 (eight runs for 2^14 and 2^15, else three):
-# 2^15 gains 2%, inside the runs' spread, for twice the memory.
-STACK_ELEMENTS = 1 << 14
+# scratch array of that size (256 KiB of float64 each); a problem over
+# it is solved alone. A stack iteration costs mostly a fixed dozen ufunc
+# calls, so fewer, fuller stacks pay until the arrays outgrow the cache.
+# The 16 solve calls of one pass of the bench's patch workload, replayed
+# in one process with the bounds interleaved over 40 rounds, took these
+# medians (ms; 2-vCPU x86-64 VM, one BLAS thread):
+#
+#     bound      2^14   2^15   2^16   2^17
+#     seed 1     94.9   90.2   91.6   91.4
+#     seed 367  101.9   94.3   98.5  100.2
+#
+# 2^15 is the smallest bound within noise of the fastest; every bound
+# gave the same bits.
+STACK_ELEMENTS = 1 << 15
 
 # Every scaling a half-step returns is kept at most e^TAU; an entry with
 # one above it absorbs. E = exp(K + f + g) is built from the potentials
@@ -297,34 +307,36 @@ class _Stack:
     (Schmitzer, SIAM J. Sci. Comput. 2019, section 3): E (B, N, M) =
     exp(K + f + g) for the column update and, for cross terms only, its
     transpose E^T (B, M, N) for the row update, so that both half-steps
-    reduce over a leading axis; K is -C / eps of the problems at indices
-    ``ks``, and f and g are the absorbed log potentials. A self term's K
-    is symmetric and its f is its g, so its column update is its row
-    update. The potentials are u = f + log alpha and v = g + log beta
-    for the scalings the loop carries; padded rows and columns have
-    scaling and marginal 0 and kernel entries 1. ``ns`` holds each
-    entry's row count as a float, the divisor of its error, and 0 once
-    the entry is closed. A stack of one entry drops the B axis: numpy
-    runs 2-D operations faster, with the same bits; ``real`` then marks
-    its rows that are not padding (True when none is), and ``ns`` is its
-    row count. When that entry needs no padding either, its K is built
-    in E's memory, and an absorption recomputes it there from the
-    points, so a problem over STACK_ELEMENTS holds three arrays of its
-    size (E, E^T and the scratch space of the log-domain steps and the
-    plan), a self term two.
+    reduce over a leading axis; K is -C / eps of the (X, Y, xx, yy)
+    problems at indices ``ks``, whose xx and yy are the squared row
+    norms of X and Y, and f and g are the absorbed log potentials. A
+    self term's K is symmetric and its f is its g, so its column update
+    is its row update. The potentials are u = f + log alpha and
+    v = g + log beta for the scalings the loop carries; padded rows and
+    columns have scaling and marginal 0 and kernel entries 1. ``ns``
+    holds each entry's row count as a float, the divisor of its error,
+    and 0 once the entry is closed. A stack of one entry drops the B
+    axis: numpy runs 2-D operations faster, with the same bits; ``real``
+    then marks its rows that are not padding (True when none is), and
+    ``ns`` is its row count. When that entry needs no padding either,
+    its K is built in E's memory, and an absorption recomputes it there
+    from the points, so a problem over STACK_ELEMENTS holds three arrays
+    of its size (E, E^T and the scratch space of the log-domain steps
+    and the plan), a self term two.
 
     The padded stack is built as a whole where the bits allow. Each
     entry's products X @ Y.T are its own matmul, built contiguously and
     copied into E (a batched or padded product may round differently);
-    the rest of K is elementwise and runs over the whole stack, E^T is
-    one copy of E's transpose, and the marginals come from masks over
-    the shapes, with -log n computed once per size."""
+    the rest of K is elementwise and runs over the whole stack, from the
+    norms the problems carry, E^T is one copy of E's transpose, and the
+    marginals come from masks over the shapes, with -log n computed once
+    per distinct size."""
 
     def __init__(self, ks: list[int], problems, cfg: SinkhornConfig, cross: bool):
         self.ks, self.problems, self.cross, self.eps = ks, problems, cross, cfg.epsilon
         self.shapes = shapes = [(len(problems[k][0]), len(problems[k][1])) for k in ks]
-        # -log n of every size in the stack, the same scalar call per size
-        self.logs = {n: -np.log(n) for shape in shapes for n in shape}
+        # -log n of each distinct size in the stack, one scalar call each
+        self.logs = {n: -np.log(n) for n in {n for shape in shapes for n in shape}}
         B = len(ks)
         N = max(2, max(n for n, _ in shapes))
         M = max(2, max(m for _, m in shapes))
@@ -339,18 +351,14 @@ class _Stack:
             rows = np.arange(N) < np.array([n for n, _ in shapes])[:, None]
             cols = np.arange(M) < np.array([m for _, m in shapes])[:, None] if cross else rows
             E = np.zeros((B, N, M))
-            norms: dict = {}
             for b, k in enumerate(ks):
-                X, Y = problems[k]
+                X, Y = problems[k][:2]
                 E[b, : len(X), : len(Y)] = X @ Y.T
-                for Z in (X, Y):
-                    if id(Z) not in norms:
-                        norms[id(Z)] = _sqnorms(Z)
             xx = np.zeros((B, N))
-            xx[rows] = np.concatenate([norms[id(problems[k][0])] for k in ks])
+            xx[rows] = np.concatenate([problems[k][2] for k in ks])
             yy = np.zeros((B, M)) if cross else xx
             if cross:
-                yy[cols] = np.concatenate([norms[id(problems[k][1])] for k in ks])
+                yy[cols] = np.concatenate([problems[k][3] for k in ks])
             _from_products(E, xx, yy, not cross, self.buf.reshape(B, N, M))
             np.divide(E, -self.eps, out=E)
             Et = np.empty((B, M, N)) if cross else E
@@ -387,8 +395,12 @@ class _Stack:
         self.real = True if all(n == N for n, _ in shapes) else rows
 
     def _kernel(self, problem, out=None, tmp=None) -> np.ndarray:
-        """K = -C / eps of one (X, Y) problem, in ``out`` when given."""
-        K = _half_sqdist(*problem, out, tmp)
+        """K = -C / eps of one (X, Y, xx, yy) problem, in ``out`` (n x m)
+        when given, with ``tmp`` (n x m) as scratch space, in the same
+        bits; C_ij = 0.5 * ||X_i - Y_j||^2 is clipped at zero against
+        rounding."""
+        X, Y, xx, yy = problem
+        K = _from_products(np.matmul(X, Y.T, out=out), xx, yy, Y is X, tmp)
         return np.divide(K, -self.eps, out=K)
 
     def rows(self, a: np.ndarray) -> np.ndarray:
@@ -461,7 +473,7 @@ class _Stack:
                 out[k] = (result, None, None) if self.cross else (result, None)
                 continue
             T = self.plan(b, alphas[b, :n], betas[b, :m])
-            dX, dY = _ot_position_grads(*self.problems[k], T)
+            dX, dY = _ot_position_grads(*self.problems[k][:2], T)
             out[k] = (result, dX, dY) if self.cross else (result, 0.5 * (dX + dY))
 
     def drop(self, done: np.ndarray) -> None:
@@ -599,12 +611,16 @@ def _run(ks: list[int], problems, cfg: SinkhornConfig, cross: bool, grad: bool, 
 
 
 def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
-    """For each (X, Y) problem, in input order: the cross term
+    """For each (X, Y, xx, yy) problem, in input order: the cross term
     OT_eps(X, Y) by alternating updates, as (result, dX, dY), or
     (``cross`` False, Y is X) the self term by the symmetric averaged
-    update, as (result, half_grad). The position gradients of the plan
-    are computed only when ``grad`` is set (else None). Each result goes
-    through ``_tally`` once.
+    update, as (result, half_grad). X and Y are checked sets and xx and
+    yy the squared norms of their rows: ``self_terms`` and
+    ``cross_terms`` check each distinct set once per call and compute
+    its norms once (``_checker``), so a set shared by many problems, in
+    one stack or across stacks, is neither checked nor measured again.
+    The position gradients of the plan are computed only when ``grad``
+    is set (else None). Each result goes through ``_tally`` once.
 
     Problems are sorted by shape and solved in chunks of at most
     STACK_ELEMENTS padded elements, one stack per chunk. An entry's
@@ -619,7 +635,7 @@ def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
     if len(problems) == 1:
         _run([0], problems, cfg, cross, grad, out)
     else:
-        shapes = [(len(X), len(Y)) for X, Y in problems]
+        shapes = [(len(X), len(Y)) for X, Y, _, _ in problems]
         order = sorted(range(len(problems)), key=shapes.__getitem__)
         for chunk in _chunks(order, shapes.__getitem__):
             _run(chunk, problems, cfg, cross, grad, out)
@@ -631,15 +647,22 @@ def _solve(problems, cfg: SinkhornConfig, cross: bool, grad: bool) -> list:
 def self_terms(sets, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False) -> list:
     """``self_term`` for many sets, solved together; (result, half_grad)
     per set, in input order, each equal to a one-set call bit for bit."""
-    sets = [_check_set("X", X, cfg) for X in sets]
-    return _solve([(X, X) for X in sets], cfg, cross=False, grad=grad)
+    check, sets = _checker(cfg), list(sets)
+    problems = [(X, X, xx, xx) for X, xx in (check("X", Z) for Z in sets)]
+    return _solve(problems, cfg, cross=False, grad=grad)
 
 
 def cross_terms(pairs, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False) -> list:
     """``cross_term`` for many (A, B) pairs, solved together; (result, dA,
     dB) per pair, in input order, each equal to a one-pair call bit for
     bit."""
-    return _solve([_check_pair(A, B, cfg) for A, B in pairs], cfg, cross=True, grad=grad)
+    check, pairs, problems = _checker(cfg), list(pairs), []
+    for A, B in pairs:
+        (X, xx), (Y, yy) = check("A", A), check("B", B)
+        if X.shape[1] != Y.shape[1]:
+            raise ShapeError(f"dimension mismatch: A is {X.shape}, B is {Y.shape}")
+        problems.append((X, Y, xx, yy))
+    return _solve(problems, cfg, cross=True, grad=grad)
 
 
 def self_term(X, cfg: SinkhornConfig = SinkhornConfig(), grad: bool = False):

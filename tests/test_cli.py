@@ -1133,6 +1133,42 @@ class TestUnconvergedWarning:
         assert re.fullmatch(r"error: IoError: [^\n]*\n", err), err
 
 
+class TestFlagsBeforeInputs:
+    """A command checks its flags and builds its configs before it reads
+    an input: with every input file missing, a bad flag is still the
+    InvalidInput it names, not an IoError, and no output is written."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "verification", "--bundle", "{in}.idse", "--task", "{in}.jsonl",
+              "--pairs", "{in}.jsonl", "--out", "{out}"],
+             "verification reads --pairs, not --task"),
+            (["score", "--bundle", "{in}.idse", "--pair", "a", "b", "--epsilon", "0"],
+             "epsilon must be positive and finite, got 0.0"),
+            (["sensitivity", "--grids", "{in}.jsonl", "--bundle", "{in}.idse", "--epsilon", "0",
+              "--out", "{out}"],
+             "epsilon must be positive and finite, got 0.0"),
+            (["sensitivity", "--grids", "{in}.jsonl", "--bundle", "{in}.idse", "--n-boot", "0",
+              "--out", "{out}"],
+             "n_boot must be >= 1, got 0"),
+            (["train", "--manifests", "{in}.jsonl", "--cls-bundle", "{in}.idse",
+              "--triplets", "{in}.jsonl", "--lr", "-1", "--out-head", "{out}"],
+             "lr and weight_decay must be finite and non-negative"),
+            (["triplets", "--instances", "{in}.jsonl", "--manifests", "{in}.jsonl",
+              "--mix", "1:2", "--out", "{out}"],
+             "--mix needs three colon-separated weights, got '1:2'"),
+        ],
+    )
+    def test_a_bad_flag_wins_over_missing_inputs(self, argv, message, tmp_path):
+        out_path = tmp_path / "out"
+        argv = [a.format(**{"in": tmp_path / "missing", "out": out_path}) for a in argv]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidInput: {message}\n"
+        assert not out_path.exists()
+
+
 class TestNonFiniteSettings:
     """A NaN or infinite numeric flag is an InvalidInput before any
     solve or training step, and no output is written."""

@@ -367,9 +367,22 @@ class TestDivergencePlan:
         pairs = unequal + [("i2", "i2")] + unequal[::-1]
         counts = self._calls(monkeypatch, "_check_set")
         score_pairs(bundle, pairs, self.CFG)
-        # n self terms in one ``self_terms`` call, then two sets for each
-        # distinct unequal ordered pair in one ``cross_terms`` call
-        assert counts["_check_set"] == n + 2 * len(unequal)
+        # n self terms in one ``self_terms`` call, then each distinct set
+        # of the unequal pairs once in one ``cross_terms`` call
+        assert counts["_check_set"] == n + len({x for pair in unequal for x in pair})
+
+    def test_each_set_is_measured_once_per_solve_call(self, rng, monkeypatch):
+        # a bound of 64 elements splits the repeated sets over many stacks,
+        # and each set's squared row norms still come from one call
+        n = 5
+        bundle = self._patch_bundle(rng, n)
+        unequal = [("i0", "i1"), ("i1", "i0"), ("i2", "i3"), ("i0", "i4"), ("i3", "i0")]
+        pairs = unequal + [("i2", "i2")] + unequal[::-1]
+        monkeypatch.setattr(sinkhorn, "STACK_ELEMENTS", 64)
+        counts = self._calls(monkeypatch, "_sqnorms", "_Stack")
+        score_pairs(bundle, pairs, self.CFG)
+        assert counts["_Stack"] > 2  # more stacks than the two solve calls
+        assert counts["_sqnorms"] == n + len({x for pair in unequal for x in pair})
 
     def test_one_finisher_call_per_distinct_comparison(self, rng, monkeypatch):
         bundle = self._patch_bundle(rng, 5)
@@ -489,10 +502,11 @@ class TestBatchedSolves:
     CFG = SinkhornConfig(epsilon=0.02, max_iters=200, tol=1e-9)
 
     def _big(self, rng):
-        # one set pair over the stack bound: solved alone
-        A = rng.normal(size=(130, 6))
-        B = rng.normal(size=(140, 6))
-        assert 130 * 140 > STACK_ELEMENTS
+        # one set pair over the stack bound, whatever it is: solved alone
+        n = math.isqrt(STACK_ELEMENTS) + 2
+        A = rng.normal(size=(n, 6))
+        B = rng.normal(size=(n + 10, 6))
+        assert n * (n + 10) > STACK_ELEMENTS
         return A / np.linalg.norm(A, axis=1, keepdims=True), B / np.linalg.norm(B, axis=1, keepdims=True)
 
     @staticmethod
@@ -700,7 +714,7 @@ class TestBatchedSolves:
         self_terms(sets + [A], self.CFG)
         assert len(built) > 4
         for count, elements, shapes in built:
-            if shapes & {(130, 140), (130, 130)}:
+            if shapes & {(len(A), len(B)), (len(A), len(A))}:
                 assert count == 1  # an over-bound problem runs alone
             else:
                 assert elements <= STACK_ELEMENTS
@@ -777,6 +791,22 @@ class TestValidation:
         X = np.array([[np.inf, 0.0]])
         with pytest.raises(InvalidInput):
             sinkhorn_divergence(X, np.zeros((1, 2)), TIGHT)
+
+    def test_the_first_bad_set_in_pair_order_names_its_slot(self):
+        # a call checks each set once, where it first comes in pair order,
+        # so a reused set's error names the slot of its first place
+        good, wide, bad = np.zeros((2, 2)), np.zeros((2, 3)), np.array([[np.inf, 0.0]])
+        cases = [
+            ([(good, bad), (bad, good)], InvalidInput, "B contains non-finite values"),
+            ([(good, good), (bad, bad)], InvalidInput, "A contains non-finite values"),
+            ([(good, wide), (good, bad)], ShapeError, "dimension mismatch"),
+            ([(good, good), (good, bad), (wide, good)], InvalidInput, "B contains"),
+        ]
+        for pairs, error, message in cases:
+            with pytest.raises(error, match=message):
+                cross_terms(pairs, TIGHT)
+        with pytest.raises(InvalidInput, match="X contains non-finite values"):
+            self_terms([good, good, bad], TIGHT)
 
     def test_over_token_cap_rejected(self):
         cfg = SinkhornConfig(epsilon=0.1, max_tokens=4)
