@@ -32,6 +32,7 @@ from dataclasses import asdict, fields
 from ._version import __version__
 from .bundle import read_bundle, write_bundle
 from .curation import (
+    _mix_weights,
     aggregate_votes,
     apply_filters,
     assign_splits,
@@ -117,6 +118,8 @@ def _report_envelope(command: str, seed: int, params: dict) -> dict:
 def _cmd_curate(args) -> int:
     if args.out_instances and not args.manifests:
         raise InvalidInput("--out-instances needs --manifests to sample instances from")
+    if args.budget < 1:
+        raise InvalidInput(f"budget must be positive, got {args.budget}")
     inventory = load_inventory(args.inventory)
     if args.filter:
         inventory = apply_filters(inventory, load_filter_rules(args.filter))
@@ -145,6 +148,8 @@ def _cmd_curate(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    if args.k < 1:
+        raise InvalidInput(f"k must be >= 1, got {args.k}")
     mined = mine_hard_negatives(
         read_bundle(args.query_bundle),
         read_bundle(args.pool_bundle),
@@ -163,6 +168,9 @@ def _cmd_triplets(args) -> int:
         raise InvalidInput(f"--mix weights must be numbers, got {args.mix!r}") from None
     if len(mix) != 3:
         raise InvalidInput(f"--mix needs three colon-separated weights, got {args.mix!r}")
+    if args.total is not None and args.total < 0:
+        raise InvalidInput(f"total must be >= 0, got {args.total}")
+    _mix_weights(mix)
     samples, _ = load_samples(args.instances)
     mined = load_mined(args.mined) if args.mined else {}
     manifests = load_manifest(args.manifests)
@@ -272,6 +280,8 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_aggregate_votes(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise InvalidInput(f"threshold must be in [0,1], got {args.threshold}")
     summaries = aggregate_votes(load_votes(args.votes), threshold=args.threshold)
     write_jsonl(args.out, (asdict(s) for s in summaries))
     n_pos = sum(s.binary for s in summaries)

@@ -451,7 +451,9 @@ def _ranked(
 # triplet construction
 
 
-def _largest_remainder_quotas(mix: tuple[float, float, float], total: int) -> dict[str, int]:
+def _mix_weights(mix: tuple[float, float, float]) -> tuple[np.ndarray, float]:
+    """The mix as float64 weights and their sum; InvalidInput unless they
+    are one finite, non-negative weight per kind, not all zero."""
     weights = np.asarray(mix, dtype=np.float64)
     # a NaN or infinite weight, or a sum that overflows, leaves a non-finite
     # sum; Python floats overflow to inf without numpy's RuntimeWarning
@@ -460,6 +462,11 @@ def _largest_remainder_quotas(mix: tuple[float, float, float], total: int) -> di
         raise InvalidInput(
             f"mix must be {len(TRIPLET_KINDS)} finite, non-negative weights, not all zero"
         )
+    return weights, total_weight
+
+
+def _largest_remainder_quotas(mix: tuple[float, float, float], total: int) -> dict[str, int]:
+    weights, total_weight = _mix_weights(mix)
     exact = weights / total_weight * total
     base = np.floor(exact).astype(int)
     leftover = total - int(base.sum())

@@ -1,4 +1,4 @@
-"""Dual projection heads with hand-written forward/backward and AdamW.
+"""Dual projection heads: forward, parameter-gradient backward, AdamW.
 
 Each head is a two-layer MLP (in -> hidden -> out) with a GELU between
 the affine layers; the CLS head maps class-token vectors, the patch
@@ -168,9 +168,9 @@ def init_dual_head(
     """Scaled-uniform fan-in initialization, deterministic per seed."""
     if activation not in ACTIVATIONS:
         raise InvalidInput(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if in_dim < 1 or hidden_dim < 1:
-        raise InvalidInput("dims must be positive")
     out_dim = in_dim if out_dim is None else out_dim
+    if in_dim < 1 or hidden_dim < 1 or out_dim < 1:
+        raise InvalidInput("dims must be positive")
     heads = {}
     for name in ("cls", "patch"):
         heads[name] = _init_mlp(
@@ -206,11 +206,11 @@ def mlp_forward(mlp: TwoLayerMLP, X: np.ndarray, activation: str):
     return (Y[0] if squeeze else Y), cache
 
 
-def mlp_backward(mlp: TwoLayerMLP, cache, dY: np.ndarray, activation: str):
+def mlp_backward(mlp: TwoLayerMLP, cache, dY: np.ndarray, activation: str) -> dict[str, np.ndarray]:
     """Backward pass for one forward cache.
 
-    Returns (dX, grads) where grads maps W1/b1/W2/b2 to arrays shaped
-    like the parameters.
+    Returns W1/b1/W2/b2 gradients, new arrays shaped like the parameters.
+    The inputs are frozen embeddings, so no input gradient is formed.
     """
     X, H, A, cdf = cache
     dY = np.asarray(dY, dtype=np.float64)
@@ -222,8 +222,7 @@ def mlp_backward(mlp: TwoLayerMLP, cache, dY: np.ndarray, activation: str):
     dH = dA * _gelu_grad(H, cdf) if activation == "gelu" else dA
     dW1 = X.T @ dH
     db1 = dH.sum(axis=0)
-    dX = dH @ mlp.W1.T
-    return dX, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
 
 def head_params(head: DualHead) -> dict[str, np.ndarray]:
@@ -314,6 +313,8 @@ def save_head(path, head: DualHead, seed: int = 0, config_hash: str = "") -> Non
     """
     params = head_params(head)
     dims = [head.in_dim, head.hidden_dim, head.out_dim]
+    if min(dims) < 1:
+        raise InvalidInput(f"head dims must be positive, got {dims}")
     table = _param_table(*dims)
     if [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()] != table:
         raise InvalidInput(f"parameter shapes do not all match the CLS head's dims {dims}")

@@ -8,11 +8,11 @@ update. Within a micro-batch every triplet sees its own hard negative
 plus the positives of the other triplets whose instance differs
 (in-batch negatives); the loss functions themselves stay agnostic to
 where negatives came from. Each head used runs one forward pass, one
-loss call and one backward pass per micro-batch, over the stacked rows
-of its distinct images: ``losses.cosine_losses`` scores all triplets
-from one normalized k x k matrix over the k distinct CLS rows, and
-``losses.patch_losses`` compares their token matrices. At lambda = 0
-only the CLS head is used.
+loss call and one backward pass (parameter gradients only) per
+micro-batch, over the stacked rows of its distinct images:
+``losses.cosine_losses`` scores all triplets from one normalized k x k
+matrix over the k distinct CLS rows, and ``losses.patch_losses``
+compares their token matrices. At lambda = 0 only the CLS head is used.
 
 Everything is sequential and seed-derived: file order of the triplet
 list never matters because triplets are canonically sorted before the
@@ -34,7 +34,6 @@ from .heads import (
     adamw_init,
     adamw_step,
     clone_head,
-    head_params,
     init_dual_head,
     mlp_backward,
     mlp_forward,
@@ -104,9 +103,6 @@ class _TrainData:
         if self.use_patch and image_id not in self.patch_bundle.index:
             raise MissingItem(f"image {image_id!r} missing from patch bundle")
 
-    def cls_vec(self, image_id: str) -> np.ndarray:
-        return self.cls_bundle.rows([image_id])[0]
-
     def patch_mat(self, image_id: str) -> np.ndarray:
         if image_id not in self._patch_cache:
             Z = self.patch_bundle.get(image_id).astype(np.float64)
@@ -136,8 +132,10 @@ def _micro_batch_pass(
     inst_of: dict[str, str],
     param_grads: dict[str, np.ndarray],
 ) -> float:
-    """Forward+backward one micro-batch; accumulates parameter gradients
-    in place and returns the summed per-triplet loss.
+    """Forward+backward one micro-batch; adds the gradients of the heads
+    it runs into ``param_grads`` (a new name takes the pass's array plus
+    0.0, which gives a -0.0 the bits of a sum from zeros) and returns the
+    summed per-triplet loss.
 
     The distinct images are stacked in sorted id order: one row each for
     the CLS head, all token rows for the patch head, whose per-image
@@ -162,9 +160,12 @@ def _micro_batch_pass(
         passes.append(("patch", head.patch_head, patch_cache, cfg.loss.lam * np.concatenate(dZs)))
 
     for name, mlp, cache, d_out in passes:
-        _, grads = mlp_backward(mlp, cache, d_out, head.activation)
-        for pname, g in grads.items():
-            param_grads[f"{name}.{pname}"] += g
+        for pname, g in mlp_backward(mlp, cache, d_out, head.activation).items():
+            key = f"{name}.{pname}"
+            if key in param_grads:
+                param_grads[key] += g
+            else:
+                param_grads[key] = np.add(g, 0.0, out=g)
     return total_loss(c_losses.sum(), p_sum, cfg.loss)
 
 
@@ -177,18 +178,14 @@ def train_step(
 ) -> float:
     """One optimizer step over up to batch_size * grad_accum triplets.
 
-    Gradients are accumulated across micro-batches, averaged per
-    triplet, then applied with AdamW. At lambda = 0 the unused patch
-    head gets no gradient and is not stepped. Every setting comes from
+    Gradients are summed across micro-batches, averaged per triplet,
+    then applied with AdamW to the heads the passes ran: at lambda = 0
+    the patch head is not stepped. Every setting comes from
     ``data.cfg``. Returns the mean triplet loss.
     """
     if not chunk:
         raise InvalidInput("empty triplet chunk")
-    param_grads = {
-        name: np.zeros_like(p)
-        for name, p in head_params(head).items()
-        if data.use_patch or name.startswith("cls.")
-    }
+    param_grads: dict[str, np.ndarray] = {}
     loss_sum = 0.0
     for start in range(0, len(chunk), data.cfg.batch_size):
         micro = chunk[start : start + data.cfg.batch_size]

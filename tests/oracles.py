@@ -430,11 +430,12 @@ def validation_accuracy_per_triplet(head, val, data) -> float:
     from instasim.heads import mlp_forward
     from instasim.metrics import cosine_similarity, triplet_correct
 
+    def project(image_id):
+        return mlp_forward(head.cls_head, data.cls_bundle.rows([image_id])[0], head.activation)[0]
+
     correct = 0
     for t in val:
-        a, _ = mlp_forward(head.cls_head, data.cls_vec(t.anchor), head.activation)
-        p, _ = mlp_forward(head.cls_head, data.cls_vec(t.positive), head.activation)
-        n, _ = mlp_forward(head.cls_head, data.cls_vec(t.hard_negative), head.activation)
+        a, p, n = (project(i) for i in (t.anchor, t.positive, t.hard_negative))
         if triplet_correct(cosine_similarity(a, p), cosine_similarity(a, n)):
             correct += 1
     return correct / len(val)
@@ -464,7 +465,7 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
     patch_cache: dict[str, tuple] = {}
     patch_out_grad: dict[str, np.ndarray] = {}
     for image_id in image_ids:
-        y, cache = mlp_forward(head.cls_head, data.cls_vec(image_id), head.activation)
+        y, cache = mlp_forward(head.cls_head, data.cls_bundle.rows([image_id])[0], head.activation)
         cls_out[image_id] = y
         cls_cache[image_id] = cache
         cls_out_grad[image_id] = np.zeros_like(y)
@@ -500,13 +501,13 @@ def micro_batch_pass_per_image(head, micro, data, inst_of, param_grads) -> float
         loss_sum += total_loss(c_loss, p_loss, cfg.loss)
 
     for image_id in image_ids:
-        _, grads = mlp_backward(
+        grads = mlp_backward(
             head.cls_head, cls_cache[image_id], cls_out_grad[image_id], head.activation
         )
         for pname, g in grads.items():
             param_grads[f"cls.{pname}"] += g
         if data.use_patch:
-            _, grads = mlp_backward(
+            grads = mlp_backward(
                 head.patch_head, patch_cache[image_id], patch_out_grad[image_id], head.activation
             )
             for pname, g in grads.items():

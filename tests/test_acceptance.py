@@ -243,7 +243,7 @@ def test_gradient_suite():
             zns, cns = zip(*(mlp_forward(head.cls_head, n, act) for n in negs))
             _, ga, gp, gns = _cls(za, zp, list(zns), cfg)
             for cache, up in [(ca, ga), (cp, gp), *zip(cns, gns)]:
-                _, g = mlp_backward(head.cls_head, cache, up, act)
+                g = mlp_backward(head.cls_head, cache, up, act)
                 for k, v in g.items():
                     grads[f"cls.{k}"] += v
             ZA, cA = mlp_forward(head.patch_head, A, act)
@@ -251,7 +251,7 @@ def test_gradient_suite():
             ZNs, cNs = zip(*(mlp_forward(head.patch_head, N, act) for N in Ns))
             _, gA, gP, gNs = _patch(ZA, ZP, list(ZNs), cfg)
             for cache, up in [(cA, gA), (cP, gP), *zip(cNs, gNs)]:
-                _, g = mlp_backward(head.patch_head, cache, cfg.lam * up, act)
+                g = mlp_backward(head.patch_head, cache, cfg.lam * up, act)
                 for k, v in g.items():
                     grads[f"patch.{k}"] += v
 

@@ -1158,6 +1158,19 @@ class TestFlagsBeforeInputs:
             (["triplets", "--instances", "{in}.jsonl", "--manifests", "{in}.jsonl",
               "--mix", "1:2", "--out", "{out}"],
              "--mix needs three colon-separated weights, got '1:2'"),
+            (["triplets", "--instances", "{in}.jsonl", "--manifests", "{in}.jsonl",
+              "--mix", "1:-1:1", "--out", "{out}"],
+             "mix must be 3 finite, non-negative weights, not all zero"),
+            (["triplets", "--instances", "{in}.jsonl", "--manifests", "{in}.jsonl",
+              "--total", "-1", "--out", "{out}"],
+             "total must be >= 0, got -1"),
+            (["mine", "--query-bundle", "{in}.idse", "--pool-bundle", "{in}.idse",
+              "--manifests", "{in}.jsonl", "--k", "0", "--out", "{out}"],
+             "k must be >= 1, got 0"),
+            (["aggregate-votes", "--votes", "{in}.jsonl", "--threshold", "2", "--out", "{out}"],
+             "threshold must be in [0,1], got 2.0"),
+            (["curate", "--inventory", "{in}.json", "--budget", "0", "--out-report", "{out}"],
+             "budget must be positive, got 0"),
         ],
     )
     def test_a_bad_flag_wins_over_missing_inputs(self, argv, message, tmp_path):

@@ -142,6 +142,9 @@ class TestInit:
             init_dual_head(8, activation="relu")
         with pytest.raises(InvalidInput):
             init_dual_head(0)
+        for dims in ((4, 0, 3), (4, 3, 0), (4, 3, -1), (-1, 3, 2)):
+            with pytest.raises(InvalidInput, match="dims must be positive"):
+                init_dual_head(dims[0], hidden_dim=dims[1], out_dim=dims[2])
 
 
 class TestMlpForwardBackward:
@@ -164,7 +167,7 @@ class TestMlpForwardBackward:
         X = rng.normal(size=(4, 4))
         dY = rng.normal(size=(4, 3))
         Y, cache = mlp_forward(mlp, X, head.activation)
-        dX, grads = mlp_backward(mlp, cache, dY, head.activation)
+        grads = mlp_backward(mlp, cache, dY, head.activation)
 
         def objective():
             out, _ = mlp_forward(mlp, X, head.activation)
@@ -172,7 +175,6 @@ class TestMlpForwardBackward:
 
         h = 1e-7
         for arr, grad in (
-            (X, dX),
             (mlp.W1, grads["W1"]),
             (mlp.b1, grads["b1"]),
             (mlp.W2, grads["W2"]),
@@ -201,10 +203,9 @@ class TestMlpForwardBackward:
         calls = []
         monkeypatch.setattr(heads, "erf", lambda x: calls.append(x) or erf(x))
         Y, cache = mlp_forward(mlp, X, "gelu")
-        dX, grads = mlp_backward(mlp, cache, dY, "gelu")
+        grads = mlp_backward(mlp, cache, dY, "gelu")
         assert len(calls) == 1
         np.testing.assert_array_equal(Y, 0.5 * H * (1.0 + erf(H / np.sqrt(2.0))) @ mlp.W2 + mlp.b2)
-        np.testing.assert_array_equal(dX, dH @ mlp.W1.T)
         np.testing.assert_array_equal(grads["W1"], X.T @ dH)
         np.testing.assert_array_equal(grads["b1"], dH.sum(axis=0))
 
@@ -317,6 +318,15 @@ class TestCheckpoints:
         path = tmp_path / "mixed.ckpt"
         with pytest.raises(InvalidInput, match=r"\[3, 2, 4\]"):
             save_head(path, head)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_head_with_a_zero_dim_is_not_saved(self, tmp_path):
+        # load_head rejects a zero dim, so save_head writes no such file;
+        # the 4-3-0 head is what init_dual_head(4, 3, out_dim=0) used to build
+        mlp = TwoLayerMLP(np.ones((4, 3)), np.zeros(3), np.ones((3, 0)), np.zeros(0))
+        for head in (identity_dual_head(0), DualHead(cls_head=mlp, patch_head=mlp)):
+            with pytest.raises(InvalidInput, match="dims must be positive"):
+                save_head(tmp_path / "zero.ckpt", head)
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_kind_rejected(self, tmp_path):

@@ -308,6 +308,36 @@ class TestMicroBatchPass:
         train_step(head, adamw_init(head), self.MICRO, data, inst_of)
         assert calls == {"cosine_losses": 2, "patch_losses": 2 if lam > 0 else 0}
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_gradient_sums_have_the_bits_of_sums_from_zeros(self, rng, monkeypatch, lam):
+        # every micro-batch's cls.b2[0] is -0.0: a sum started from zeros
+        # makes it +0.0, and so must the step's sum, which starts from the
+        # first micro-batch's own array
+        head, data, inst_of, cfg = self._setup(rng, lam)
+        data = _TrainData(data.cls_bundle, data.patch_bundle, dataclasses.replace(cfg, batch_size=2))
+        backward = trainer.mlp_backward
+
+        def signed_zero(mlp, *args):
+            grads = backward(mlp, *args)
+            if mlp is head.cls_head:
+                grads["b2"][0] = -0.0
+            return grads
+
+        stepped = []
+        monkeypatch.setattr(trainer, "mlp_backward", signed_zero)
+        monkeypatch.setattr(trainer, "adamw_step", lambda _head, grads, *_: stepped.append(grads))
+        train_step(head, adamw_init(head), self.MICRO, data, inst_of)
+        want = zero_grads(head)
+        for start in range(0, len(self.MICRO), 2):
+            _micro_batch_pass(head, self.MICRO[start : start + 2], data, inst_of, want)
+        (got,) = stepped
+        assert list(got) == [name for name in want if lam > 0 or name.startswith("cls.")]
+        for name, g in got.items():
+            w = want[name] / len(self.MICRO)
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+        assert got["cls.b2"][0] == 0.0 and not np.signbit(got["cls.b2"][0])
+
 
 class TestGradientAssembly:
     def test_one_step_gradient_matches_fd(self, rng):
